@@ -18,11 +18,50 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi
 
+# Batch kernels work through row blocks of about this many entries, so their
+# float64 working buffer stays cache-sized whatever n is.  A row longer than
+# this is a block on its own.
+BLOCK_ENTRIES = 2**16
+
 
 def _frozen(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def ternary_int8(values) -> np.ndarray:
+    """A new int8 array of `values`, which must all lie in {-1, 0, +1}.
+
+    The check runs on the input's own dtype, before the cast, so values that
+    an int8 cast would wrap or truncate into range (255, 0.5, NaN) are
+    rejected.  int8 input takes a min/max bound check instead of a set test.
+    """
+    arr = np.asarray(values)
+    if arr.dtype == np.int8:
+        ok = arr.size == 0 or (arr.min() >= -1 and arr.max() <= 1)
+    else:
+        ok = bool(np.isin(arr, (-1, 0, 1)).all())
+    if not ok:
+        raise ValueError("entries must take values in {-1, 0, +1}")
+    return np.array(arr, dtype=np.int8)
+
+
+def row_blocks(n: int, width: int):
+    """Yield (start, stop, buf) for the row blocks covering n rows of `width` entries.
+
+    `buf` is a (stop - start, width) float64 view of one working buffer that
+    every block reuses, so a caller's working memory is one block.
+    """
+    # Whole groups of four rows where a block has room for them: the gemv
+    # kernels of numpy's bundled OpenBLAS take rows four at a time, so a
+    # blocked product then matches the unblocked one bit for bit.
+    rows = BLOCK_ENTRIES // width
+    rows = rows - rows % 4 if rows >= 4 else max(1, rows)
+    buf = np.empty(min(n, rows) * width)
+    for start in range(0, n, rows):
+        stop = min(n, start + rows)
+        yield start, stop, buf[: (stop - start) * width].reshape(stop - start, width)
 
 
 @dataclass(frozen=True)
@@ -85,17 +124,17 @@ class TernarySample:
     support: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries, dtype=np.int8))
+        entries = ternary_int8(self.entries)
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "support", _frozen(self.support, dtype=np.int64))
-        if not np.isin(self.entries, (-1, 0, 1)).all():
-            raise ValueError("entries must take values in {-1, 0, +1}")
         actual = np.flatnonzero(self.entries)
         if self.support.shape != actual.shape or not np.array_equal(self.support, actual):
             raise ValueError("support must be the sorted set of nonzero indices")
 
     @classmethod
     def from_entries(cls, entries) -> "TernarySample":
-        arr = np.asarray(entries, dtype=np.int8)
+        arr = ternary_int8(entries)
         return cls(arr, np.flatnonzero(arr))
 
     @property
@@ -172,22 +211,53 @@ def sample_sparse(pop: SparsePopulation, rng: np.random.Generator) -> TernarySam
     return TernarySample(entries, support)
 
 
+def _signs_into(u: np.ndarray, p_plus: np.ndarray, out: np.ndarray) -> None:
+    """Write +1 where u < p_plus and -1 elsewhere into the int8 array `out`.
+
+    The comparison lands in `out` through a bool view, and {0, 1} becomes
+    {-1, +1} in place, so no wider integer temporary is built.
+    """
+    np.less(u, p_plus, out=out.view(np.bool_))
+    out <<= 1
+    out -= 1
+
+
+def _uniform_blocks(rng: np.random.Generator, n: int, width: int):
+    """`row_blocks` filled with uniforms, drawn in row order: together the
+    blocks consume the stream exactly as rng.random((n, width)) would."""
+    for i, j, u in row_blocks(n, width):
+        rng.random(out=u)
+        yield i, j, u
+
+
 def sample_matrix(pop: SparsePopulation, n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent draws as an (n, d) int8 matrix.
 
     Vectorized batch path: supports come from per-row argpartition of i.i.d.
     uniform keys (the k smallest keys form an exactly uniform k-subset).
     The dense case k = d skips support selection entirely.
+
+    Uniforms are drawn row block by row block (see `row_blocks`), so working
+    memory beyond the output and an (n, k) index array is O(block * d).  The
+    stream is consumed exactly as by one rng.random((n, d)) call for the
+    keys followed by one rng.random((n, k)) call for the signs: blocking
+    changes no draw and no output.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     d, k = pop.d, pop.k
     p_plus = (1.0 + (d / k) * pop.mu.values) / 2.0
     if k == d:
-        return np.where(rng.random((n, d)) < p_plus, 1, -1).astype(np.int8)
-    keys = rng.random((n, d))
-    sel = np.argpartition(keys, k - 1, axis=1)[:, :k]
-    signs = np.where(rng.random((n, k)) < p_plus[sel], 1, -1).astype(np.int8)
+        out = np.empty((n, d), dtype=np.int8)
+        for i, j, u in _uniform_blocks(rng, n, d):
+            _signs_into(u, p_plus, out[i:j])
+        return out
+    sel = np.empty((n, k), dtype=np.intp)
+    for i, j, keys in _uniform_blocks(rng, n, d):
+        sel[i:j] = np.argpartition(keys, k - 1, axis=1)[:, :k]
+    signs = np.empty((n, k), dtype=np.int8)
+    for i, j, u in _uniform_blocks(rng, n, k):
+        _signs_into(u, p_plus[sel[i:j]], signs[i:j])
     out = np.zeros((n, d), dtype=np.int8)
     np.put_along_axis(out, sel, signs, axis=1)
     return out
@@ -199,11 +269,9 @@ def pmf(pop: SparsePopulation, z) -> float:
     Zero unless z has exactly k nonzeros; otherwise
     C(d, k)^-1 * prod_{j in supp(z)} (1 + (d/k) mu_j z_j) / 2.
     """
-    entries = z.entries if isinstance(z, TernarySample) else np.asarray(z)
+    entries = z.entries if isinstance(z, TernarySample) else ternary_int8(z)
     if entries.shape != (pop.d,):
         raise ValueError(f"sample has dimension {entries.shape}, expected ({pop.d},)")
-    if not np.isin(entries, (-1, 0, 1)).all():
-        raise ValueError("entries must take values in {-1, 0, +1}")
     support = np.flatnonzero(entries)
     if support.size != pop.k:
         return 0.0

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import BetaPrior, TernarySample, sample_matrix, sample_prior
+from .distributions import BetaPrior, TernarySample, sample_matrix, sample_prior, ternary_int8
 from .problems import BOX_LP, ParameterPoint, ProblemSpec, data_distribution, excess_risk, is_feasible, support_argmax
 
 ERM_LINEAR = "erm"
@@ -34,12 +34,10 @@ class Dataset:
     z: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.z, dtype=np.int8)
+        arr = ternary_int8(self.z)
         arr.setflags(write=False)
         if arr.ndim != 2:
             raise ValueError("dataset must be a 2-D (n, d) matrix")
-        if not np.isin(arr, (-1, 0, 1)).all():
-            raise ValueError("dataset entries must take values in {-1, 0, +1}")
         object.__setattr__(self, "z", arr)
 
     @classmethod

@@ -25,7 +25,14 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .distributions import BetaPrior, MeanVector, TernarySample, sample_matrix, sample_prior
+from .distributions import (
+    BetaPrior,
+    MeanVector,
+    TernarySample,
+    row_blocks,
+    sample_matrix,
+    sample_prior,
+)
 from .learners import Dataset, LearnerConfig, train
 from .problems import BOX_LP, ParameterPoint, ProblemSpec, data_distribution, excess_risk, is_feasible
 
@@ -113,19 +120,32 @@ def score_batch(tr: TracerSpec, theta, Z: np.ndarray) -> tuple[np.ndarray, int]:
 
     Returns (scores, number of clamped entries).  In-range configurations
     never clamp; a nonzero count signals an out-of-contract parameter.
+
+    Rows are cast to float64 and scored one row block at a time (see
+    `distributions.row_blocks`) in a reused buffer, so working memory is
+    O(block * d) whatever the number of rows.
     """
     theta = _theta_array(theta)
     Z = np.asarray(Z)
     if Z.ndim != 2 or Z.shape[1] != tr.d or theta.shape != (tr.d,):
         raise ValueError("dimension mismatch between tracer, theta, and data")
-    Zf = Z.astype(np.float64, copy=False)
     if tr.kind == SPARSE_SCORE:
         scale = tr.d ** (1.0 / tr.p) / math.sqrt(tr.k)
         ratio = tr.d / tr.k
-        raw = scale * (Zf @ theta - ratio * (np.abs(Zf) @ (theta * tr.mu)))
+        weights = theta * tr.mu
     else:
         lam = (1.0 - (tr.mu / tr.gamma) ** 2) / (1.0 - tr.mu**2)
-        raw = math.sqrt(tr.s) * ((Zf - tr.mu) @ (theta * lam))
+        weights = theta * lam
+    raw = np.empty(Z.shape[0])
+    for i, j, zf in row_blocks(*Z.shape):
+        np.copyto(zf, Z[i:j])
+        if tr.kind == SPARSE_SCORE:
+            signed = zf @ theta
+            np.abs(zf, out=zf)
+            raw[i:j] = scale * (signed - ratio * (zf @ weights))
+        else:
+            zf -= tr.mu
+            raw[i:j] = math.sqrt(tr.s) * (zf @ weights)
     clipped = np.clip(raw, -tr.clip_bound, tr.clip_bound)
     return clipped, int(np.count_nonzero(np.abs(raw) > tr.clip_bound))
 

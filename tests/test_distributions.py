@@ -6,12 +6,14 @@ import pytest
 from scipy.stats import chisquare
 
 from sparsetrace.distributions import (
+    BLOCK_ENTRIES,
     BetaPrior,
     MeanVector,
     SparsePopulation,
     TernarySample,
     pmf,
     prior_quadrature,
+    row_blocks,
     sample_matrix,
     sample_prior,
     sample_sparse,
@@ -147,6 +149,53 @@ class TestSampleMatrix:
         assert 0.5 * np.abs(empirical - exact).sum() <= 0.01
 
 
+def _sample_matrix_reference(pop, n, rng):
+    """The unblocked sampler: whole-matrix draws, np.where signs, one argpartition."""
+    d, k = pop.d, pop.k
+    p_plus = (1.0 + (d / k) * pop.mu.values) / 2.0
+    if k == d:
+        return np.where(rng.random((n, d)) < p_plus, 1, -1).astype(np.int8)
+    keys = rng.random((n, d))
+    sel = np.argpartition(keys, k - 1, axis=1)[:, :k]
+    signs = np.where(rng.random((n, k)) < p_plus[sel], 1, -1).astype(np.int8)
+    out = np.zeros((n, d), dtype=np.int8)
+    np.put_along_axis(out, sel, signs, axis=1)
+    return out
+
+
+def _block_rows(width):
+    return next(row_blocks(10**9, width))[1]
+
+
+# (d, k): dense and sparse at a power-of-two width (k = 3000 makes the (n, k)
+# sign draws span several blocks too), a width whose block rows are rounded
+# down, and widths above BLOCK_ENTRIES where a block is one row.
+BLOCKED_SHAPES = [(4096, 4096), (4096, 3000), (1000, 1000), (1000, 37),
+                  (BLOCK_ENTRIES + 3, BLOCK_ENTRIES + 3), (BLOCK_ENTRIES + 3, 700)]
+
+
+class TestBlockedSampleMatrix:
+    @pytest.mark.parametrize("d,k", BLOCKED_SHAPES)
+    def test_matches_unblocked_reference_and_stream(self, d, k):
+        rows = _block_rows(d)
+        rng = substream(SEED, 17, "mu")
+        mu = rng.uniform(-k / d, k / d, size=d)
+        pop = _pop(mu, k, d)
+        for n in sorted({0, 1, max(rows - 1, 0), rows + 1, 3 * rows + 2}):
+            ours, ref = substream(SEED, n, "blocked"), substream(SEED, n, "blocked")
+            z = sample_matrix(pop, n, ours)
+            expected = _sample_matrix_reference(pop, n, ref)
+            assert z.dtype == np.int8 and z.shape == (n, d)
+            assert np.array_equal(z, expected), (d, k, n)
+            assert ours.random() == ref.random(), (d, k, n)
+
+    def test_block_rows_stay_within_budget(self):
+        for width in (1, 3, 100, 1000, 4096, BLOCK_ENTRIES, BLOCK_ENTRIES + 3):
+            rows = _block_rows(width)
+            assert rows == 1 or rows * width <= BLOCK_ENTRIES
+            assert rows < 4 or rows % 4 == 0
+
+
 class TestPmf:
     def test_uniform_atoms(self):
         assert pmf(_pop([0.0, 0.0], 1, 2), np.array([1, 0], dtype=np.int8)) == pytest.approx(0.25)
@@ -246,6 +295,15 @@ class TestTypeInvariants:
     def test_population_enforces_mean_bound(self):
         with pytest.raises(ValueError):
             _pop([0.9, 0.0], 1, 2)  # bound is k/d = 0.5
+
+    @pytest.mark.parametrize("bad", [np.array([255, 0]), np.array([255, 0], dtype=np.uint8),
+                                     np.array([0.5, 1.0]), np.array([np.nan, 0.0]),
+                                     np.array([-128, 0], dtype=np.int8)])
+    def test_ternary_sample_rejects_values_before_the_cast(self, bad):
+        with pytest.raises(ValueError, match="entries must take values"):
+            TernarySample(bad, np.flatnonzero(bad))
+        with pytest.raises(ValueError, match="entries must take values"):
+            TernarySample.from_entries(bad)
 
     def test_ternary_sample_support_must_match(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,16 +192,21 @@ class TestRun:
 
 
 class TestAcceptanceFailurePaths:
-    def test_verify_exits_one_on_identity_violation(self, tmp_path, monkeypatch):
+    def test_verify_exits_one_on_identity_violation(self, tmp_path, monkeypatch, capsys):
         import sparsetrace.harness as harness
         from sparsetrace.oracles import IdentityCheckResult
 
         broken = IdentityCheckResult.compare(1.0, 1.001, "forced-violation")
-        monkeypatch.setattr(harness, "verification_grid_tasks", lambda: [lambda: broken])
+        fine = IdentityCheckResult.compare(1.0, 1.0, "fine")
+        monkeypatch.setattr(harness, "verification_grid_tasks",
+                            lambda: [lambda: fine, lambda: broken])
         cfg = ExperimentConfig(experiment="verify", output_path=str(tmp_path / "v.csv"))
         assert run(cfg, threads=1) == EXIT_ACCEPTANCE
+        err = capsys.readouterr().err
+        assert err.startswith("verify: 1 of 2 identities above rel_error 1e-08; ")
+        assert "worst forced-violation at rel_error 0.000999" in err
 
-    def test_dp_audit_exits_one_when_recall_exceeds_ceiling(self, tmp_path, monkeypatch):
+    def test_dp_audit_exits_one_when_recall_exceeds_ceiling(self, tmp_path, monkeypatch, capsys):
         import sparsetrace.harness as harness
 
         real = harness.run_trace_trial
@@ -214,8 +222,12 @@ class TestAcceptanceFailurePaths:
                                xi=0.05, alpha_target=0.1, master_seed=SEED,
                                output_path=str(tmp_path / "dp.csv"))
         assert run(cfg, threads=1) == EXIT_ACCEPTANCE
+        # recall is n = 40 in every trial (CI 0); the ceiling is 40 e^0.1 0.05 + 40e-6.
+        assert capsys.readouterr().err == \
+            "dp-audit: mean recall 40 > ceiling 2.21 + 4×0 (over by 37.8)\n"
+        assert "mean recall" not in open(cfg.output_path).read()
 
-    def test_sweep_exits_one_when_recall_grows_with_noise(self, tmp_path, monkeypatch):
+    def test_sweep_exits_one_when_recall_grows_with_noise(self, tmp_path, monkeypatch, capsys):
         import sparsetrace.harness as harness
 
         real = harness.run_trace_trial
@@ -232,6 +244,14 @@ class TestAcceptanceFailurePaths:
                                beta=2.0, noise_scales=(0.5, 2.0), master_seed=SEED,
                                output_path=str(tmp_path / "sw.csv"))
         assert run(cfg, threads=1) == EXIT_ACCEPTANCE
+        # recall is n / epsilon: 40 / 2 = 20 at scale 0.5 and 40 / 0.5 = 80 at scale 2.
+        assert capsys.readouterr().err == (
+            "sweep: mean recall rose from 20 ± 0 at scale 0.5 to 80 ± 0 at scale 2 "
+            "(over by 60)\n")
+
+    def test_passing_run_prints_nothing(self, tmp_path, capsys):
+        assert run(_small_trace(tmp_path), threads=1) == EXIT_OK
+        assert capsys.readouterr() == ("", "")
 
 
 class TestMainExitCodes:
@@ -250,6 +270,17 @@ class TestMainExitCodes:
 
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == EXIT_USAGE
+
+    def test_python_dash_m_package_runs_without_warnings(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = tmp_path / "v.csv"
+        proc = subprocess.run([sys.executable, "-W", "default", "-m", "sparsetrace", "verify",
+                               "--out", str(out)], capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "Warning" not in proc.stderr
+        assert "#summary,max_rel_error," in out.read_text()
 
 
 class TestThreadsEnvironment:

@@ -150,6 +150,25 @@ class TestDatasetType:
         with pytest.raises(ValueError):
             Dataset(np.array([[2, 0]], dtype=np.int8))
 
+    @pytest.mark.parametrize("bad", [
+        np.array([[255, 0]]),                      # int64: an int8 cast wraps it to -1
+        np.array([[255, 0]], dtype=np.uint8),
+        np.array([[0.5, 1.0]]),                    # float: an int8 cast truncates it to 0
+        np.array([[np.nan, 1.0]]),
+        np.array([[-128, 0]], dtype=np.int8),      # np.abs(-128) is -128 in int8
+        np.array([[127, 0]], dtype=np.int8),
+    ])
+    def test_out_of_range_values_rejected_before_the_cast(self, bad):
+        with pytest.raises(ValueError, match="entries must take values"):
+            Dataset(bad)
+
+    def test_in_range_values_of_any_dtype_accepted(self):
+        for values in (np.array([[1.0, -1.0, 0.0]]), np.array([[1, -1, 0]], dtype=np.int64),
+                       np.array([[1, -1, 0]], dtype=np.int8)):
+            data = Dataset(values)
+            assert data.z.dtype == np.int8 and np.array_equal(data.z, [[1, -1, 0]])
+            assert not data.z.flags.writeable
+
 
 class TestFeasibilityInvariant:
     def test_all_learner_kinds_return_feasible_points(self):

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from sparsetrace.distributions import BetaPrior, SparsePopulation, TernarySample, sample_matrix, sample_prior
+from sparsetrace.distributions import (
+    BLOCK_ENTRIES,
+    BetaPrior,
+    SparsePopulation,
+    TernarySample,
+    row_blocks,
+    sample_matrix,
+    sample_prior,
+)
 from sparsetrace.learners import LearnerConfig
 from sparsetrace.problems import BOX_LP, L1_CAPPED, ParameterPoint, ProblemSpec, support_argmax
 from sparsetrace.rng import substream
@@ -115,6 +123,45 @@ class TestScalingScore:
     def test_singular_mean_rejected(self):
         with pytest.raises(ValueError):
             scaling_tracer(np.array([1.0]), 0.5, 1, 1)
+
+
+def _score_batch_reference(tr, theta, Z):
+    """The unblocked formula: one float64 cast of all of Z, then both products."""
+    Zf = Z.astype(np.float64)
+    if tr.kind == "sparse":
+        scale = tr.d ** (1.0 / tr.p) / math.sqrt(tr.k)
+        raw = scale * (Zf @ theta - (tr.d / tr.k) * (np.abs(Zf) @ (theta * tr.mu)))
+    else:
+        lam = (1.0 - (tr.mu / tr.gamma) ** 2) / (1.0 - tr.mu**2)
+        raw = math.sqrt(tr.s) * ((Zf - tr.mu) @ (theta * lam))
+    clip = tr.clip_bound
+    return np.clip(raw, -clip, clip), int(np.count_nonzero(np.abs(raw) > clip))
+
+
+class TestBlockedScoreBatch:
+    @pytest.mark.parametrize("kind,d,k", [
+        ("sparse", 1000, 1000), ("sparse", 4096, 300), ("sparse", BLOCK_ENTRIES + 3, BLOCK_ENTRIES + 3),
+        ("scaling_matrix", 1000, 1000), ("scaling_matrix", BLOCK_ENTRIES + 3, BLOCK_ENTRIES + 3),
+    ])
+    def test_matches_unblocked_formula(self, kind, d, k):
+        rng = substream(SEED, d + k, "blocked")
+        bound = min(k / d, 0.4)
+        mu = rng.uniform(-bound, bound, size=d)
+        pop = SparsePopulation.from_array(mu, k, d)
+        rows = next(row_blocks(10**9, d))[1]
+        z = sample_matrix(pop, 3 * rows + 2, rng)
+        theta = rng.uniform(-1.0, 1.0, size=d)
+        make = (lambda c: sparse_tracer(mu, k, 2.0, d, clip_bound=c)) if kind == "sparse" \
+            else (lambda c: scaling_tracer(mu, 0.5, 3, d, clip_bound=c))
+        # Clip halfway between two middle raw scores: about half the rows are
+        # clamped, and no score sits on the bound where a last-bit change flips it.
+        magnitudes = np.sort(np.abs(_score_batch_reference(make(1e300), theta, z)[0]))
+        middle = magnitudes.size // 2
+        tr = make(float(magnitudes[middle - 1] + magnitudes[middle]) / 2)
+        scores, clipped = score_batch(tr, theta, z)
+        expected, expected_clipped = _score_batch_reference(tr, theta, z)
+        np.testing.assert_allclose(scores, expected, rtol=1e-12)
+        assert clipped == expected_clipped and clipped > 0
 
 
 class TestCalibrateThreshold:

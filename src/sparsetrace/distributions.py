@@ -237,8 +237,9 @@ def sample_matrix(pop: SparsePopulation, n: int, rng: np.random.Generator) -> np
     uniform keys (the k smallest keys form an exactly uniform k-subset).
     The dense case k = d skips support selection entirely.
 
-    Uniforms are drawn row block by row block (see `row_blocks`), so working
-    memory beyond the output and an (n, k) index array is O(block * d).  The
+    Uniforms are drawn row block by row block (see `row_blocks`), so the
+    float64 working memory beyond the output (and, for k < d, an (n, k)
+    index array) is O(block rows * d), about BLOCK_ENTRIES entries.  The
     stream is consumed exactly as by one rng.random((n, d)) call for the
     keys followed by one rng.random((n, k)) call for the signs: blocking
     changes no draw and no output.

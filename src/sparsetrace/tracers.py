@@ -122,8 +122,8 @@ def score_batch(tr: TracerSpec, theta, Z: np.ndarray) -> tuple[np.ndarray, int]:
     never clamp; a nonzero count signals an out-of-contract parameter.
 
     Rows are cast to float64 and scored one row block at a time (see
-    `distributions.row_blocks`) in a reused buffer, so working memory is
-    O(block * d) whatever the number of rows.
+    `distributions.row_blocks`) in a reused buffer, so float64 working
+    memory is O(block rows * d) whatever the number of rows.
     """
     theta = _theta_array(theta)
     Z = np.asarray(Z)

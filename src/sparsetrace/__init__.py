@@ -11,10 +11,8 @@ from .distributions import (
     prior_quadrature,
     sample_matrix,
     sample_prior,
-    sample_sparse,
-    sample_support,
 )
-from .harness import ExperimentConfig, TrialRecord, main, parse_cli, run
+from .harness import ExperimentConfig, main, parse_cli, run
 from .learners import Dataset, LearnerConfig, measure_excess_risk, train
 from .oracles import (
     IdentityCheckResult,
@@ -37,11 +35,9 @@ from .tracers import (
     TraceReport,
     TracerSpec,
     calibrate_threshold,
-    estimate_trace_value,
-    recall_lower_bound_pz,
     run_trace_trial,
-    score_scaling_matrix,
-    score_sparse,
+    score_batch,
+    trace_value_contribution,
 )
 
 __version__ = "0.1.0"

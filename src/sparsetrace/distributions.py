@@ -75,7 +75,9 @@ class MeanVector:
         object.__setattr__(self, "values", _frozen(self.values))
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("mean vector must be a nonempty 1-D array")
-        if self.box_bound < 0:
+        if not np.isfinite(self.values).all():
+            raise ValueError("mean entries must be finite")
+        if not self.box_bound >= 0:
             raise ValueError("box_bound must be nonnegative")
         if np.max(np.abs(self.values)) > self.box_bound + 1e-12:
             raise ValueError(f"mean entries must satisfy |mu_j| <= {self.box_bound}")
@@ -156,12 +158,12 @@ class BetaPrior:
     d: int
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta: must be positive and finite")
         if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must lie in (0, 1]")
+            raise ValueError("gamma: must lie in (0, 1]")
         if self.d < 1:
-            raise ValueError("d must be >= 1")
+            raise ValueError("d: must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -181,34 +183,6 @@ class QuadratureRule:
 
     def integrate(self, f) -> float:
         return float(np.dot(self.weights, f(self.nodes)))
-
-
-def sample_support(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random size-k subset of {0, ..., d-1}, sorted.
-
-    Partial Fisher-Yates over an index array: exactly uniform, O(d) memory,
-    k swap steps.
-    """
-    if not 1 <= k <= d:
-        raise ValueError(f"k={k} out of range [1, d={d}]")
-    idx = np.arange(d)
-    for i in range(k):
-        j = int(rng.integers(i, d))
-        idx[i], idx[j] = idx[j], idx[i]
-    return np.sort(idx[:k])
-
-
-def sample_sparse(pop: SparsePopulation, rng: np.random.Generator) -> TernarySample:
-    """One draw from the sparse population.
-
-    Conditional on j being in the support, P(Z_j = +1) = (1 + (d/k) mu_j) / 2.
-    """
-    support = sample_support(pop.d, pop.k, rng)
-    p_plus = (1.0 + (pop.d / pop.k) * pop.mu.values[support]) / 2.0
-    signs = np.where(rng.random(pop.k) < p_plus, 1, -1)
-    entries = np.zeros(pop.d, dtype=np.int8)
-    entries[support] = signs
-    return TernarySample(entries, support)
 
 
 def _signs_into(u: np.ndarray, p_plus: np.ndarray, out: np.ndarray) -> None:

@@ -27,12 +27,14 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
-from .learners import GAUSSIAN_DP, LEARNER_KINDS, LearnerConfig
+from .distributions import BetaPrior
+from .learners import GAUSSIAN_DP, LEARNER_KINDS, SUBSAMPLE, LearnerConfig
 from .oracles import verification_grid_tasks
-from .problems import BOX_LP, L1_CAPPED, VARIANTS, ProblemSpec
+from .problems import BOX_LP, VARIANTS, ProblemSpec
 from .rng import substream
 from .tracers import (
     HALF_TRACE_VALUE,
@@ -41,14 +43,16 @@ from .tracers import (
     SPARSE_SCORE,
     TRACER_KINDS,
     ThresholdPolicy,
+    TraceReport,
     default_prior,
     run_trace_trial,
     trace_value_contribution,
+    tracer_for,
 )
 
 EXPERIMENTS = ("verify", "trace", "dp_audit", "sweep", "trace_value")
 IDENTITY_TOL = 1e-8
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 THREADS_ENV = "SPARSETRACE_THREADS"
 
 EXIT_OK = 0
@@ -59,6 +63,16 @@ EXIT_IO = 3
 
 class UsageError(Exception):
     """Invalid configuration or conflicting flags; maps to exit code 2."""
+
+
+class Plan(NamedTuple):
+    """The domain objects a validated trace-style config describes."""
+
+    spec: ProblemSpec
+    tracer: str
+    prior: BetaPrior
+    learners: tuple[LearnerConfig, ...]  # one per noise scale for sweep
+    policy: ThresholdPolicy
 
 
 @dataclass(frozen=True)
@@ -105,7 +119,6 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        known = {f.name: f for f in fields(cls)}
         values: dict = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -114,7 +127,7 @@ class ExperimentConfig:
             if "=" not in line:
                 raise UsageError(f"config line {lineno}: expected 'key = value', got {raw!r}")
             key, _, val = (part.strip() for part in line.partition("="))
-            if key not in known:
+            if key not in _FIELD_TYPES:
                 raise UsageError(f"config line {lineno}: unknown key {key!r}")
             values[key] = _parse_field(key, val)
         if "experiment" not in values:
@@ -130,102 +143,87 @@ class ExperimentConfig:
             return self.tracer
         return SPARSE_SCORE if self.variant == BOX_LP else SCALING_MATRIX_SCORE
 
-    def validate(self) -> None:
+    def validate(self) -> Plan | None:
+        """Build the domain objects this config describes, or raise UsageError.
+
+        Each object checks its own parameters (see `_build`); only the rules
+        that no object makes are written here.  Returns None for verify,
+        which takes no parameters.
+        """
         if self.experiment not in EXPERIMENTS:
             raise UsageError(f"experiment: must be one of {EXPERIMENTS}")
         if self.experiment == "verify":
-            return
-        if self.variant not in VARIANTS:
-            raise UsageError(f"variant: must be one of {VARIANTS}")
-        if self.d < 1:
-            raise UsageError("d: must be >= 1")
-        if not self.p >= 1:
-            raise UsageError("p: must lie in [1, inf)")
-        if self.variant == BOX_LP and self.k is not None and not 1 <= self.k <= self.d:
-            raise UsageError("k: must lie in [1, d]")
-        if self.variant == L1_CAPPED and (self.s is None or not 1 <= self.s <= self.d):
-            raise UsageError("s: l1_capped requires a cap in [1, d]")
-        if self.learner not in LEARNER_KINDS:
-            raise UsageError(f"learner: must be one of {LEARNER_KINDS}")
-        if self.learner == GAUSSIAN_DP or self.experiment in ("dp_audit", "sweep"):
-            if not 0 < self.epsilon <= 10:
-                raise UsageError("epsilon: must lie in (0, 10]")
-            if not 0 < self.delta < 1:
-                raise UsageError("delta: must lie in (0, 1)")
-        if self.learner == "subsample":
-            if self.subsample_m is None or not 1 <= self.subsample_m <= self.n:
-                raise UsageError("subsample_m: must lie in [1, n]")
-        if self.tracer is not None and self.tracer not in TRACER_KINDS:
-            raise UsageError(f"tracer: must be one of {TRACER_KINDS}")
-        if self.tracer == SPARSE_SCORE and self.variant != BOX_LP:
-            raise UsageError("tracer: the sparse score requires the box_lp variant")
-        if self.tracer == SCALING_MATRIX_SCORE and self.variant == BOX_LP:
-            raise UsageError("tracer: the scaling-matrix score requires an l1 variant")
-        if not 0 < self.xi < 1:
-            raise UsageError("xi: must lie in (0, 1)")
-        if self.policy not in (NULL_QUANTILE, HALF_TRACE_VALUE):
-            raise UsageError(f"policy: must be one of ({NULL_QUANTILE}, {HALF_TRACE_VALUE})")
-        if self.policy == HALF_TRACE_VALUE and (self.t_hat is None or not math.isfinite(self.t_hat)):
-            raise UsageError("t_hat: half_trace_value requires a finite value")
-        if self.beta is not None and not self.beta > 0:
-            raise UsageError("beta: must be positive")
-        if self.alpha_target is not None and not self.alpha_target > 0:
-            raise UsageError("alpha_target: must be positive")
-        if self.beta is None and self.alpha_target is None:
-            raise UsageError("beta: trace experiments need beta or alpha_target")
-        if self.n < 1:
-            raise UsageError("n: must be >= 1")
-        if self.M < 1:
-            raise UsageError("M: must be >= 1")
-        if self.trials < 1:
-            raise UsageError("trials: must be >= 1")
-        if self.experiment == "sweep":
-            if not self.noise_scales or any(not v > 0 for v in self.noise_scales):
-                raise UsageError("noise_scales: must be positive")
-            if any(self.epsilon / v > 10 for v in self.noise_scales):
-                raise UsageError("noise_scales: a scale drives epsilon above its bound of 10")
-            if self.learner != GAUSSIAN_DP:
-                raise UsageError("learner: sweep requires gaussian_dp")
-        if self.experiment == "dp_audit" and self.learner != GAUSSIAN_DP:
-            raise UsageError("learner: dp_audit requires gaussian_dp")
+            return None
+        for name in ("n", "M", "trials"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name}: must be >= 1")
         if not self.output_path:
             raise UsageError("output_path: must be nonempty")
-        self.resolved_spec()  # re-raises geometry errors, mapped below
+        spec = _build("variant", self.resolved_spec)
+        learner = _build("learner", LearnerConfig, self.learner, epsilon=self.epsilon,
+                         delta=self.delta, subsample_m=self.subsample_m)
+        if self.learner == SUBSAMPLE and self.subsample_m > self.n:
+            raise UsageError("subsample_m: must lie in [1, n]")
+        if self.experiment in ("dp_audit", "sweep") and self.learner != GAUSSIAN_DP:
+            raise UsageError(f"learner: {self.experiment} requires gaussian_dp")
+        learners = (learner,)
+        if self.experiment == "sweep":
+            if not self.noise_scales or not all(v > 0 for v in self.noise_scales):
+                raise UsageError("noise_scales: must be positive")
+            # sigma scales as 1/epsilon, so a noise multiplier c is epsilon / c.
+            try:
+                learners = tuple(replace(learner, epsilon=self.epsilon / v) for v in self.noise_scales)
+            except ValueError as exc:
+                raise UsageError(f"noise_scales: epsilon / scale is out of range ({exc})") from exc
+        policy = _build("policy", ThresholdPolicy, self.policy, xi=self.xi, t_hat=self.t_hat)
+        prior = _build("alpha_target", default_prior, spec, self.alpha_target, self.beta)
+        tracer = self.resolved_tracer()
+        _build("tracer", tracer_for, spec, np.zeros(spec.d), tracer, prior.gamma)
+        return Plan(spec, tracer, prior, learners, policy)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One CSV row of a trace-style experiment."""
-
-    trial_index: int
-    mu_norm_l1: float
-    excess_risk: float
-    t_hat_contribution: float
-    recall: float
-    soundness: float
-    lam: float
-    flags_count: int
-    clip_events: int
-
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 TRACE_COLUMNS = (
     "trial_index", "mu_norm_l1", "excess_risk", "t_hat_contribution",
-    "recall", "soundness", "lambda", "flags_count", "clip_events",
+    "recall", "soundness", "lambda", "clip_events",
 )
+RECALL = TRACE_COLUMNS.index("recall")
+
+
+def _trace_row(trial: int, report: TraceReport) -> tuple:
+    """One TRACE_COLUMNS row."""
+    return (trial, report.mu_l1, report.excess_risk, float(report.scores_train.mean()),
+            report.recall_estimate, report.soundness_estimate, report.threshold,
+            report.clip_events)
+
+
+def _build(field: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with a ValueError turned into a UsageError.
+
+    Domain objects start an error about one parameter with its name
+    ('p: must lie in [1, inf)').  The UsageError names that parameter when it
+    is a config field, and `field` otherwise.
+    """
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        name, _, reason = str(exc).partition(": ")
+        if name not in _FIELD_TYPES:
+            name, reason = field, str(exc)
+        raise UsageError(f"{name}: {reason}") from exc
 
 
 def _parse_field(key: str, val: str):
-    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     if val == "none":
         return None
-    if key == "noise_scales":
-        return tuple(float(part) for part in val.split(",") if part.strip())
-    kind = kinds[key]
+    kind = _FIELD_TYPES[key]
     try:
-        if kind == "int" or kind == "int | None":
-            return int(val)
-        if kind == "float" or kind == "float | None":
-            return float(val)
+        if key == "noise_scales":
+            return tuple(float(part) for part in val.split(",") if part.strip())
+        for number in (int, float):
+            if kind is number or number in get_args(kind):
+                return number(val)
     except ValueError as exc:
         raise UsageError(f"{key}: could not parse {val!r}") from exc
     return val
@@ -294,48 +292,10 @@ def _map_trials(fn, count: int, threads: int) -> list:
         return list(pool.map(fn, range(count)))
 
 
-def _learner_config(cfg: ExperimentConfig, epsilon: float | None = None) -> LearnerConfig:
-    if cfg.learner == GAUSSIAN_DP:
-        return LearnerConfig(GAUSSIAN_DP, epsilon=epsilon if epsilon is not None else cfg.epsilon,
-                             delta=cfg.delta)
-    if cfg.learner == "subsample":
-        return LearnerConfig("subsample", subsample_m=cfg.subsample_m)
-    if cfg.learner == "constant":
-        raise UsageError("learner: the constant learner is not runnable from the CLI")
-    return LearnerConfig(cfg.learner)
-
-
-def _policy(cfg: ExperimentConfig) -> ThresholdPolicy:
-    if cfg.policy == HALF_TRACE_VALUE:
-        return ThresholdPolicy(HALF_TRACE_VALUE, t_hat=cfg.t_hat)
-    return ThresholdPolicy(NULL_QUANTILE, xi=cfg.xi)
-
-
-def _trace_record(cfg: ExperimentConfig, spec, learner, prior, policy, trial: int,
-                  purpose: str) -> TrialRecord:
-    rng = substream(cfg.master_seed, trial, purpose)
-    report = run_trace_trial(learner, spec, cfg.resolved_tracer(), prior, cfg.n, cfg.M, policy, rng)
-    return TrialRecord(
-        trial_index=trial,
-        mu_norm_l1=report.mu_l1,
-        excess_risk=report.excess_risk,
-        t_hat_contribution=float(report.scores_train.mean()),
-        recall=report.recall_estimate,
-        soundness=report.soundness_estimate,
-        lam=report.threshold,
-        flags_count=int(report.flagged.size),
-        clip_events=report.clip_events,
-    )
-
-
-def _record_row(rec: TrialRecord) -> tuple:
-    return (rec.trial_index, rec.mu_norm_l1, rec.excess_risk, rec.t_hat_contribution,
-            rec.recall, rec.soundness, rec.lam, rec.flags_count, rec.clip_events)
-
-
-def _run_verify(cfg: ExperimentConfig, threads: int) -> tuple[list[tuple], list[str], list[str]]:
-    tasks = verification_grid_tasks()
-    checks = _map_trials(lambda i: tasks[i](), len(tasks), threads)
+def _run_verify() -> tuple[list[tuple], list[str], list[str]]:
+    # Serial: the battery's tasks are millisecond-sized and interpreter-bound,
+    # so a thread pool only slows them down.
+    checks = [task() for task in verification_grid_tasks()]
     rows = [(c.instance, c.lhs, c.rhs, c.rel_error) for c in checks]
     worst = max(checks, key=lambda c: c.rel_error)
     summaries = [f"#summary,max_rel_error,{_fmt(worst.rel_error)},0",
@@ -348,20 +308,24 @@ def _run_verify(cfg: ExperimentConfig, threads: int) -> tuple[list[tuple], list[
     return rows, summaries, failures
 
 
-def _run_trace(cfg: ExperimentConfig, threads: int) -> tuple[list[tuple], list[str], list[str]]:
-    spec = cfg.resolved_spec()
-    prior = default_prior(spec, cfg.alpha_target, cfg.beta)
-    learner = _learner_config(cfg)
-    policy = _policy(cfg)
-    records = _map_trials(
-        lambda t: _trace_record(cfg, spec, learner, prior, policy, t, "trace"),
-        cfg.trials, threads)
-    rows = [_record_row(r) for r in records]
+def _trace_rows(cfg: ExperimentConfig, plan: Plan, learner: LearnerConfig, purpose: str,
+                threads: int) -> list[tuple]:
+    def one(trial: int) -> tuple:
+        rng = substream(cfg.master_seed, trial, purpose)
+        report = run_trace_trial(learner, plan.spec, plan.tracer, plan.prior, cfg.n, cfg.M,
+                                 plan.policy, rng)
+        return _trace_row(trial, report)
+
+    return _map_trials(one, cfg.trials, threads)
+
+
+def _run_trace(cfg: ExperimentConfig, plan: Plan, threads: int) -> tuple[list[tuple], list[str], list[str]]:
+    rows = _trace_rows(cfg, plan, plan.learners[0], "trace", threads)
     summaries = _summaries(rows, TRACE_COLUMNS)
     failures = []
     if cfg.experiment == "dp_audit":
         ceiling = cfg.n * math.exp(cfg.epsilon) * cfg.xi + cfg.n * cfg.delta
-        mean_recall, ci = _mean_ci([r.recall for r in records])
+        mean_recall, ci = _mean_ci([r[RECALL] for r in rows])
         summaries.append(f"#summary,dp_recall_ceiling,{_fmt(ceiling)},0")
         if mean_recall > ceiling + 4.0 * ci:
             failures.append(f"mean recall {mean_recall:.3g} > ceiling {ceiling:.3g} + 4×{ci:.2g} "
@@ -369,21 +333,14 @@ def _run_trace(cfg: ExperimentConfig, threads: int) -> tuple[list[tuple], list[s
     return rows, summaries, failures
 
 
-def _run_sweep(cfg: ExperimentConfig, threads: int) -> tuple[list[tuple], list[str], list[str]]:
-    spec = cfg.resolved_spec()
-    prior = default_prior(spec, cfg.alpha_target, cfg.beta)
-    policy = _policy(cfg)
+def _run_sweep(cfg: ExperimentConfig, plan: Plan, threads: int) -> tuple[list[tuple], list[str], list[str]]:
     rows: list[tuple] = []
     means: list[tuple[float, float, float]] = []
     summaries: list[str] = []
-    for si, scale in enumerate(cfg.noise_scales):
-        # sigma scales as 1/epsilon, so a noise multiplier c is epsilon / c.
-        learner = _learner_config(cfg, epsilon=cfg.epsilon / scale)
-        records = _map_trials(
-            lambda t: _trace_record(cfg, spec, learner, prior, policy, t, f"sweep{si}"),
-            cfg.trials, threads)
-        rows.extend((scale,) + _record_row(r) for r in records)
-        mean, ci = _mean_ci([r.recall for r in records])
+    for si, (scale, learner) in enumerate(zip(cfg.noise_scales, plan.learners)):
+        scale_rows = _trace_rows(cfg, plan, learner, f"sweep{si}", threads)
+        rows.extend((scale,) + r for r in scale_rows)
+        mean, ci = _mean_ci([r[RECALL] for r in scale_rows])
         means.append((scale, mean, ci))
         summaries.append(f"#summary,recall@scale={scale:g},{_fmt(mean)},{_fmt(ci)}")
     failures = []
@@ -395,14 +352,11 @@ def _run_sweep(cfg: ExperimentConfig, threads: int) -> tuple[list[tuple], list[s
     return rows, summaries, failures
 
 
-def _run_trace_value(cfg: ExperimentConfig, threads: int) -> tuple[list[tuple], list[str], list[str]]:
-    spec = cfg.resolved_spec()
-    prior = default_prior(spec, cfg.alpha_target, cfg.beta)
-    learner = _learner_config(cfg)
-
+def _run_trace_value(cfg: ExperimentConfig, plan: Plan, threads: int) -> tuple[list[tuple], list[str], list[str]]:
     def one(trial: int) -> tuple:
         rng = substream(cfg.master_seed, trial, "trace_value")
-        value = trace_value_contribution(learner, spec, cfg.resolved_tracer(), prior, cfg.n, rng)
+        value = trace_value_contribution(plan.learners[0], plan.spec, plan.tracer, plan.prior,
+                                         cfg.n, rng)
         return (trial, value)
 
     rows = _map_trials(one, cfg.trials, threads)
@@ -417,20 +371,20 @@ def run(config: ExperimentConfig, threads: int | None = None) -> int:
     A failed acceptance check prints one line per failure to stderr, naming
     the check and its margin, and returns EXIT_ACCEPTANCE.
     """
-    config.validate()
+    plan = config.validate()
     nthreads = resolve_threads(threads)
     if config.experiment == "verify":
         header: tuple[str, ...] = ("instance", "lhs", "rhs", "rel_error")
-        rows, summaries, failures = _run_verify(config, nthreads)
+        rows, summaries, failures = _run_verify()
     elif config.experiment in ("trace", "dp_audit"):
         header = TRACE_COLUMNS
-        rows, summaries, failures = _run_trace(config, nthreads)
+        rows, summaries, failures = _run_trace(config, plan, nthreads)
     elif config.experiment == "sweep":
         header = ("noise_scale",) + TRACE_COLUMNS
-        rows, summaries, failures = _run_sweep(config, nthreads)
+        rows, summaries, failures = _run_sweep(config, plan, nthreads)
     else:
         header = ("trial_index", "t_hat")
-        rows, summaries, failures = _run_trace_value(config, nthreads)
+        rows, summaries, failures = _run_trace_value(config, plan, nthreads)
     _write_csv(config.output_path, header, rows, summaries, config.experiment)
     command = config.experiment.replace("_", "-")
     for failure in failures:
@@ -533,7 +487,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return run(config, threads=threads)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:  # any other exception is a bug and keeps its traceback
         print(f"error: {exc}", flush=True)
         return EXIT_USAGE
     except OSError as exc:

@@ -63,7 +63,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """Which learner to run plus its kind-specific parameters."""
+    """Which learner to run plus its kind-specific parameters.
+
+    An error about one parameter names it first ('epsilon: ...').
+    """
 
     kind: str
     epsilon: float | None = None
@@ -76,11 +79,11 @@ class LearnerConfig:
             raise ValueError(f"unknown learner kind {self.kind!r}")
         if self.kind == GAUSSIAN_DP:
             if self.epsilon is None or not 0 < self.epsilon <= 10:
-                raise ValueError("gaussian_dp requires 0 < epsilon <= 10")
+                raise ValueError("epsilon: gaussian_dp requires 0 < epsilon <= 10")
             if self.delta is None or not 0 < self.delta < 1:
-                raise ValueError("gaussian_dp requires delta in (0, 1)")
+                raise ValueError("delta: gaussian_dp requires delta in (0, 1)")
         if self.kind == SUBSAMPLE and (self.subsample_m is None or self.subsample_m < 1):
-            raise ValueError("subsample requires subsample_m >= 1")
+            raise ValueError("subsample_m: subsample requires subsample_m >= 1")
         if self.kind == CONSTANT and self.fixed_point is None:
             raise ValueError("constant requires a fixed_point")
 

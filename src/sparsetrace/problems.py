@@ -16,11 +16,12 @@ closed forms:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MeanVector, SparsePopulation, TernarySample, sample_support
+from .distributions import MeanVector, SparsePopulation, TernarySample, sample_matrix
 
 BOX_LP = "box_lp"
 L1_CAPPED = "l1_capped"
@@ -32,7 +33,10 @@ FEASIBILITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One problem instance; `p`, `k` apply to box_lp and `s` to l1_capped."""
+    """One problem instance; `p`, `k` apply to box_lp and `s` to l1_capped.
+
+    Each error names the offending parameter first ('p: ...').
+    """
 
     variant: str
     d: int
@@ -42,17 +46,15 @@ class ProblemSpec:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ValueError(f"variant: must be one of {VARIANTS}")
         if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.variant == BOX_LP:
-            if not self.p >= 1:
-                raise ValueError("p must lie in [1, inf)")
-            if self.k is None or not 1 <= self.k <= self.d:
-                raise ValueError(f"box_lp requires sparsity k in [1, d={self.d}]")
-        if self.variant == L1_CAPPED:
-            if self.s is None or not 1 <= self.s <= self.d:
-                raise ValueError(f"l1_capped requires cap s in [1, d={self.d}]")
+            raise ValueError("d: must be >= 1")
+        if not 1 <= self.p < math.inf:
+            raise ValueError("p: must lie in [1, inf)")
+        if self.variant == BOX_LP and (self.k is None or not 1 <= self.k <= self.d):
+            raise ValueError(f"k: box_lp requires sparsity k in [1, d={self.d}]")
+        if self.variant == L1_CAPPED and (self.s is None or not 1 <= self.s <= self.d):
+            raise ValueError(f"s: l1_capped requires cap s in [1, d={self.d}]")
 
     @property
     def q(self) -> float:
@@ -205,11 +207,9 @@ def random_feasible_point(spec: ProblemSpec, rng: np.random.Generator) -> Parame
 
 
 def random_data_point(spec: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
-    """A random point of the data space (uniform over atoms)."""
-    entries = np.zeros(spec.d, dtype=np.int8)
-    support = sample_support(spec.d, spec.data_sparsity, rng)
-    entries[support] = np.where(rng.random(support.size) < 0.5, 1, -1)
-    return entries
+    """A random point of the data space (uniform over atoms): one draw from
+    the zero-mean population."""
+    return sample_matrix(data_distribution(spec, np.zeros(spec.d)), 1, rng)[0]
 
 
 def validate_lipschitz(spec: ProblemSpec, trials: int, rng: np.random.Generator) -> bool:

@@ -25,14 +25,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .distributions import (
-    BetaPrior,
-    MeanVector,
-    TernarySample,
-    row_blocks,
-    sample_matrix,
-    sample_prior,
-)
+from .distributions import BetaPrior, MeanVector, row_blocks, sample_matrix, sample_prior
 from .learners import Dataset, LearnerConfig, train
 from .problems import BOX_LP, ParameterPoint, ProblemSpec, data_distribution, excess_risk, is_feasible
 
@@ -111,15 +104,13 @@ def _theta_array(theta) -> np.ndarray:
     return theta.theta if isinstance(theta, ParameterPoint) else np.asarray(theta, dtype=float)
 
 
-def _entries(z) -> np.ndarray:
-    return z.entries if isinstance(z, TernarySample) else np.asarray(z)
-
-
 def score_batch(tr: TracerSpec, theta, Z: np.ndarray) -> tuple[np.ndarray, int]:
     """Scores for the rows of Z, clamped to [-clip_bound, clip_bound].
 
-    Returns (scores, number of clamped entries).  In-range configurations
-    never clamp; a nonzero count signals an out-of-contract parameter.
+    The one implementation of both score formulas; score a single point
+    as a 1-row matrix.  Returns (scores, number of clamped entries).
+    In-range configurations never clamp; a nonzero count signals an
+    out-of-contract parameter.
 
     Rows are cast to float64 and scored one row block at a time (see
     `distributions.row_blocks`) in a reused buffer, so float64 working
@@ -150,45 +141,28 @@ def score_batch(tr: TracerSpec, theta, Z: np.ndarray) -> tuple[np.ndarray, int]:
     return clipped, int(np.count_nonzero(np.abs(raw) > tr.clip_bound))
 
 
-def score_sparse(tr: TracerSpec, theta, z) -> float:
-    """Sparse fingerprinting score of a single candidate point."""
-    if tr.kind != SPARSE_SCORE:
-        raise ValueError("tracer is not a sparse-score tracer")
-    entries = _entries(z)
-    if np.count_nonzero(entries) != tr.k:
-        raise ValueError(f"candidate must have exactly k={tr.k} nonzeros")
-    scores, _ = score_batch(tr, theta, entries[None, :])
-    return float(scores[0])
-
-
-def score_scaling_matrix(tr: TracerSpec, theta, z) -> float:
-    """Scaling-matrix fingerprinting score of a single candidate point."""
-    if tr.kind != SCALING_MATRIX_SCORE:
-        raise ValueError("tracer is not a scaling-matrix tracer")
-    entries = _entries(z)
-    if not np.isin(entries, (-1, 1)).all():
-        raise ValueError("candidate must be a dense +/-1 vector")
-    scores, _ = score_batch(tr, theta, entries[None, :])
-    return float(scores[0])
-
-
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """How to turn scores into In/Out decisions."""
+    """How to turn scores into In/Out decisions.
+
+    null_quantile needs xi and half_trace_value needs t_hat; either value is
+    checked whenever it is given.
+    """
 
     kind: str
     xi: float | None = None
     t_hat: float | None = None
 
     def __post_init__(self):
-        if self.kind == HALF_TRACE_VALUE:
-            if self.t_hat is None or not math.isfinite(self.t_hat):
-                raise ValueError("half_trace_value requires a finite t_hat")
-        elif self.kind == NULL_QUANTILE:
-            if self.xi is None or not 0 < self.xi < 1:
-                raise ValueError("null_quantile requires xi in (0, 1)")
-        else:
+        if self.kind not in (HALF_TRACE_VALUE, NULL_QUANTILE):
             raise ValueError(f"unknown threshold policy {self.kind!r}")
+        if self.xi is not None and not 0 < self.xi < 1:
+            raise ValueError("xi: must lie in (0, 1)")
+        if self.t_hat is not None and not math.isfinite(self.t_hat):
+            raise ValueError("t_hat: must be finite")
+        needed = "xi" if self.kind == NULL_QUANTILE else "t_hat"
+        if getattr(self, needed) is None:
+            raise ValueError(f"{needed}: {self.kind} requires a value")
 
 
 def half_trace_value(t_hat: float) -> ThresholdPolicy:
@@ -248,18 +222,42 @@ def _train_any(learner: LearnerLike, spec: ProblemSpec, data: Dataset, rng: np.r
 
 def tracer_for(spec: ProblemSpec, mu: np.ndarray, kind: str, prior_gamma: float) -> TracerSpec:
     """Build the tracer matching a problem spec from the trial's true mean."""
+    if kind not in TRACER_KINDS:
+        raise ValueError(f"unknown tracer kind {kind!r}")
     if kind == SPARSE_SCORE:
         if spec.variant != BOX_LP:
-            raise ValueError("sparse tracer requires the box_lp data space")
+            raise ValueError("the sparse score requires the box_lp variant")
         return sparse_tracer(mu, spec.k, spec.p, spec.d)
-    if spec.data_sparsity != spec.d:
-        raise ValueError("scaling-matrix tracer requires dense +/-1 data")
+    if spec.variant == BOX_LP:
+        raise ValueError("the scaling-matrix score requires an l1 variant")
     return scaling_tracer(mu, prior_gamma, spec.s if spec.s is not None else 1, spec.d)
 
 
 def null_calibration_size(xi: float) -> int:
     """Independent null-sample size used inside trace trials."""
     return max(1000, math.ceil(10.0 / xi))
+
+
+def _draw_trial(learner: LearnerLike, spec: ProblemSpec, tracer_kind: str, prior: BetaPrior,
+                n: int, rng: np.random.Generator, held_out: tuple[int, ...] = ()):
+    """The random part of a trial, shared by every trial kind.
+
+    Draws mu from the prior (clipped to the population box bound, and for
+    the scaling tracer to the prior's gamma), builds the tracer from that
+    true mean, samples n training rows and then one matrix per held_out
+    size, and trains on the training rows last.  Returns
+    (mu, tracer, theta, z_train, held-out matrices).
+    """
+    bound = spec.data_sparsity / spec.d
+    mu = np.clip(sample_prior(prior, rng).values, -bound, bound)
+    if tracer_kind == SCALING_MATRIX_SCORE:
+        mu = np.clip(mu, -prior.gamma, prior.gamma)
+    tracer = tracer_for(spec, mu, tracer_kind, prior.gamma)
+    pop = data_distribution(spec, mu)
+    z_train = sample_matrix(pop, n, rng)
+    held = [sample_matrix(pop, m, rng) for m in held_out]
+    theta = _train_any(learner, spec, Dataset(z_train), rng)
+    return mu, tracer, theta, z_train, held
 
 
 def run_trace_trial(
@@ -274,36 +272,20 @@ def run_trace_trial(
 ) -> TraceReport:
     """One full attack trial.
 
-    Draws mu from the prior (clipped to the population box bound), builds
-    the tracer from that true mean, samples n training and M fresh points,
-    trains, scores everything, and calibrates the threshold on a separate
-    null sample so soundness estimates carry no selection bias.  Fresh and
-    null points never influence training.
+    Draws a trial (see `_draw_trial`) with M fresh points and, for
+    null_quantile, a separate null sample; scores everything and calibrates
+    the threshold on the null sample, so soundness estimates carry no
+    selection bias.  Fresh and null points never influence training.
     """
     if n < 1 or M < 1:
         raise ValueError("n and M must be >= 1")
-    bound = spec.data_sparsity / spec.d
-    mu = np.clip(sample_prior(prior, rng).values, -bound, bound)
-    if tracer_kind == SCALING_MATRIX_SCORE:
-        mu = np.clip(mu, -prior.gamma, prior.gamma)
-    tracer = tracer_for(spec, mu, tracer_kind, prior.gamma)
-    pop = data_distribution(spec, mu)
-
-    z_train = sample_matrix(pop, n, rng)
-    z_fresh = sample_matrix(pop, M, rng)
-    if policy.kind == NULL_QUANTILE:
-        z_null = sample_matrix(pop, null_calibration_size(policy.xi), rng)
-    else:
-        z_null = np.empty((0, spec.d), dtype=np.int8)
-
-    theta = _train_any(learner, spec, Dataset(z_train), rng)
+    null_rows = null_calibration_size(policy.xi) if policy.kind == NULL_QUANTILE else 0
+    mu, tracer, theta, z_train, (z_fresh, z_null) = _draw_trial(
+        learner, spec, tracer_kind, prior, n, rng, (M, null_rows))
 
     scores_train, clip_tr = score_batch(tracer, theta, z_train)
     scores_fresh, clip_fr = score_batch(tracer, theta, z_fresh)
-    if policy.kind == NULL_QUANTILE:
-        scores_null, clip_nu = score_batch(tracer, theta, z_null)
-    else:
-        scores_null, clip_nu = np.empty(0), 0
+    scores_null, clip_nu = score_batch(tracer, theta, z_null)
     lam = calibrate_threshold(policy, scores_null)
 
     flagged = np.flatnonzero(scores_train >= lam)
@@ -337,59 +319,15 @@ def trace_value_contribution(
     n: int,
     rng: np.random.Generator,
 ) -> float:
-    """One trial's average training-point score, (1/n) sum_i phi(theta_hat, Z_i)."""
-    bound = spec.data_sparsity / spec.d
-    mu = np.clip(sample_prior(prior, rng).values, -bound, bound)
-    if tracer_kind == SCALING_MATRIX_SCORE:
-        mu = np.clip(mu, -prior.gamma, prior.gamma)
-    tracer = tracer_for(spec, mu, tracer_kind, prior.gamma)
-    pop = data_distribution(spec, mu)
-    z_train = sample_matrix(pop, n, rng)
-    theta = _train_any(learner, spec, Dataset(z_train), rng)
+    """One trial's average training-point score, (1/n) sum_i phi(theta_hat, Z_i).
+
+    The mean over trials is a plug-in trace value for this one
+    learner/tracer pair: neither an upper nor a lower bound on the
+    adversarial trace value.
+    """
+    _, tracer, theta, z_train, _ = _draw_trial(learner, spec, tracer_kind, prior, n, rng)
     scores, _ = score_batch(tracer, theta, z_train)
     return float(scores.mean())
-
-
-def estimate_trace_value(
-    learner: LearnerLike,
-    spec: ProblemSpec,
-    tracer_kind: str,
-    prior: BetaPrior,
-    n: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Plug-in trace value: mean over trials of the average training score.
-
-    This fixes one learner/tracer pair, so the estimate is neither an upper
-    nor a lower bound on the adversarial trace value; reports label it a
-    plug-in.  Returns (T_hat, 95% CI half-width).
-    """
-    if trials < 30:
-        raise ValueError("trials must be >= 30 for a meaningful CI")
-    per_trial = np.empty(trials)
-    for t in range(trials):
-        per_trial[t] = trace_value_contribution(learner, spec, tracer_kind, prior, n, rng)
-    half = 1.96 * float(per_trial.std(ddof=1)) / math.sqrt(trials)
-    return float(per_trial.mean()), half
-
-
-def recall_lower_bound_pz(scores, lam: float) -> float:
-    """Anti-concentration lower bound on the count of scores >= lam.
-
-    With A1 = sum a_i, A2 = sum a_i^2, and beta = n * lam, the count of
-    entries >= lam is at least max(A1 - beta, 0)^2 / A2.  The inequality
-    only holds for beta >= 0, so negative betas are clamped to 0, where
-    the count >= lam threshold is a fortiori weaker.  All scores zero
-    gives 0 by convention; the bound never exceeds the direct count.
-    """
-    a = np.asarray(scores, dtype=float)
-    a2 = float(np.sum(a**2))
-    if a2 == 0.0:
-        return 0.0
-    a1 = float(np.sum(a))
-    beta = max(a.size * lam, 0.0)
-    return max(a1 - beta, 0.0) ** 2 / a2
 
 
 def default_beta(spec: ProblemSpec, alpha_target: float) -> float:
@@ -401,7 +339,7 @@ def default_beta(spec: ProblemSpec, alpha_target: float) -> float:
     1 + log(d / (16 max(s, 14))) / 2.
     """
     if not alpha_target > 0:
-        raise ValueError("alpha_target must be positive")
+        raise ValueError("alpha_target: must be positive")
     if spec.variant == BOX_LP:
         ratio = (spec.k / spec.d) ** (1.0 / spec.p)
         return max(1.0, (ratio / (6.0 * alpha_target)) ** 2)
@@ -419,60 +357,19 @@ def default_prior(
 
     box_lp pins gamma to the population box bound k/d; the l_1 variants
     default to gamma = min(8 alpha, 0.99), kept strictly below 1 so the
-    scaling matrix stays finite.
+    scaling matrix stays finite.  A given alpha_target must be positive
+    even where beta and gamma are given too.
     """
+    if alpha_target is not None and not alpha_target > 0:
+        raise ValueError("alpha_target: must be positive")
     if beta is None:
         if alpha_target is None:
-            raise ValueError("either beta or alpha_target must be given")
+            raise ValueError("beta: either beta or alpha_target must be given")
         beta = default_beta(spec, alpha_target)
     if spec.variant == BOX_LP:
         gamma = spec.k / spec.d
     elif gamma is None:
         if alpha_target is None:
-            raise ValueError("either gamma or alpha_target must be given for l1 variants")
+            raise ValueError("alpha_target: l1 variants derive gamma from it unless gamma is given")
         gamma = min(8.0 * alpha_target, 0.99)
     return BetaPrior(beta=beta, gamma=gamma, d=spec.d)
-
-
-def _score_map(tr: TracerSpec, Z: np.ndarray) -> np.ndarray:
-    """Matrix M with raw (unclipped) scores M @ theta for the rows of Z."""
-    Zf = np.asarray(Z).astype(np.float64, copy=False)
-    if tr.kind == SPARSE_SCORE:
-        scale = tr.d ** (1.0 / tr.p) / math.sqrt(tr.k)
-        return scale * (Zf - (tr.d / tr.k) * tr.mu * np.abs(Zf))
-    lam = (1.0 - (tr.mu / tr.gamma) ** 2) / (1.0 - tr.mu**2)
-    return math.sqrt(tr.s) * lam * (Zf - tr.mu)
-
-
-def max_score_vector_norm(
-    tr: TracerSpec,
-    Z: np.ndarray,
-    radius: float,
-    rng: np.random.Generator,
-    restarts: int = 32,
-    max_sweeps: int = 64,
-) -> float:
-    """Heuristic max over box vertices of the score-vector l_2 norm.
-
-    The score vector is linear in theta, so the maximum of its norm over a
-    box is attained at a vertex; coordinate ascent from random vertices
-    gives a lower bound on the true supremum.
-    """
-    columns = _score_map(tr, Z)
-    best = 0.0
-    for _ in range(restarts):
-        theta = radius * np.where(rng.random(tr.d) < 0.5, 1.0, -1.0)
-        phi = columns @ theta
-        for _ in range(max_sweeps):
-            changed = False
-            for j in range(tr.d):
-                rest = phi - columns[:, j] * theta[j]
-                new = radius if float(np.dot(rest, columns[:, j])) >= 0 else -radius
-                if new != theta[j]:
-                    phi = rest + columns[:, j] * new
-                    theta[j] = new
-                    changed = True
-            if not changed:
-                break
-        best = max(best, float(np.linalg.norm(phi)))
-    return best

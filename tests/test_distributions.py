@@ -16,8 +16,6 @@ from sparsetrace.distributions import (
     row_blocks,
     sample_matrix,
     sample_prior,
-    sample_sparse,
-    sample_support,
     symmetric_beta_moment,
 )
 from sparsetrace.rng import substream
@@ -32,85 +30,51 @@ def _pop(mu, k, d):
 class TestSampleSupport:
     def test_full_support_is_everything(self):
         rng = substream(SEED, 0, "support")
-        for _ in range(20):
-            assert np.array_equal(sample_support(3, 3, rng), [0, 1, 2])
-
-    def test_two_choose_one_is_fair(self):
-        rng = substream(SEED, 1, "support")
-        n = 10**5
-        ones = sum(sample_support(2, 1, rng)[0] for _ in range(n))
-        sigma = math.sqrt(0.25 / n)
-        assert abs(ones / n - 0.5) < 3 * sigma
-
-    def test_five_choose_two_uniform_chisquare(self):
-        rng = substream(SEED, 2, "support")
-        n = 10**5
-        subsets = {frozenset(c): 0 for c in itertools.combinations(range(5), 2)}
-        for _ in range(n):
-            subsets[frozenset(sample_support(5, 2, rng).tolist())] += 1
-        counts = np.array(list(subsets.values()))
-        sigma = math.sqrt(0.1 * 0.9 / n)
-        assert np.all(np.abs(counts / n - 0.1) < 3 * sigma)
-        assert chisquare(counts).pvalue > 1e-3
+        z = sample_matrix(_pop(np.zeros(3), 3, 3), 20, rng)
+        assert np.all(z != 0)
 
     def test_rejects_bad_k(self):
-        rng = substream(SEED, 3, "support")
         with pytest.raises(ValueError):
-            sample_support(4, 0, rng)
+            _pop(np.zeros(4), 0, 4)
         with pytest.raises(ValueError):
-            sample_support(4, 5, rng)
+            _pop(np.zeros(4), 5, 4)
 
 
 class TestSampleSparse:
     def test_dense_zero_mean_is_fair_coins(self):
         pop = _pop(np.zeros(4), 4, 4)
-        rng = substream(SEED, 4, "sparse")
-        draws = np.stack([sample_sparse(pop, rng).entries for _ in range(4000)])
+        draws = sample_matrix(pop, 4000, substream(SEED, 4, "sparse"))
         assert np.isin(draws, (-1, 1)).all()
         sigma = math.sqrt(1.0 / 4000)
         assert np.max(np.abs(draws.mean(axis=0))) < 4 * sigma
 
     def test_saturated_probability_is_deterministic(self):
         pop = _pop([0.5, -0.5], 1, 2)
-        rng = substream(SEED, 5, "sparse")
-        for _ in range(200):
-            z = sample_sparse(pop, rng)
-            if z.support[0] == 0:
-                assert z.entries[0] == 1
-            else:
-                assert z.entries[1] == -1
+        z = sample_matrix(pop, 200, substream(SEED, 5, "sparse"))
+        assert set(map(tuple, z)) == {(1, 0), (0, -1)}
 
     def test_sample_mean_matches_population_mean(self):
         mu = np.array([1 / 3, 0.0, -1 / 3])
         pop = _pop(mu, 2, 3)
-        rng = substream(SEED, 6, "sparse")
         n = 10**5
-        total = np.zeros(3)
-        for _ in range(n):
-            total += sample_sparse(pop, rng).entries
+        z = sample_matrix(pop, n, substream(SEED, 6, "sparse"))
         sigma = np.sqrt((pop.k / pop.d - mu**2) / n)
-        assert np.all(np.abs(total / n - mu) < 3 * sigma)
+        assert np.all(np.abs(z.mean(axis=0) - mu) < 3 * sigma)
 
     def test_support_size_is_k(self):
-        pop = _pop(np.zeros(6), 2, 6)
-        rng = substream(SEED, 7, "sparse")
-        for _ in range(100):
-            z = sample_sparse(pop, rng)
-            assert z.support.size == 2
-            assert np.count_nonzero(z.entries) == 2
+        z = sample_matrix(_pop(np.zeros(6), 2, 6), 100, substream(SEED, 7, "sparse"))
+        assert np.all(np.count_nonzero(z, axis=1) == 2)
 
     def test_dense_single_draws_match_product_law_in_tv(self):
+        # One row at a time, as a caller drawing single points would.
         mu = np.array([0.3, -0.15])
         pop = _pop(mu, 2, 2)
         rng = substream(SEED, 15, "sparse")
         n = 3 * 10**4
-        codes = np.zeros(4, dtype=np.int64)
-        for _ in range(n):
-            z = sample_sparse(pop, rng)
-            codes[(z.entries[0] + 1) + (z.entries[1] + 1) // 2] += 1
-        atoms = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
-        exact = np.array([np.prod((1 + mu * np.array(a)) / 2) for a in atoms])
-        empirical = np.array([codes[(a[0] + 1) + (a[1] + 1) // 2] for a in atoms]) / n
+        z = np.concatenate([sample_matrix(pop, 1, rng) for _ in range(n)])
+        atoms = np.array(list(itertools.product((-1, 1), repeat=2)))
+        exact = np.array([np.prod((1 + mu * a) / 2) for a in atoms])
+        empirical = np.bincount(((z + 1) // 2) @ np.array([2, 1]), minlength=4) / n
         assert 0.5 * np.abs(empirical - exact).sum() <= 0.01
 
 
@@ -126,16 +90,17 @@ class TestSampleMatrix:
         assert np.all(np.abs(z.mean(axis=0) - mu) < 4 * sigma)
 
     def test_batch_supports_are_uniform(self):
-        # The argpartition batch path must match the Fisher-Yates law exactly.
-        pop = _pop(np.zeros(5), 2, 5)
-        rng = substream(SEED, 16, "matrix")
+        # The argpartition supports must be exactly uniform k-subsets.
         n = 10**5
-        z = sample_matrix(pop, n, rng)
-        masks = (z != 0) @ (1 << np.arange(5))
-        counts = np.bincount(masks, minlength=32)
-        observed = counts[counts > 0]
-        assert observed.size == 10
-        assert chisquare(observed).pvalue > 1e-3
+        for d, k, stream in ((5, 2, 16), (2, 1, 1)):
+            z = sample_matrix(_pop(np.zeros(d), k, d), n, substream(SEED, stream, "matrix"))
+            masks = (z != 0) @ (1 << np.arange(d))
+            counts = np.bincount(masks, minlength=2**d)
+            observed = counts[counts > 0]
+            assert observed.size == math.comb(d, k)
+            share = 1 / math.comb(d, k)
+            assert np.all(np.abs(observed / n - share) < 3 * math.sqrt(share * (1 - share) / n))
+            assert chisquare(observed).pvalue > 1e-3
 
     def test_dense_case_recovers_product_law_in_tv(self):
         mu = np.array([0.2, -0.1, 0.05])
@@ -260,6 +225,15 @@ class TestBetaPrior:
             BetaPrior(0.0, 1.0, 4)
         with pytest.raises(ValueError):
             BetaPrior(1.0, 1.5, 4)
+        # An infinite beta makes every Gamma ratio inf/inf = NaN.
+        for beta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="beta: must be positive and finite"):
+                BetaPrior(beta, 1.0, 4)
+
+    def test_tiny_beta_draw_raises_instead_of_returning_nan(self):
+        # Gamma(1e-3) draws underflow to 0, and 0/0 is NaN; MeanVector rejects it.
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            sample_prior(BetaPrior(1e-3, 1.0, 1000), substream(SEED, 18, "prior"))
 
 
 class TestPriorQuadrature:
@@ -291,6 +265,10 @@ class TestTypeInvariants:
     def test_mean_vector_enforces_box(self):
         with pytest.raises(ValueError):
             MeanVector(np.array([0.6]), 0.5)
+        # NaN compares false with the box bound, so it needs its own check.
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="mean entries must be finite"):
+                MeanVector(np.array([0.1, bad]), 0.5)
 
     def test_population_enforces_mean_bound(self):
         with pytest.raises(ValueError):

@@ -42,6 +42,11 @@ class TestConfig:
             output_path="dir/results.csv")
         assert ExperimentConfig.from_text(cfg.to_text()) == cfg
 
+    def test_unparsable_value_is_usage_error(self):
+        for text in ("experiment = trace\nd = 1.5\n", "experiment = sweep\nnoise_scales = 1,x\n"):
+            with pytest.raises(UsageError, match="could not parse"):
+                ExperimentConfig.from_text(text)
+
     def test_round_trip_preserves_none_and_floats(self):
         cfg = ExperimentConfig(experiment="trace", alpha_target=0.1234567890123456,
                                k=None, s=None)
@@ -53,15 +58,33 @@ class TestConfig:
             ExperimentConfig.from_text("experiment = trace\nbogus = 1\n")
 
     def test_validate_names_offending_field(self):
-        cfg = ExperimentConfig(experiment="trace", p=0.5, alpha_target=0.1)
-        with pytest.raises(UsageError, match="p:"):
-            cfg.validate()
-        cfg = ExperimentConfig(experiment="trace", xi=1.5, alpha_target=0.1)
-        with pytest.raises(UsageError, match="xi:"):
-            cfg.validate()
-        cfg = ExperimentConfig(experiment="trace")
-        with pytest.raises(UsageError, match="beta:"):
-            cfg.validate()
+        inf, nan = float("inf"), float("nan")
+        cases = [
+            (dict(p=0.5, alpha_target=0.1), "p"),
+            (dict(xi=1.5, alpha_target=0.1), "xi"),
+            (dict(), "beta"),
+            # The l1 prior takes its gamma from alpha_target.
+            (dict(variant="l1_capped", s=4, beta=2.0), "alpha_target"),
+            # epsilon / inf = 0 is outside gaussian_dp's range.
+            (dict(experiment="sweep", learner="gaussian_dp", beta=2.0, noise_scales=(1.0, inf)),
+             "noise_scales"),
+            # Non-finite values that would otherwise reach the CSV as NaN.
+            (dict(beta=inf), "beta"),
+            (dict(beta=nan), "beta"),
+            (dict(p=inf, alpha_target=0.1), "p"),
+            (dict(t_hat=inf, alpha_target=0.1), "t_hat"),
+        ]
+        for overrides, field in cases:
+            cfg = ExperimentConfig(**{"experiment": "trace", **overrides})
+            with pytest.raises(UsageError, match=f"^{field}: "):
+                cfg.validate()
+
+    def test_validate_returns_the_domain_objects(self):
+        plan = ExperimentConfig(experiment="sweep", learner="gaussian_dp", epsilon=2.0,
+                                beta=3.0, noise_scales=(0.5, 4.0)).validate()
+        assert [lc.epsilon for lc in plan.learners] == [4.0, 0.5]
+        assert (plan.prior.beta, plan.policy.xi, plan.spec.k, plan.tracer) == (3.0, 0.05, 64, "sparse")
+        assert ExperimentConfig(experiment="verify").validate() is None
 
 
 class TestParseCli:
@@ -118,18 +141,18 @@ class TestRun:
         cfg = _small_trace(tmp_path)
         run(cfg, threads=1)
         lines = open(cfg.output_path).read().splitlines()
-        assert lines[0].startswith("# sparsetrace-csv schema=1")
+        assert lines[0] == "# sparsetrace-csv schema=2 experiment=trace"
         header = lines[1].split(",")
         assert header == ["trial_index", "mu_norm_l1", "excess_risk",
                           "t_hat_contribution", "recall", "soundness", "lambda",
-                          "flags_count", "clip_events"]
+                          "clip_events"]
         body = [l for l in lines[2:] if not l.startswith("#")]
         assert len(body) == cfg.trials
         for row in body:
             fields = row.split(",")
             recall, soundness = float(fields[4]), float(fields[5])
             assert 0.0 <= recall <= cfg.n and 0.0 <= soundness <= 1.0
-        assert sum(l.startswith("#summary,") for l in lines) >= 8
+        assert sum(l.startswith("#summary,") for l in lines) == 7
 
     def test_float_formatting_round_trips(self, tmp_path):
         cfg = _small_trace(tmp_path)
@@ -270,6 +293,18 @@ class TestMainExitCodes:
 
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == EXIT_USAGE
+
+    def test_program_error_keeps_its_traceback(self, tmp_path, monkeypatch):
+        # Only UsageError means exit 2; a ValueError from inside a trial is a bug.
+        import sparsetrace.harness as harness
+
+        def broken(*args):
+            raise ValueError("bug inside a trial")
+
+        monkeypatch.setattr(harness, "run_trace_trial", broken)
+        with pytest.raises(ValueError, match="bug inside a trial"):
+            main(["trace", "--d", "16", "--trials", "2", "--alpha-target", "0.1",
+                  "--threads", "1", "--out", str(tmp_path / "t.csv")])
 
     def test_python_dash_m_package_runs_without_warnings(self, tmp_path):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -208,6 +208,8 @@ class TestSpecValidation:
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
             ProblemSpec(BOX_LP, d=4, p=0.5, k=2)
+        with pytest.raises(ValueError, match=r"p: must lie in \[1, inf\)"):
+            ProblemSpec(BOX_LP, d=4, p=math.inf, k=2)  # loss_scale k^-(p-1)/p is NaN there
         with pytest.raises(ValueError):
             ProblemSpec(BOX_LP, d=4, p=2.0, k=5)
         with pytest.raises(ValueError):

@@ -33,6 +33,24 @@ class TestSampleSupport:
         z = sample_matrix(_pop(np.zeros(3), 3, 3), 20, rng)
         assert np.all(z != 0)
 
+    def test_two_choose_one_is_fair(self):
+        z = sample_matrix(_pop(np.zeros(2), 1, 2), 10**5, substream(SEED, 1, "support"))
+        n = z.shape[0]
+        ones = int(np.count_nonzero(z[:, 1]))
+        sigma = math.sqrt(0.25 / n)
+        assert abs(ones / n - 0.5) < 3 * sigma
+
+    def test_five_choose_two_uniform_chisquare(self):
+        z = sample_matrix(_pop(np.zeros(5), 2, 5), 10**5, substream(SEED, 2, "support"))
+        n = z.shape[0]
+        subsets = {frozenset(c): 0 for c in itertools.combinations(range(5), 2)}
+        for row in z:
+            subsets[frozenset(np.flatnonzero(row).tolist())] += 1
+        counts = np.array(list(subsets.values()))
+        sigma = math.sqrt(0.1 * 0.9 / n)
+        assert np.all(np.abs(counts / n - 0.1) < 3 * sigma)
+        assert chisquare(counts).pvalue > 1e-3
+
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             _pop(np.zeros(4), 0, 4)
@@ -91,16 +109,15 @@ class TestSampleMatrix:
 
     def test_batch_supports_are_uniform(self):
         # The argpartition supports must be exactly uniform k-subsets.
+        pop = _pop(np.zeros(5), 2, 5)
+        rng = substream(SEED, 16, "matrix")
         n = 10**5
-        for d, k, stream in ((5, 2, 16), (2, 1, 1)):
-            z = sample_matrix(_pop(np.zeros(d), k, d), n, substream(SEED, stream, "matrix"))
-            masks = (z != 0) @ (1 << np.arange(d))
-            counts = np.bincount(masks, minlength=2**d)
-            observed = counts[counts > 0]
-            assert observed.size == math.comb(d, k)
-            share = 1 / math.comb(d, k)
-            assert np.all(np.abs(observed / n - share) < 3 * math.sqrt(share * (1 - share) / n))
-            assert chisquare(observed).pvalue > 1e-3
+        z = sample_matrix(pop, n, rng)
+        masks = (z != 0) @ (1 << np.arange(5))
+        counts = np.bincount(masks, minlength=32)
+        observed = counts[counts > 0]
+        assert observed.size == 10
+        assert chisquare(observed).pvalue > 1e-3
 
     def test_dense_case_recovers_product_law_in_tv(self):
         mu = np.array([0.2, -0.1, 0.05])

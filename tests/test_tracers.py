@@ -13,6 +13,7 @@ from sparsetrace.distributions import (
     sample_prior,
 )
 from sparsetrace.learners import LearnerConfig
+from sparsetrace.oracles import check_card_moments
 from sparsetrace.problems import BOX_LP, L1_CAPPED, ParameterPoint, ProblemSpec, support_argmax
 from sparsetrace.rng import substream
 from sparsetrace.tracers import (
@@ -290,6 +291,37 @@ class TestEstimateTraceValue:
         assert oracle.lhs == pytest.approx(2 / 3, abs=1e-10)
         assert abs(t_hat - oracle.lhs) < 2 * ci
 
+
+class TestRecallLowerBound:
+    """The counting bound behind the recall guarantee, with beta = n * lambda.
+
+    At least (sum_i a_i - n lambda)^2 / sum_i a_i^2 of n scores reach the
+    threshold lambda; oracles.check_card_moments checks that count exactly.
+    """
+
+    def test_hand_example(self):
+        # 1 score of 3 reaches 1/3, and the bound is (2 - 1)^2 / 4 = 0.25.
+        passed, _ = check_card_moments([np.array([2.0, 0.0, 0.0])], [1.0])
+        assert passed
+
+    def test_equality_case_all_equal(self):
+        # All 8 scores reach 0, and the bound is (8 * 3)^2 / (8 * 9) = 8.
+        passed, _ = check_card_moments([np.full(8, 3.0)], [0.0])
+        assert passed
+
+    def test_zero_scores_give_zero(self):
+        passed, _ = check_card_moments([np.zeros(5)], [-5.0])
+        assert passed
+
+    def test_never_exceeds_direct_count(self):
+        rng = substream(SEED, 12, "pz")
+        vectors, betas = [], []
+        for _ in range(10**4):
+            n = int(rng.integers(1, 20))
+            vectors.append(rng.uniform(-1, 1, size=n))
+            betas.append(n * float(rng.uniform(-1.5, 1.5)))
+        passed, counterexample = check_card_moments(vectors, betas)
+        assert passed, counterexample
 
 class TestDefaultPrior:
     def test_box_beta_formula(self):

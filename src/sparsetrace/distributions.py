@@ -181,9 +181,6 @@ class QuadratureRule:
         if np.any(self.weights <= 0) or abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be positive and sum to 1")
 
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
-
 
 def _signs_into(u: np.ndarray, p_plus: np.ndarray, out: np.ndarray) -> None:
     """Write +1 where u < p_plus and -1 elsewhere into the int8 array `out`.

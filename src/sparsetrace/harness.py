@@ -1,15 +1,8 @@
 """Experiment configuration, seeded parallel execution, CSV output, and the CLI.
 
-Five experiments are exposed as subcommands:
-
-* ``verify``       -- run the exact identity-check battery; exit 1 on any
-                      relative error above 1e-8.
-* ``trace``        -- repeated attack trials for one learner/tracer pair.
-* ``dp-audit``     -- trace trials for the private learner plus the recall
-                      ceiling n e^eps xi + n delta; exit 1 if exceeded.
-* ``sweep``        -- trace trials across Gaussian noise scales; exit 1 if
-                      mean recall increases with noise beyond CI overlap.
-* ``trace-value``  -- plug-in trace-value estimation.
+Five experiments are exposed as subcommands, described in EXPERIMENTS:
+``verify``, ``trace``, ``dp-audit``, ``sweep`` and ``trace-value``.  Each
+takes one flag per config field it reads.
 
 Output is a versioned CSV written atomically (temp file + rename): a
 header row, one record per line with floats at 17 significant digits, and
@@ -25,40 +18,30 @@ import math
 import os
 import sys
 import tempfile
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple, get_args, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
 from .distributions import BetaPrior
-from .learners import GAUSSIAN_DP, LEARNER_KINDS, SUBSAMPLE, LearnerConfig
-from .oracles import verification_grid_tasks
+from .learners import CONSTANT, GAUSSIAN_DP, LEARNER_KINDS, SUBSAMPLE, LearnerConfig
+from .oracles import verification_grid
 from .problems import BOX_LP, VARIANTS, ProblemSpec
 from .rng import substream
-from .tracers import (
-    HALF_TRACE_VALUE,
-    NULL_QUANTILE,
-    SCALING_MATRIX_SCORE,
-    SPARSE_SCORE,
-    TRACER_KINDS,
-    ThresholdPolicy,
-    TraceReport,
-    default_prior,
-    run_trace_trial,
-    trace_value_contribution,
-    tracer_for,
-)
+from .tracers import (HALF_TRACE_VALUE, NULL_QUANTILE, SCALING_MATRIX_SCORE, SPARSE_SCORE,
+                      ThresholdPolicy, TraceReport, default_prior, run_trace_trial,
+                      trace_value_contribution)
 
-EXPERIMENTS = ("verify", "trace", "dp_audit", "sweep", "trace_value")
 IDENTITY_TOL = 1e-8
 SCHEMA_VERSION = 2
-THREADS_ENV = "SPARSETRACE_THREADS"
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_BUG = 4
 
 
 class UsageError(Exception):
@@ -69,7 +52,7 @@ class Plan(NamedTuple):
     """The domain objects a validated trace-style config describes."""
 
     spec: ProblemSpec
-    tracer: str
+    tracer: str  # the score kind of the variant
     prior: BetaPrior
     learners: tuple[LearnerConfig, ...]  # one per noise scale for sweep
     policy: ThresholdPolicy
@@ -89,7 +72,6 @@ class ExperimentConfig:
     epsilon: float = 1.0
     delta: float = 1e-5
     subsample_m: int | None = None
-    tracer: str | None = None
     xi: float = 0.05
     policy: str = NULL_QUANTILE
     t_hat: float | None = None
@@ -107,14 +89,10 @@ class ExperimentConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if value is None:
-                text = "none"
-            elif f.name == "noise_scales":
-                text = ",".join(format(v, ".17g") for v in value)
-            elif isinstance(value, float):
-                text = format(value, ".17g")
-            else:
-                text = str(value)
-            lines.append(f"{f.name} = {text}")
+                value = "none"
+            elif isinstance(value, tuple):
+                value = ",".join(_fmt(v) for v in value)
+            lines.append(f"{f.name} = {_fmt(value)}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -138,36 +116,32 @@ class ExperimentConfig:
         k = self.k if self.k is not None else (self.d if self.variant == BOX_LP else None)
         return ProblemSpec(self.variant, d=self.d, p=self.p, k=k, s=self.s)
 
-    def resolved_tracer(self) -> str:
-        if self.tracer is not None:
-            return self.tracer
-        return SPARSE_SCORE if self.variant == BOX_LP else SCALING_MATRIX_SCORE
-
     def validate(self) -> Plan | None:
         """Build the domain objects this config describes, or raise UsageError.
 
         Each object checks its own parameters (see `_build`); only the rules
-        that no object makes are written here.  Returns None for verify,
-        which takes no parameters.
+        that no object makes are written here.  Returns None for an
+        experiment that reads no trial parameters (verify).
         """
-        if self.experiment not in EXPERIMENTS:
-            raise UsageError(f"experiment: must be one of {EXPERIMENTS}")
-        if self.experiment == "verify":
+        experiment = EXPERIMENTS.get(self.experiment)
+        if experiment is None:
+            raise UsageError(f"experiment: must be one of {tuple(EXPERIMENTS)}")
+        if not self.output_path:
+            raise UsageError("output_path: must be nonempty")
+        if not experiment.fields:
             return None
         for name in ("n", "M", "trials"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name}: must be >= 1")
-        if not self.output_path:
-            raise UsageError("output_path: must be nonempty")
         spec = _build("variant", self.resolved_spec)
         learner = _build("learner", LearnerConfig, self.learner, epsilon=self.epsilon,
                          delta=self.delta, subsample_m=self.subsample_m)
         if self.learner == SUBSAMPLE and self.subsample_m > self.n:
             raise UsageError("subsample_m: must lie in [1, n]")
-        if self.experiment in ("dp_audit", "sweep") and self.learner != GAUSSIAN_DP:
-            raise UsageError(f"learner: {self.experiment} requires gaussian_dp")
+        if experiment.learner not in (None, self.learner):
+            raise UsageError(f"learner: {self.experiment} requires {experiment.learner}")
         learners = (learner,)
-        if self.experiment == "sweep":
+        if "noise_scales" in experiment.fields:
             if not self.noise_scales or not all(v > 0 for v in self.noise_scales):
                 raise UsageError("noise_scales: must be positive")
             # sigma scales as 1/epsilon, so a noise multiplier c is epsilon / c.
@@ -177,8 +151,7 @@ class ExperimentConfig:
                 raise UsageError(f"noise_scales: epsilon / scale is out of range ({exc})") from exc
         policy = _build("policy", ThresholdPolicy, self.policy, xi=self.xi, t_hat=self.t_hat)
         prior = _build("alpha_target", default_prior, spec, self.alpha_target, self.beta)
-        tracer = self.resolved_tracer()
-        _build("tracer", tracer_for, spec, np.zeros(spec.d), tracer, prior.gamma)
+        tracer = SPARSE_SCORE if spec.variant == BOX_LP else SCALING_MATRIX_SCORE
         return Plan(spec, tracer, prior, learners, policy)
 
 
@@ -215,9 +188,10 @@ def _build(field: str, make, *args, **kwargs):
 
 
 def _parse_field(key: str, val: str):
-    if val == "none":
-        return None
+    """Parse one config-file or flag value; 'none' clears an optional field."""
     kind = _FIELD_TYPES[key]
+    if val == "none" and type(None) in get_args(kind):
+        return None
     try:
         if key == "noise_scales":
             return tuple(float(part) for part in val.split(",") if part.strip())
@@ -255,16 +229,16 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple], summaries:
 
 
 def _mean_ci(values: list[float]) -> tuple[float, float]:
+    """Mean and 95% CI half-width of one or more values."""
     arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        return float(arr.mean()) if arr.size else float("nan"), 0.0
-    return float(arr.mean()), 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size)
+    ci = 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size) if arr.size > 1 else 0.0
+    return float(arr.mean()), ci
 
 
-def _summaries(rows: list[tuple], header: tuple[str, ...], skip=("trial_index",)) -> list[str]:
+def _summaries(rows: list[tuple], header: tuple[str, ...]) -> list[str]:
     lines = []
     for i, col in enumerate(header):
-        if col in skip:
+        if col == "trial_index":
             continue
         values = [float(r[i]) for r in rows]
         mean, ci = _mean_ci(values)
@@ -272,30 +246,24 @@ def _summaries(rows: list[tuple], header: tuple[str, ...], skip=("trial_index",)
     return lines
 
 
-def resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise UsageError(f"{THREADS_ENV}: could not parse {env!r}") from exc
-    return os.cpu_count() or 1
+def _map_trials(cfg: ExperimentConfig, purpose: str, threads: int, fn) -> list:
+    """fn(trial, rng) for every trial, in trial order; rng is the trial's substream."""
+    def one(trial: int):
+        return fn(trial, substream(cfg.master_seed, trial, purpose))
 
-
-def _map_trials(fn, count: int, threads: int) -> list:
-    """Run fn(0..count-1), collecting results in index order."""
     if threads <= 1:
-        return [fn(i) for i in range(count)]
+        return [one(i) for i in range(cfg.trials)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+        return list(pool.map(one, range(cfg.trials)))
 
 
-def _run_verify() -> tuple[list[tuple], list[str], list[str]]:
-    # Serial: the battery's tasks are millisecond-sized and interpreter-bound,
-    # so a thread pool only slows them down.
-    checks = [task() for task in verification_grid_tasks()]
+Outcome = tuple[tuple[str, ...], list[tuple], list[str], list[str]]  # header, rows, summaries, failures
+
+
+def _run_verify(cfg: ExperimentConfig, plan: None, threads: int) -> Outcome:
+    """The identity battery; fails on any relative error above IDENTITY_TOL."""
+    # Serial: the instances are millisecond-sized and interpreter-bound.
+    checks = verification_grid()
     rows = [(c.instance, c.lhs, c.rhs, c.rel_error) for c in checks]
     worst = max(checks, key=lambda c: c.rel_error)
     summaries = [f"#summary,max_rel_error,{_fmt(worst.rel_error)},0",
@@ -305,35 +273,37 @@ def _run_verify() -> tuple[list[tuple], list[str], list[str]]:
         over = sum(c.rel_error > IDENTITY_TOL for c in checks)
         failures.append(f"{over} of {len(checks)} identities above rel_error {IDENTITY_TOL:g}; "
                         f"worst {worst.instance} at rel_error {worst.rel_error:.3g}")
-    return rows, summaries, failures
+    return ("instance", "lhs", "rhs", "rel_error"), rows, summaries, failures
 
 
 def _trace_rows(cfg: ExperimentConfig, plan: Plan, learner: LearnerConfig, purpose: str,
                 threads: int) -> list[tuple]:
-    def one(trial: int) -> tuple:
-        rng = substream(cfg.master_seed, trial, purpose)
-        report = run_trace_trial(learner, plan.spec, plan.tracer, plan.prior, cfg.n, cfg.M,
-                                 plan.policy, rng)
-        return _trace_row(trial, report)
+    def one(trial: int, rng) -> tuple:
+        return _trace_row(trial, run_trace_trial(learner, plan.spec, plan.tracer, plan.prior,
+                                                 cfg.n, cfg.M, plan.policy, rng))
 
-    return _map_trials(one, cfg.trials, threads)
+    return _map_trials(cfg, purpose, threads, one)
 
 
-def _run_trace(cfg: ExperimentConfig, plan: Plan, threads: int) -> tuple[list[tuple], list[str], list[str]]:
+def _run_trace(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
     rows = _trace_rows(cfg, plan, plan.learners[0], "trace", threads)
-    summaries = _summaries(rows, TRACE_COLUMNS)
-    failures = []
-    if cfg.experiment == "dp_audit":
-        ceiling = cfg.n * math.exp(cfg.epsilon) * cfg.xi + cfg.n * cfg.delta
-        mean_recall, ci = _mean_ci([r[RECALL] for r in rows])
-        summaries.append(f"#summary,dp_recall_ceiling,{_fmt(ceiling)},0")
-        if mean_recall > ceiling + 4.0 * ci:
-            failures.append(f"mean recall {mean_recall:.3g} > ceiling {ceiling:.3g} + 4×{ci:.2g} "
-                            f"(over by {mean_recall - ceiling - 4.0 * ci:.3g})")
-    return rows, summaries, failures
+    return TRACE_COLUMNS, rows, _summaries(rows, TRACE_COLUMNS), []
 
 
-def _run_sweep(cfg: ExperimentConfig, plan: Plan, threads: int) -> tuple[list[tuple], list[str], list[str]]:
+def _run_dp_audit(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
+    """Trace trials that fail when mean recall exceeds n e^eps xi + n delta by 4 CIs."""
+    header, rows, summaries, failures = _run_trace(cfg, plan, threads)
+    ceiling = cfg.n * math.exp(cfg.epsilon) * cfg.xi + cfg.n * cfg.delta
+    mean_recall, ci = _mean_ci([r[RECALL] for r in rows])
+    summaries.append(f"#summary,dp_recall_ceiling,{_fmt(ceiling)},0")
+    if mean_recall > ceiling + 4.0 * ci:
+        failures.append(f"mean recall {mean_recall:.3g} > ceiling {ceiling:.3g} + 4×{ci:.2g} "
+                        f"(over by {mean_recall - ceiling - 4.0 * ci:.3g})")
+    return header, rows, summaries, failures
+
+
+def _run_sweep(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
+    """Trace trials per noise scale; fails if mean recall rises with noise beyond CI overlap."""
     rows: list[tuple] = []
     means: list[tuple[float, float, float]] = []
     summaries: list[str] = []
@@ -349,42 +319,82 @@ def _run_sweep(cfg: ExperimentConfig, plan: Plan, threads: int) -> tuple[list[tu
             failures.append(f"mean recall rose from {m0:.3g} ± {c0:.2g} at scale {s0:g} "
                             f"to {m1:.3g} ± {c1:.2g} at scale {s1:g} "
                             f"(over by {m1 - m0 - c0 - c1:.3g})")
-    return rows, summaries, failures
+    return ("noise_scale",) + TRACE_COLUMNS, rows, summaries, failures
 
 
-def _run_trace_value(cfg: ExperimentConfig, plan: Plan, threads: int) -> tuple[list[tuple], list[str], list[str]]:
-    def one(trial: int) -> tuple:
-        rng = substream(cfg.master_seed, trial, "trace_value")
-        value = trace_value_contribution(plan.learners[0], plan.spec, plan.tracer, plan.prior,
-                                         cfg.n, rng)
-        return (trial, value)
+def _run_trace_value(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
+    def one(trial: int, rng) -> tuple:
+        return (trial, trace_value_contribution(plan.learners[0], plan.spec, plan.tracer,
+                                                plan.prior, cfg.n, rng))
 
-    rows = _map_trials(one, cfg.trials, threads)
+    rows = _map_trials(cfg, "trace_value", threads, one)
     mean, ci = _mean_ci([r[1] for r in rows])
-    summaries = [f"#summary,t_hat,{_fmt(mean)},{_fmt(ci)}"]
-    return rows, summaries, []
+    return ("trial_index", "t_hat"), rows, [f"#summary,t_hat,{_fmt(mean)},{_fmt(ci)}"], []
+
+
+class Experiment(NamedTuple):
+    """One subcommand: its help line, its runner, and what it reads."""
+
+    help: str
+    runner: Callable[[ExperimentConfig, Plan | None, int], Outcome]
+    fields: tuple[str, ...] = ()  # config fields read besides master_seed and output_path
+    learner: str | None = None  # the learner kind it requires, if any
+
+
+_TRIAL_FIELDS = tuple(f.name for f in fields(ExperimentConfig)
+                      if f.name not in ("experiment", "noise_scales", "master_seed", "output_path"))
+
+# Keyed by config name; the subcommand is the same name with '-' for '_'.
+EXPERIMENTS = {
+    "verify": Experiment("run the exact identity-check battery", _run_verify),
+    "trace": Experiment("soundness/recall trials for one learner", _run_trace, _TRIAL_FIELDS),
+    "dp_audit": Experiment("trace trials plus the DP recall ceiling", _run_dp_audit,
+                           _TRIAL_FIELDS, GAUSSIAN_DP),
+    "sweep": Experiment("trace trials across Gaussian noise scales", _run_sweep,
+                        _TRIAL_FIELDS + ("noise_scales",), GAUSSIAN_DP),
+    "trace_value": Experiment("plug-in trace value estimation", _run_trace_value, _TRIAL_FIELDS),
+}
+
+_FIELD_HELP = {
+    "master_seed": "64-bit master seed",
+    "output_path": "CSV output path",
+    "variant": "problem geometry",
+    "d": "dimension, d >= 1",
+    "p": "norm index, p in [1, inf) (box_lp)",
+    "k": "data sparsity, 1 <= k <= d (box_lp; default d)",
+    "s": "box cap, 1 <= s <= d (l1_capped)",
+    "learner": "learner kind",
+    "epsilon": "DP epsilon in (0, 10] (gaussian_dp)",
+    "delta": "DP delta in (0, 1) (gaussian_dp)",
+    "subsample_m": "subsample size, 1 <= m <= n (subsample)",
+    "xi": "soundness level, xi in (0, 1)",
+    "policy": "threshold calibration policy",
+    "t_hat": "finite trace value for half_trace_value",
+    "beta": "prior shape override, beta > 0",
+    "alpha_target": "target excess risk used to derive beta, > 0",
+    "n": "training set size, n >= 1",
+    "M": "fresh evaluation points, M >= 1",
+    "trials": "independent trials, >= 1",
+    "noise_scales": "comma-separated positive noise multipliers",
+}
+_FIELD_CHOICES = {
+    "variant": VARIANTS,
+    "learner": tuple(kind for kind in LEARNER_KINDS if kind != CONSTANT),
+    "policy": (NULL_QUANTILE, HALF_TRACE_VALUE),
+}
+_FLAG_NAMES = {"master_seed": "--seed", "output_path": "--out"}
 
 
 def run(config: ExperimentConfig, threads: int | None = None) -> int:
     """Execute one experiment, write its CSV, and return the exit status.
 
-    A failed acceptance check prints one line per failure to stderr, naming
-    the check and its margin, and returns EXIT_ACCEPTANCE.
+    `threads` defaults to the CPU count.  A failed acceptance check prints
+    one line per failure to stderr, naming the check and its margin, and
+    returns EXIT_ACCEPTANCE.
     """
     plan = config.validate()
-    nthreads = resolve_threads(threads)
-    if config.experiment == "verify":
-        header: tuple[str, ...] = ("instance", "lhs", "rhs", "rel_error")
-        rows, summaries, failures = _run_verify()
-    elif config.experiment in ("trace", "dp_audit"):
-        header = TRACE_COLUMNS
-        rows, summaries, failures = _run_trace(config, plan, nthreads)
-    elif config.experiment == "sweep":
-        header = ("noise_scale",) + TRACE_COLUMNS
-        rows, summaries, failures = _run_sweep(config, plan, nthreads)
-    else:
-        header = ("trial_index", "t_hat")
-        rows, summaries, failures = _run_trace_value(config, plan, nthreads)
+    nthreads = max(1, threads) if threads is not None else os.cpu_count() or 1
+    header, rows, summaries, failures = EXPERIMENTS[config.experiment].runner(config, plan, nthreads)
     _write_csv(config.output_path, header, rows, summaries, config.experiment)
     command = config.experiment.replace("_", "-")
     for failure in failures:
@@ -393,80 +403,39 @@ def run(config: ExperimentConfig, threads: int | None = None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per EXPERIMENTS entry; flag values stay strings for `_parse_field`."""
     parser = argparse.ArgumentParser(
         prog="sparsetrace",
         description="Tracing attacks and fingerprinting identity checks for "
                     "hard stochastic convex optimization instances.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    specs = {
-        "verify": "run the exact identity-check battery",
-        "trace": "soundness/recall trials for one learner",
-        "dp-audit": "trace trials plus the DP recall ceiling",
-        "sweep": "trace trials across Gaussian noise scales",
-        "trace-value": "plug-in trace value estimation",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, experiment in EXPERIMENTS.items():
+        p = sub.add_parser(name.replace("_", "-"), help=experiment.help)
         p.add_argument("--config", metavar="FILE", help="config file; flags override its values")
-        p.add_argument("--seed", type=int, dest="master_seed", help="64-bit master seed")
-        p.add_argument("--out", dest="output_path", help="CSV output path")
-        p.add_argument("--threads", type=int, help=f"worker threads (default: ${THREADS_ENV} or CPU count)")
-        if name == "verify":
-            continue
-        p.add_argument("--variant", choices=VARIANTS, help="problem geometry")
-        p.add_argument("--d", type=int, help="dimension, d >= 1")
-        p.add_argument("--p", type=float, help="norm index, p in [1, inf) (box_lp)")
-        p.add_argument("--k", type=int, help="data sparsity, 1 <= k <= d (box_lp; default d)")
-        p.add_argument("--s", type=int, help="box cap, 1 <= s <= d (l1_capped)")
-        p.add_argument("--learner", choices=[k for k in LEARNER_KINDS if k != "constant"],
-                       help="learner kind")
-        p.add_argument("--epsilon", type=float, help="DP epsilon in (0, 10] (gaussian_dp)")
-        p.add_argument("--delta", type=float, help="DP delta in (0, 1) (gaussian_dp)")
-        p.add_argument("--subsample-m", type=int, dest="subsample_m",
-                       help="subsample size, 1 <= m <= n (subsample)")
-        p.add_argument("--tracer", choices=TRACER_KINDS, help="score kind (default: by variant)")
-        p.add_argument("--xi", type=float, help="soundness level, xi in (0, 1)")
-        p.add_argument("--policy", choices=(NULL_QUANTILE, HALF_TRACE_VALUE),
-                       help="threshold calibration policy")
-        p.add_argument("--t-hat", type=float, dest="t_hat",
-                       help="finite trace value for half_trace_value")
-        p.add_argument("--beta", type=float, help="prior shape override, beta > 0")
-        p.add_argument("--alpha-target", type=float, dest="alpha_target",
-                       help="target excess risk used to derive beta, > 0")
-        p.add_argument("--n", type=int, help="training set size, n >= 1")
-        p.add_argument("--M", type=int, dest="M", help="fresh evaluation points, M >= 1")
-        p.add_argument("--trials", type=int, help="independent trials, >= 1")
-        if name == "sweep":
-            p.add_argument("--noise-scales", dest="noise_scales",
-                           help="comma-separated positive noise multipliers")
+        p.add_argument("--threads", type=int, help="worker threads (default: CPU count)")
+        for field in ("master_seed", "output_path") + experiment.fields:
+            p.add_argument(_FLAG_NAMES.get(field, "--" + field.replace("_", "-")), dest=field,
+                           choices=_FIELD_CHOICES.get(field), help=_FIELD_HELP[field])
     return parser
 
 
 def _parse_args(argv=None) -> tuple[ExperimentConfig, int | None]:
-    parser = _build_parser()
-    args = vars(parser.parse_args(argv))
+    args = vars(_build_parser().parse_args(argv))
     experiment = args.pop("experiment").replace("-", "_")
-    threads = args.pop("threads", None)
-    config_path = args.pop("config", None)
-    if config_path is not None:
+    threads = args.pop("threads")
+    config_path = args.pop("config")
+    if config_path is None:
+        config = ExperimentConfig(experiment=experiment)
+    else:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
                 config = ExperimentConfig.from_text(fh.read())
         except OSError as exc:
             raise UsageError(f"config: cannot read {config_path!r}: {exc}") from exc
-        if config.experiment != experiment:
-            config = replace(config, experiment=experiment)
-    else:
-        config = ExperimentConfig(experiment=experiment)
-    overrides = {}
-    for key, value in args.items():
-        if value is None:
-            continue
-        overrides[key] = _parse_field(key, value) if key == "noise_scales" else value
-    if overrides:
-        config = replace(config, **overrides)
-    return config, threads
+        config = replace(config, experiment=experiment)
+    overrides = {key: _parse_field(key, value) for key, value in args.items() if value is not None}
+    return replace(config, **overrides), threads
 
 
 def parse_cli(argv=None) -> ExperimentConfig:
@@ -480,19 +449,18 @@ def main(argv=None) -> int:
     """Console entry point; returns the process exit code."""
     try:
         config, threads = _parse_args(argv)
+        return run(config, threads=threads)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     except UsageError as exc:
         print(f"error: {exc}", flush=True)
         return EXIT_USAGE
-    try:
-        return run(config, threads=threads)
-    except UsageError as exc:  # any other exception is a bug and keeps its traceback
-        print(f"error: {exc}", flush=True)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", flush=True)
         return EXIT_IO
+    except Exception:  # anything else is a bug: keep its traceback
+        traceback.print_exc()
+        return EXIT_BUG
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import BetaPrior, TernarySample, sample_matrix, sample_prior, ternary_int8
-from .problems import BOX_LP, ParameterPoint, ProblemSpec, data_distribution, excess_risk, is_feasible, support_argmax
+from .problems import ParameterPoint, ProblemSpec, check_data, data_distribution, excess_risk, is_feasible, support_argmax
 
 ERM_LINEAR = "erm"
 GAUSSIAN_DP = "gaussian_dp"
@@ -89,7 +89,8 @@ class LearnerConfig:
 
 
 def empirical_mean(data: Dataset) -> np.ndarray:
-    return data.z.astype(np.float64).mean(axis=0)
+    # Accumulates in float64 without a float64 copy of the (n, d) matrix.
+    return data.z.mean(axis=0, dtype=np.float64)
 
 
 def gaussian_sigma(epsilon: float, delta: float, k_max: int, n: int) -> float:
@@ -104,26 +105,13 @@ def gaussian_sigma(epsilon: float, delta: float, k_max: int, n: int) -> float:
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
-def _check_dataset(spec: ProblemSpec, data: Dataset) -> None:
-    if data.n < 1:
-        raise ValueError("dataset must contain at least one sample")
-    if data.d != spec.d:
-        raise ValueError(f"dataset dimension {data.d} does not match spec d={spec.d}")
-    if spec.variant == BOX_LP:
-        nnz = np.count_nonzero(data.z, axis=1)
-        if not np.all(nnz == spec.k):
-            raise ValueError(f"box_lp data must have exactly k={spec.k} nonzeros per sample")
-    elif np.any(data.z == 0):
-        raise ValueError("l1-variant data must be dense +/-1 vectors")
-
-
 def train(cfg: LearnerConfig, spec: ProblemSpec, data: Dataset, rng: np.random.Generator) -> ParameterPoint:
     """Run the configured learner and return a feasible parameter point.
 
     Only gaussian_dp consumes randomness; every other kind is a
     deterministic function of the dataset.
     """
-    _check_dataset(spec, data)
+    check_data(spec, data.z)
     if cfg.kind == CONSTANT:
         point = cfg.fixed_point
         if not is_feasible(spec, point.theta):

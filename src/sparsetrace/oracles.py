@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -248,33 +247,28 @@ def _agreement_check(d: int, n: int) -> IdentityCheckResult:
     )
 
 
-def verification_grid_tasks() -> list[Callable[[], IdentityCheckResult]]:
-    """Independent thunks making up the `verify` battery.
+def verification_grid() -> list[IdentityCheckResult]:
+    """Run the `verify` battery serially.
 
     Sparse instances on d in {1,2,3}, k in {1..d}, n in {1,2},
     beta in {1,2,5} for three learners; scaling instances on d in {1,2},
     n in {1,2}, beta in {1,3}, gamma in {0.3, 0.9}; and the gamma = 1
     agreement between the two oracles at k = d on a shared learner.
     """
-    tasks: list[Callable[[], IdentityCheckResult]] = []
+    results = []
     for d in (1, 2, 3):
         for k in range(1, d + 1):
             for n in (1, 2):
                 for beta in (1.0, 2.0, 5.0):
                     for name, fn in GRID_LEARNERS:
-                        tasks.append(partial(verify_sparse_identity, d, k, n, beta, fn, name=name))
+                        results.append(verify_sparse_identity(d, k, n, beta, fn, name=name))
     for d in (1, 2):
         for n in (1, 2):
             for beta in (1.0, 3.0):
                 for gamma in (0.3, 0.9):
                     for name, fn in GRID_LEARNERS:
-                        tasks.append(partial(verify_scaling_identity, d, n, beta, gamma, fn, name=name))
+                        results.append(verify_scaling_identity(d, n, beta, gamma, fn, name=name))
     for d in (1, 2):
         for n in (1, 2):
-            tasks.append(partial(_agreement_check, d, n))
-    return tasks
-
-
-def verification_grid() -> list[IdentityCheckResult]:
-    """Run the full `verify` battery serially."""
-    return [task() for task in verification_grid_tasks()]
+            results.append(_agreement_check(d, n))
+    return results

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MeanVector, SparsePopulation, TernarySample, sample_matrix
+from .distributions import MeanVector, SparsePopulation, TernarySample, sample_matrix, ternary_int8
 
 BOX_LP = "box_lp"
 L1_CAPPED = "l1_capped"
@@ -113,22 +113,25 @@ def is_feasible(spec: ProblemSpec, theta: np.ndarray, tol: float = FEASIBILITY_T
     return True
 
 
-def _check_data(spec: ProblemSpec, entries: np.ndarray) -> None:
-    if entries.shape != (spec.d,):
-        raise ValueError(f"data point has shape {entries.shape}, expected ({spec.d},)")
-    if not np.isin(entries, (-1, 0, 1)).all():
-        raise ValueError("data entries must take values in {-1, 0, +1}")
-    nnz = int(np.count_nonzero(entries))
-    if nnz != spec.data_sparsity:
-        raise ValueError(f"data point has {nnz} nonzeros, expected {spec.data_sparsity}")
+def check_data(spec: ProblemSpec, z: np.ndarray) -> None:
+    """Require z to be n >= 1 rows of the spec's data space: d ternary entries
+    with exactly `spec.data_sparsity` nonzeros each.
+
+    Entry values are checked when the rows are cast to int8 (see
+    `distributions.ternary_int8`), before this check runs.
+    """
+    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] != spec.d:
+        raise ValueError(f"data has shape {z.shape}, expected (n >= 1, {spec.d})")
+    if np.any(np.count_nonzero(z, axis=1) != spec.data_sparsity):
+        raise ValueError(f"every data point must have exactly {spec.data_sparsity} nonzeros")
 
 
 def loss(spec: ProblemSpec, theta: ParameterPoint, z) -> float:
     """Linear loss -scale * <theta, z>; requires a feasible theta."""
     if not theta.feasible:
         raise ValueError("loss evaluated at an infeasible parameter point")
-    entries = z.entries if isinstance(z, TernarySample) else np.asarray(z)
-    _check_data(spec, entries)
+    entries = ternary_int8(z.entries if isinstance(z, TernarySample) else z)
+    check_data(spec, entries[np.newaxis])
     return -spec.loss_scale * float(np.dot(theta.theta, entries.astype(float)))
 
 

@@ -196,8 +196,7 @@ class TraceReport:
 
     ``recall_estimate`` is the flagged-training-point count (so it lies in
     [0, n]); ``soundness_estimate`` is the flagged fraction of the fresh
-    sample.  ``ci_halfwidths`` holds 95% half-widths for (recall,
-    soundness).  The mean, realized risk, and clip counter ride along for
+    sample.  The mean, realized risk, and clip counter ride along for
     experiment records.
     """
 
@@ -207,7 +206,6 @@ class TraceReport:
     flagged: np.ndarray
     recall_estimate: float
     soundness_estimate: float
-    ci_halfwidths: tuple[float, float]
     mu_l1: float
     excess_risk: float
     clip_events: int
@@ -251,6 +249,8 @@ def _draw_trial(learner: LearnerLike, spec: ProblemSpec, tracer_kind: str, prior
     bound = spec.data_sparsity / spec.d
     mu = np.clip(sample_prior(prior, rng).values, -bound, bound)
     if tracer_kind == SCALING_MATRIX_SCORE:
+        # gamma * (G1 - G2) / (G1 + G2) rounds one ulp past gamma when G2 is
+        # negligible next to G1, which small beta makes common.
         mu = np.clip(mu, -prior.gamma, prior.gamma)
     tracer = tracer_for(spec, mu, tracer_kind, prior.gamma)
     pop = data_distribution(spec, mu)
@@ -291,11 +291,6 @@ def run_trace_trial(
     flagged = np.flatnonzero(scores_train >= lam)
     recall = float(flagged.size)
     soundness = float(np.count_nonzero(scores_fresh >= lam)) / M
-    p_hat = recall / n
-    ci = (
-        1.96 * math.sqrt(n * p_hat * (1.0 - p_hat)),
-        1.96 * math.sqrt(soundness * (1.0 - soundness) / M),
-    )
     risk = excess_risk(spec, theta, mu) if theta.feasible else float("nan")
     return TraceReport(
         scores_train=scores_train,
@@ -304,7 +299,6 @@ def run_trace_trial(
         flagged=flagged,
         recall_estimate=recall,
         soundness_estimate=soundness,
-        ci_halfwidths=ci,
         mu_l1=float(np.sum(np.abs(mu))),
         excess_risk=risk,
         clip_events=clip_tr + clip_fr + clip_nu,

@@ -1,13 +1,18 @@
+import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from sparsetrace import harness
 from sparsetrace.harness import (
     EXIT_ACCEPTANCE,
+    EXIT_BUG,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -19,11 +24,20 @@ from sparsetrace.harness import (
 )
 
 SEED = 20240906
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _digest(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _flags(command):
+    """{dest: option strings} of every option of one subcommand but --help."""
+    sub = next(a for a in harness._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.option_strings for a in sub.choices[command]._actions
+            if a.option_strings and a.dest != "help"}
 
 
 def _small_trace(tmp_path, **overrides):
@@ -112,6 +126,45 @@ class TestParseCli:
 
     def test_missing_config_file_is_usage_error(self):
         assert main(["trace", "--config", "/nonexistent/x.cfg"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("key, flag, value", [
+        ("d", "--d", "1.5"), ("d", "--d", "none"), ("xi", "--xi", "abc"),
+        ("noise_scales", "--noise-scales", "1,x"),
+    ])
+    def test_bad_value_fails_alike_as_flag_and_config_line(self, tmp_path, capsys, key, flag,
+                                                           value):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"experiment = sweep\n{key} = {value}\n")
+        expected = f"error: {key}: could not parse {value!r}\n"
+        for argv in (["sweep", flag, value], ["sweep", "--config", str(path)]):
+            assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+            assert capsys.readouterr().out == expected
+
+    def test_none_clears_an_optional_config_value(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("experiment = trace\nk = 8\nalpha_target = 0.1\n")
+        assert parse_cli(["trace", "--config", str(path)]).k == 8
+        assert parse_cli(["trace", "--config", str(path), "--k", "none"]).k is None
+
+    def test_trace_has_one_flag_per_config_field(self):
+        flags = _flags("trace")
+        names = {f.name for f in fields(ExperimentConfig)} - {"experiment", "noise_scales"}
+        assert set(flags) == names | {"config", "threads"}
+        assert all(len(options) == 1 for options in flags.values())
+        assert flags["master_seed"] == ["--seed"] and flags["output_path"] == ["--out"]
+        assert flags["alpha_target"] == ["--alpha-target"] and flags["M"] == ["--M"]
+
+    def test_noise_scales_flag_only_on_sweep(self):
+        for command in ("verify", "trace", "dp-audit", "sweep", "trace-value"):
+            assert ("noise_scales" in _flags(command)) == (command == "sweep")
+
+    def test_verify_takes_only_run_flags(self):
+        assert set(_flags("verify")) == {"master_seed", "output_path", "config", "threads"}
+
+    def test_tracer_is_not_a_setting(self):
+        with pytest.raises(UsageError, match="unknown key 'tracer'"):
+            ExperimentConfig.from_text("experiment = trace\ntracer = sparse\n")
+        assert main(["trace", "--tracer", "sparse"]) == EXIT_USAGE
 
 
 class TestRun:
@@ -216,13 +269,11 @@ class TestRun:
 
 class TestAcceptanceFailurePaths:
     def test_verify_exits_one_on_identity_violation(self, tmp_path, monkeypatch, capsys):
-        import sparsetrace.harness as harness
         from sparsetrace.oracles import IdentityCheckResult
 
         broken = IdentityCheckResult.compare(1.0, 1.001, "forced-violation")
         fine = IdentityCheckResult.compare(1.0, 1.0, "fine")
-        monkeypatch.setattr(harness, "verification_grid_tasks",
-                            lambda: [lambda: fine, lambda: broken])
+        monkeypatch.setattr(harness, "verification_grid", lambda: [fine, broken])
         cfg = ExperimentConfig(experiment="verify", output_path=str(tmp_path / "v.csv"))
         assert run(cfg, threads=1) == EXIT_ACCEPTANCE
         err = capsys.readouterr().err
@@ -230,8 +281,6 @@ class TestAcceptanceFailurePaths:
         assert "worst forced-violation at rel_error 0.000999" in err
 
     def test_dp_audit_exits_one_when_recall_exceeds_ceiling(self, tmp_path, monkeypatch, capsys):
-        import sparsetrace.harness as harness
-
         real = harness.run_trace_trial
 
         def inflated(learner, spec, kind, prior, n, M, policy, rng):
@@ -251,8 +300,6 @@ class TestAcceptanceFailurePaths:
         assert "mean recall" not in open(cfg.output_path).read()
 
     def test_sweep_exits_one_when_recall_grows_with_noise(self, tmp_path, monkeypatch, capsys):
-        import sparsetrace.harness as harness
-
         real = harness.run_trace_trial
 
         def rigged(learner, spec, kind, prior, n, M, policy, rng):
@@ -294,17 +341,18 @@ class TestMainExitCodes:
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == EXIT_USAGE
 
-    def test_program_error_keeps_its_traceback(self, tmp_path, monkeypatch):
-        # Only UsageError means exit 2; a ValueError from inside a trial is a bug.
-        import sparsetrace.harness as harness
-
+    def test_program_error_keeps_its_traceback(self, tmp_path, monkeypatch, capsys):
+        # Only UsageError means exit 2; a ValueError from inside a trial is a
+        # bug, with an exit code of its own and its traceback on stderr.
         def broken(*args):
             raise ValueError("bug inside a trial")
 
         monkeypatch.setattr(harness, "run_trace_trial", broken)
-        with pytest.raises(ValueError, match="bug inside a trial"):
-            main(["trace", "--d", "16", "--trials", "2", "--alpha-target", "0.1",
-                  "--threads", "1", "--out", str(tmp_path / "t.csv")])
+        assert main(["trace", "--d", "16", "--trials", "2", "--alpha-target", "0.1",
+                     "--threads", "1", "--out", str(tmp_path / "t.csv")]) == EXIT_BUG
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("ValueError: bug inside a trial\n")
 
     def test_python_dash_m_package_runs_without_warnings(self, tmp_path):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -318,22 +366,8 @@ class TestMainExitCodes:
         assert "#summary,max_rel_error," in out.read_text()
 
 
-class TestThreadsEnvironment:
-    def test_env_variable_sets_default_threads(self, tmp_path, monkeypatch):
-        from sparsetrace.harness import resolve_threads
 
-        monkeypatch.setenv("SPARSETRACE_THREADS", "3")
-        assert resolve_threads(None) == 3
-        assert resolve_threads(5) == 5
-        monkeypatch.setenv("SPARSETRACE_THREADS", "junk")
-        with pytest.raises(UsageError):
-            resolve_threads(None)
-
-    def test_env_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
-        cfg = _small_trace(tmp_path)
-        monkeypatch.setenv("SPARSETRACE_THREADS", "1")
-        run(cfg)
-        h1 = _digest(cfg.output_path)
-        monkeypatch.setenv("SPARSETRACE_THREADS", "6")
-        run(cfg)
-        assert _digest(cfg.output_path) == h1
+def test_readme_lists_every_config_key():
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    listed = text.split("Keys are exactly the fields of `ExperimentConfig` (", 1)[1].split(")", 1)[0]
+    assert re.findall(r"`(\w+)`", listed) == [f.name for f in fields(ExperimentConfig)]

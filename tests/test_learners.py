@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,18 @@ class TestDpSensitivity:
             z_prime[int(rng.integers(n))] = sample_matrix(pop, 1, rng)[0]
             gap = np.linalg.norm(empirical_mean(Dataset(z)) - empirical_mean(Dataset(z_prime)))
             assert gap <= bound + 1e-12
+
+    def test_empirical_mean_makes_no_float64_copy(self):
+        n, d = 400, 4096
+        data = Dataset(np.ones((n, d), dtype=np.int8))
+        tracemalloc.start()
+        try:
+            mean = empirical_mean(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(mean, np.ones(d))
+        assert peak < n * d * 8 / 10
 
     def test_config_sanity_bounds(self):
         with pytest.raises(ValueError):

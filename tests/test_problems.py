@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sparsetrace.learners import Dataset, LearnerConfig, train
 from sparsetrace.problems import (
     BOX_LP,
     L1_CAPPED,
@@ -67,6 +68,19 @@ class TestLoss:
         theta = ParameterPoint(np.ones(2), False)
         with pytest.raises(ValueError):
             loss(spec, theta, np.array([1, 0], dtype=np.int8))
+
+    @pytest.mark.parametrize("spec, bad, good", [
+        (ProblemSpec(BOX_LP, d=3, p=2.0, k=2), [1, 0, 0], [1, 0, -1]),
+        (ProblemSpec(L1_CAPPED, d=3, s=2), [1, 0, -1], [1, 1, -1]),
+        (ProblemSpec(L1_COUNTEREXAMPLE, d=3), [0, -1, 1], [1, -1, 1]),
+    ])
+    def test_train_and_loss_share_the_data_space(self, spec, bad, good):
+        theta = ParameterPoint(np.zeros(3), True)
+        assert loss(spec, theta, np.array(good, dtype=np.int8)) == 0.0
+        with pytest.raises(ValueError, match="exactly"):
+            loss(spec, theta, np.array(bad, dtype=np.int8))
+        with pytest.raises(ValueError, match="exactly"):
+            train(LearnerConfig("erm"), spec, Dataset(np.array([good, bad])), substream(SEED, 0))
 
     def test_data_space_enforced(self):
         spec = ProblemSpec(BOX_LP, d=3, p=2.0, k=2)

@@ -17,6 +17,8 @@ from sparsetrace.oracles import check_card_moments
 from sparsetrace.problems import BOX_LP, L1_CAPPED, ParameterPoint, ProblemSpec, support_argmax
 from sparsetrace.rng import substream
 from sparsetrace.tracers import (
+    SCALING_MATRIX_SCORE,
+    _draw_trial,
     calibrate_threshold,
     default_beta,
     default_prior,
@@ -228,6 +230,16 @@ class TestRunTraceTrial:
                                  policy=null_quantile(0.1), rng=substream(SEED, 6))
         assert 0.0 <= report.soundness_estimate <= 1.0
         assert 0.0 <= report.recall_estimate <= 32
+
+    def test_scaling_trial_mean_stays_within_gamma(self):
+        # At small beta a prior draw can round one ulp past gamma, where the
+        # scaling matrix turns negative; the trial clips it back.
+        d = 4096
+        spec = ProblemSpec(L1_CAPPED, d=d, s=4)
+        prior = BetaPrior(beta=0.05, gamma=0.8, d=d)
+        assert np.abs(sample_prior(prior, substream(SEED, 50)).values).max() > 0.8
+        mu, *_ = _draw_trial(ERM, spec, SCALING_MATRIX_SCORE, prior, 4, substream(SEED, 50))
+        assert np.abs(mu).max() <= 0.8
 
     def test_report_invariants_hold(self):
         spec = ProblemSpec(BOX_LP, d=128, p=2.0, k=32)

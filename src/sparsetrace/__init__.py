@@ -6,7 +6,6 @@ from .distributions import (
     MeanVector,
     QuadratureRule,
     SparsePopulation,
-    TernarySample,
     pmf,
     prior_quadrature,
     sample_matrix,
@@ -27,7 +26,6 @@ from .problems import (
     excess_risk,
     loss,
     support_argmax,
-    validate_lipschitz,
 )
 from .rng import substream
 from .tracers import (
@@ -35,6 +33,8 @@ from .tracers import (
     TraceReport,
     TracerSpec,
     calibrate_threshold,
+    half_trace_value,
+    null_quantile,
     run_trace_trial,
     score_batch,
     trace_value_contribution,

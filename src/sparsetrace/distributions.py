@@ -24,8 +24,8 @@ from scipy.special import roots_jacobi
 BLOCK_ENTRIES = 2**16
 
 
-def _frozen(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
     arr.setflags(write=False)
     return arr
 
@@ -82,66 +82,31 @@ class MeanVector:
         if np.max(np.abs(self.values)) > self.box_bound + 1e-12:
             raise ValueError(f"mean entries must satisfy |mu_j| <= {self.box_bound}")
 
-    @property
-    def d(self) -> int:
-        return self.values.size
-
 
 @dataclass(frozen=True)
 class SparsePopulation:
     """Data distribution over k-sparse ternary vectors with mean mu.
 
     Requires |mu_j| <= k/d so the conditional sign probabilities
-    (1 + (d/k) mu_j) / 2 stay in [0, 1].
+    (1 + (d/k) mu_j) / 2 stay in [0, 1].  E[Z] = mu: the (k/d) support
+    probability cancels the (d/k) boost.
     """
 
-    mu: MeanVector
+    mu: np.ndarray
     k: int
     d: int
 
     def __post_init__(self):
+        object.__setattr__(self, "mu", _frozen(self.mu))
         if not 1 <= self.k <= self.d:
             raise ValueError(f"sparsity k={self.k} must lie in [1, d={self.d}]")
-        if self.mu.d != self.d:
-            raise ValueError("mean vector dimension does not match d")
+        if self.mu.shape != (self.d,):
+            raise ValueError(f"mean has shape {self.mu.shape}, expected ({self.d},)")
+        if not np.isfinite(self.mu).all():
+            raise ValueError("mean entries must be finite")
         bound = self.k / self.d
-        if np.max(np.abs(self.mu.values)) > bound + 1e-12:
+        if np.max(np.abs(self.mu)) > bound + 1e-12:
             raise ValueError(f"mean entries must satisfy |mu_j| <= k/d = {bound}")
-
-    @property
-    def population_mean(self) -> np.ndarray:
-        """E[Z] = mu: the (k/d) support probability cancels the (d/k) boost."""
-        return self.mu.values
-
-    @classmethod
-    def from_array(cls, mu, k: int, d: int) -> "SparsePopulation":
-        return cls(MeanVector(np.asarray(mu, dtype=float), k / d), k, d)
-
-
-@dataclass(frozen=True)
-class TernarySample:
-    """One draw: entries in {-1, 0, +1} with `support` the sorted nonzero indices."""
-
-    entries: np.ndarray
-    support: np.ndarray
-
-    def __post_init__(self):
-        entries = ternary_int8(self.entries)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "support", _frozen(self.support, dtype=np.int64))
-        actual = np.flatnonzero(self.entries)
-        if self.support.shape != actual.shape or not np.array_equal(self.support, actual):
-            raise ValueError("support must be the sorted set of nonzero indices")
-
-    @classmethod
-    def from_entries(cls, entries) -> "TernarySample":
-        arr = ternary_int8(entries)
-        return cls(arr, np.flatnonzero(arr))
-
-    @property
-    def d(self) -> int:
-        return self.entries.size
 
 
 @dataclass(frozen=True)
@@ -218,7 +183,7 @@ def sample_matrix(pop: SparsePopulation, n: int, rng: np.random.Generator) -> np
     if n < 0:
         raise ValueError("n must be nonnegative")
     d, k = pop.d, pop.k
-    p_plus = (1.0 + (d / k) * pop.mu.values) / 2.0
+    p_plus = (1.0 + (d / k) * pop.mu) / 2.0
     if k == d:
         out = np.empty((n, d), dtype=np.int8)
         for i, j, u in _uniform_blocks(rng, n, d):
@@ -241,13 +206,13 @@ def pmf(pop: SparsePopulation, z) -> float:
     Zero unless z has exactly k nonzeros; otherwise
     C(d, k)^-1 * prod_{j in supp(z)} (1 + (d/k) mu_j z_j) / 2.
     """
-    entries = z.entries if isinstance(z, TernarySample) else ternary_int8(z)
+    entries = ternary_int8(z)
     if entries.shape != (pop.d,):
         raise ValueError(f"sample has dimension {entries.shape}, expected ({pop.d},)")
     support = np.flatnonzero(entries)
     if support.size != pop.k:
         return 0.0
-    factors = (1.0 + (pop.d / pop.k) * pop.mu.values[support] * entries[support]) / 2.0
+    factors = (1.0 + (pop.d / pop.k) * pop.mu[support] * entries[support]) / 2.0
     return float(np.prod(factors)) / math.comb(pop.d, pop.k)
 
 
@@ -278,17 +243,8 @@ def prior_quadrature(prior: BetaPrior, max_degree: int) -> QuadratureRule:
     return QuadratureRule(prior.gamma * nodes, weights)
 
 
-def symmetric_beta_moment(prior: BetaPrior, r: int) -> float:
-    """Closed-form r-th moment of one prior coordinate.
-
-    Odd moments vanish; even moments are
-    gamma^r * prod_{i=1..r/2} (2i - 1) / (2 beta + 2i - 1).
-    """
-    if r < 0:
-        raise ValueError("moment order must be >= 0")
-    if r % 2 == 1:
-        return 0.0
-    value = prior.gamma**r
-    for i in range(1, r // 2 + 1):
-        value *= (2 * i - 1) / (2 * prior.beta + 2 * i - 1)
-    return value
+def mean_ci(values) -> tuple[float, float]:
+    """Mean and 95% CI half-width 1.96 s / sqrt(n) of a sample (0 for one value)."""
+    arr = np.asarray(values, dtype=float)
+    half = 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size) if arr.size > 1 else 0.0
+    return float(arr.mean()), half

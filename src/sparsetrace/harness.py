@@ -23,10 +23,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple, get_args, get_type_hints
 
-import numpy as np
-
-from .distributions import BetaPrior
-from .learners import CONSTANT, GAUSSIAN_DP, LEARNER_KINDS, SUBSAMPLE, LearnerConfig
+from .distributions import BetaPrior, mean_ci
+from .learners import GAUSSIAN_DP, LEARNER_KINDS, SUBSAMPLE, LearnerConfig
 from .oracles import verification_grid
 from .problems import BOX_LP, VARIANTS, ProblemSpec
 from .rng import substream
@@ -228,20 +226,13 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple], summaries:
         raise
 
 
-def _mean_ci(values: list[float]) -> tuple[float, float]:
-    """Mean and 95% CI half-width of one or more values."""
-    arr = np.asarray(values, dtype=float)
-    ci = 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size) if arr.size > 1 else 0.0
-    return float(arr.mean()), ci
-
-
 def _summaries(rows: list[tuple], header: tuple[str, ...]) -> list[str]:
     lines = []
     for i, col in enumerate(header):
         if col == "trial_index":
             continue
         values = [float(r[i]) for r in rows]
-        mean, ci = _mean_ci(values)
+        mean, ci = mean_ci(values)
         lines.append(f"#summary,{col},{_fmt(mean)},{_fmt(ci)}")
     return lines
 
@@ -294,7 +285,7 @@ def _run_dp_audit(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
     """Trace trials that fail when mean recall exceeds n e^eps xi + n delta by 4 CIs."""
     header, rows, summaries, failures = _run_trace(cfg, plan, threads)
     ceiling = cfg.n * math.exp(cfg.epsilon) * cfg.xi + cfg.n * cfg.delta
-    mean_recall, ci = _mean_ci([r[RECALL] for r in rows])
+    mean_recall, ci = mean_ci([r[RECALL] for r in rows])
     summaries.append(f"#summary,dp_recall_ceiling,{_fmt(ceiling)},0")
     if mean_recall > ceiling + 4.0 * ci:
         failures.append(f"mean recall {mean_recall:.3g} > ceiling {ceiling:.3g} + 4×{ci:.2g} "
@@ -310,7 +301,7 @@ def _run_sweep(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
     for si, (scale, learner) in enumerate(zip(cfg.noise_scales, plan.learners)):
         scale_rows = _trace_rows(cfg, plan, learner, f"sweep{si}", threads)
         rows.extend((scale,) + r for r in scale_rows)
-        mean, ci = _mean_ci([r[RECALL] for r in scale_rows])
+        mean, ci = mean_ci([r[RECALL] for r in scale_rows])
         means.append((scale, mean, ci))
         summaries.append(f"#summary,recall@scale={scale:g},{_fmt(mean)},{_fmt(ci)}")
     failures = []
@@ -328,7 +319,7 @@ def _run_trace_value(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome
                                                 plan.prior, cfg.n, rng))
 
     rows = _map_trials(cfg, "trace_value", threads, one)
-    mean, ci = _mean_ci([r[1] for r in rows])
+    mean, ci = mean_ci([r[1] for r in rows])
     return ("trial_index", "t_hat"), rows, [f"#summary,t_hat,{_fmt(mean)},{_fmt(ci)}"], []
 
 
@@ -379,7 +370,7 @@ _FIELD_HELP = {
 }
 _FIELD_CHOICES = {
     "variant": VARIANTS,
-    "learner": tuple(kind for kind in LEARNER_KINDS if kind != CONSTANT),
+    "learner": LEARNER_KINDS,
     "policy": (NULL_QUANTILE, HALF_TRACE_VALUE),
 }
 _FLAG_NAMES = {"master_seed": "--seed", "output_path": "--out"}

@@ -4,27 +4,27 @@ Everything is built on the empirical mean as the sufficient statistic:
 ERM is the closed-form support argmax at the empirical mean, the private
 learner perturbs the mean with a calibrated Gaussian mechanism before the
 same argmax (privacy by post-processing), and the remaining kinds exist
-as controls (subsampled ERM, the normalized-mean estimator for the l_2
-mean-estimation reduction, and a constant output).
+as controls (subsampled ERM and the normalized-mean estimator for the l_2
+mean-estimation reduction).  `train` also runs any map from the sample
+matrix to a parameter vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Union
 
 import numpy as np
 
-from .distributions import BetaPrior, TernarySample, sample_matrix, sample_prior, ternary_int8
+from .distributions import BetaPrior, mean_ci, sample_matrix, sample_prior, ternary_int8
 from .problems import ParameterPoint, ProblemSpec, check_data, data_distribution, excess_risk, is_feasible, support_argmax
 
 ERM_LINEAR = "erm"
 GAUSSIAN_DP = "gaussian_dp"
 SUBSAMPLE = "subsample"
 NORMALIZED_MEAN_L2 = "normalized_mean_l2"
-CONSTANT = "constant"
-LEARNER_KINDS = (ERM_LINEAR, GAUSSIAN_DP, SUBSAMPLE, NORMALIZED_MEAN_L2, CONSTANT)
+LEARNER_KINDS = (ERM_LINEAR, GAUSSIAN_DP, SUBSAMPLE, NORMALIZED_MEAN_L2)
 
 
 @dataclass(frozen=True)
@@ -40,25 +40,9 @@ class Dataset:
             raise ValueError("dataset must be a 2-D (n, d) matrix")
         object.__setattr__(self, "z", arr)
 
-    @classmethod
-    def from_samples(cls, samples: Sequence[TernarySample]) -> "Dataset":
-        if not samples:
-            raise ValueError("dataset must contain at least one sample")
-        d = samples[0].d
-        if any(s.d != d for s in samples):
-            raise ValueError("all samples must share the same dimension")
-        return cls(np.stack([s.entries for s in samples]))
-
     @property
     def n(self) -> int:
         return self.z.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.z.shape[1]
-
-    def __len__(self) -> int:
-        return self.n
 
 
 @dataclass(frozen=True)
@@ -72,7 +56,6 @@ class LearnerConfig:
     epsilon: float | None = None
     delta: float | None = None
     subsample_m: int | None = None
-    fixed_point: ParameterPoint | None = None
 
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:
@@ -84,8 +67,11 @@ class LearnerConfig:
                 raise ValueError("delta: gaussian_dp requires delta in (0, 1)")
         if self.kind == SUBSAMPLE and (self.subsample_m is None or self.subsample_m < 1):
             raise ValueError("subsample_m: subsample requires subsample_m >= 1")
-        if self.kind == CONSTANT and self.fixed_point is None:
-            raise ValueError("constant requires a fixed_point")
+
+
+# A learner is either a config for the zoo or a deterministic map from the
+# (n, d) sample matrix to a parameter vector.
+LearnerLike = Union[LearnerConfig, Callable[[np.ndarray], np.ndarray]]
 
 
 def empirical_mean(data: Dataset) -> np.ndarray:
@@ -98,37 +84,39 @@ def gaussian_sigma(epsilon: float, delta: float, k_max: int, n: int) -> float:
 
     Replacing one sample moves the mean by at most 2 sqrt(k_max) / n in l_2
     (each sample has k_max nonzero +/-1 entries), and the classical
-    calibration sigma = sensitivity * sqrt(2 ln(1.25/delta)) / epsilon gives
-    (epsilon, delta)-DP.  Valid for epsilon <= 1 and conservative above.
+    calibration sigma = sensitivity * sqrt(2 ln(1.25/delta)) / epsilon.  It
+    is proven (epsilon, delta)-DP only for epsilon <= 1, and above 1 it can
+    fall short: at epsilon = 10, delta = 1e-5 its exact privacy loss
+    (Balle & Wang, 2018) has delta = 2.27e-5.
     """
     sensitivity = 2.0 * math.sqrt(k_max) / n
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
-def train(cfg: LearnerConfig, spec: ProblemSpec, data: Dataset, rng: np.random.Generator) -> ParameterPoint:
-    """Run the configured learner and return a feasible parameter point.
+def train(learner: LearnerLike, spec: ProblemSpec, data: Dataset, rng: np.random.Generator) -> ParameterPoint:
+    """Run a learner on data from the spec's data space.
 
-    Only gaussian_dp consumes randomness; every other kind is a
-    deterministic function of the dataset.
+    A config's kind picks the learner; only gaussian_dp consumes randomness,
+    and every kind but normalized_mean_l2 returns a feasible point.  A map
+    is called on the float64 sample matrix.  Either output is tagged with
+    its feasibility.
     """
     check_data(spec, data.z)
-    if cfg.kind == CONSTANT:
-        point = cfg.fixed_point
-        if not is_feasible(spec, point.theta):
-            raise ValueError("constant learner's fixed point is infeasible for this spec")
-        return point
-    if cfg.kind == SUBSAMPLE:
-        if cfg.subsample_m > data.n:
-            raise ValueError(f"subsample_m={cfg.subsample_m} exceeds dataset size n={data.n}")
-        head = Dataset(data.z[: cfg.subsample_m])
+    if not isinstance(learner, LearnerConfig):
+        theta = np.asarray(learner(data.z.astype(np.float64)), dtype=float)
+        return ParameterPoint(theta, is_feasible(spec, theta))
+    if learner.kind == SUBSAMPLE:
+        if learner.subsample_m > data.n:
+            raise ValueError(f"subsample_m={learner.subsample_m} exceeds dataset size n={data.n}")
+        head = Dataset(data.z[: learner.subsample_m])
         return train(LearnerConfig(ERM_LINEAR), spec, head, rng)
 
     mu_hat = empirical_mean(data)
-    if cfg.kind == ERM_LINEAR:
+    if learner.kind == ERM_LINEAR:
         return support_argmax(spec, mu_hat)
-    if cfg.kind == GAUSSIAN_DP:
+    if learner.kind == GAUSSIAN_DP:
         k_max = spec.data_sparsity
-        sigma = gaussian_sigma(cfg.epsilon, cfg.delta, k_max, data.n)
+        sigma = gaussian_sigma(learner.epsilon, learner.delta, k_max, data.n)
         noisy = mu_hat + sigma * rng.standard_normal(spec.d)
         return support_argmax(spec, noisy)
 
@@ -139,7 +127,7 @@ def train(cfg: LearnerConfig, spec: ProblemSpec, data: Dataset, rng: np.random.G
 
 
 def measure_excess_risk(
-    cfg: LearnerConfig,
+    learner: LearnerLike,
     spec: ProblemSpec,
     prior: BetaPrior,
     n: int,
@@ -161,7 +149,6 @@ def measure_excess_risk(
         mu = np.clip(sample_prior(prior, rng).values, -bound, bound)
         pop = data_distribution(spec, mu)
         data = Dataset(sample_matrix(pop, n, rng))
-        theta = train(cfg, spec, data, rng)
+        theta = train(learner, spec, data, rng)
         risks[t] = excess_risk(spec, theta, mu)
-    half = 1.96 * float(risks.std(ddof=1)) / math.sqrt(trials)
-    return float(risks.mean()), half
+    return mean_ci(risks)

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import BetaPrior, prior_quadrature, sample_prior
+from .distributions import BetaPrior, mean_ci, prior_quadrature, sample_prior
 from .problems import BOX_LP, ProblemSpec, support_argmax
 
 ENUMERATION_LIMIT = 10**7
@@ -183,9 +183,7 @@ def check_beta_abs_moment(beta: float, gamma: float, n_samples: int,
     if n_samples < 10**4:
         raise ValueError("n_samples must be >= 10^4")
     prior = BetaPrior(beta=beta, gamma=gamma, d=n_samples)
-    draws = np.abs(sample_prior(prior, rng).values)
-    estimate = float(draws.mean())
-    ci = 1.96 * float(draws.std(ddof=1)) / math.sqrt(n_samples)
+    estimate, ci = mean_ci(np.abs(sample_prior(prior, rng).values))
     bound = gamma / (3.0 * math.sqrt(beta))
     return estimate, bound, estimate + ci >= bound
 

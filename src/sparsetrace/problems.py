@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MeanVector, SparsePopulation, TernarySample, sample_matrix, ternary_int8
+from .distributions import SparsePopulation, ternary_int8
 
 BOX_LP = "box_lp"
 L1_CAPPED = "l1_capped"
@@ -80,11 +80,6 @@ class ProblemSpec:
         """Nonzero count of every data vector: k for box_lp, d otherwise."""
         return self.k if self.variant == BOX_LP else self.d
 
-    @property
-    def lipschitz_p(self) -> float:
-        """Norm index in which the loss is 1-Lipschitz."""
-        return self.p if self.variant == BOX_LP else 1.0
-
 
 @dataclass(frozen=True)
 class ParameterPoint:
@@ -126,11 +121,11 @@ def check_data(spec: ProblemSpec, z: np.ndarray) -> None:
         raise ValueError(f"every data point must have exactly {spec.data_sparsity} nonzeros")
 
 
-def loss(spec: ProblemSpec, theta: ParameterPoint, z) -> float:
-    """Linear loss -scale * <theta, z>; requires a feasible theta."""
+def loss(spec: ProblemSpec, theta: ParameterPoint, z: np.ndarray) -> float:
+    """Linear loss -scale * <theta, z> at one data point z; requires a feasible theta."""
     if not theta.feasible:
         raise ValueError("loss evaluated at an infeasible parameter point")
-    entries = ternary_int8(z.entries if isinstance(z, TernarySample) else z)
+    entries = ternary_int8(z)
     check_data(spec, entries[np.newaxis])
     return -spec.loss_scale * float(np.dot(theta.theta, entries.astype(float)))
 
@@ -168,7 +163,7 @@ def support_argmax(spec: ProblemSpec, v: np.ndarray) -> ParameterPoint:
     return ParameterPoint(theta, True)
 
 
-def excess_risk(spec: ProblemSpec, theta: ParameterPoint, mu) -> float:
+def excess_risk(spec: ProblemSpec, theta: ParameterPoint, mu: np.ndarray) -> float:
     """Population risk gap scale * (sup_<theta', mu> - <theta, mu>).
 
     Exact by linearity of the loss; clamped at zero to absorb rounding when
@@ -176,7 +171,7 @@ def excess_risk(spec: ProblemSpec, theta: ParameterPoint, mu) -> float:
     """
     if not theta.feasible:
         raise ValueError("excess risk evaluated at an infeasible parameter point")
-    values = mu.values if isinstance(mu, MeanVector) else np.asarray(mu, dtype=float)
+    values = np.asarray(mu, dtype=float)
     if values.shape != (spec.d,):
         raise ValueError(f"mean has shape {values.shape}, expected ({spec.d},)")
     bound = spec.data_sparsity / spec.d
@@ -186,50 +181,11 @@ def excess_risk(spec: ProblemSpec, theta: ParameterPoint, mu) -> float:
     return max(spec.loss_scale * gap, 0.0)
 
 
-def data_distribution(spec: ProblemSpec, mu) -> SparsePopulation:
+def data_distribution(spec: ProblemSpec, mu: np.ndarray) -> SparsePopulation:
     """Population over the spec's data space with mean mu.
 
     box_lp uses the k-sparse family; the l1 variants use the dense product
     of +/-1 coins (the k = d member of the same family).
     """
-    values = mu.values if isinstance(mu, MeanVector) else np.asarray(mu, dtype=float)
-    return SparsePopulation.from_array(values, spec.data_sparsity, spec.d)
+    return SparsePopulation(mu, spec.data_sparsity, spec.d)
 
-
-def random_feasible_point(spec: ProblemSpec, rng: np.random.Generator) -> ParameterPoint:
-    """A random point of the feasible set (any full-support law will do)."""
-    if spec.variant == BOX_LP:
-        r = spec.box_radius
-        return ParameterPoint(rng.uniform(-r, r, size=spec.d), True)
-    mags = rng.exponential(size=spec.d)
-    theta = np.where(rng.random(spec.d) < 0.5, 1.0, -1.0) * mags / mags.sum()
-    theta *= rng.random()
-    if spec.variant == L1_CAPPED:
-        theta = np.clip(theta, -1.0 / spec.s, 1.0 / spec.s)
-    return ParameterPoint(theta, True)
-
-
-def random_data_point(spec: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
-    """A random point of the data space (uniform over atoms): one draw from
-    the zero-mean population."""
-    return sample_matrix(data_distribution(spec, np.zeros(spec.d)), 1, rng)[0]
-
-
-def validate_lipschitz(spec: ProblemSpec, trials: int, rng: np.random.Generator) -> bool:
-    """Sampled check that |f(theta1, z) - f(theta2, z)| <= ||theta1 - theta2||_p.
-
-    Uses p for box_lp and p = 1 for the two l_1 variants.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    p = spec.lipschitz_p
-    for _ in range(trials):
-        t1 = random_feasible_point(spec, rng)
-        t2 = random_feasible_point(spec, rng)
-        z = random_data_point(spec, rng)
-        gap = abs(loss(spec, t1, z) - loss(spec, t2, z))
-        diff = np.abs(t1.theta - t2.theta)
-        norm = float(np.sum(diff**p) ** (1.0 / p))
-        if gap > norm + FEASIBILITY_TOL:
-            return False
-    return True

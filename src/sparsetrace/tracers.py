@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
-from .distributions import BetaPrior, MeanVector, row_blocks, sample_matrix, sample_prior
-from .learners import Dataset, LearnerConfig, train
-from .problems import BOX_LP, ParameterPoint, ProblemSpec, data_distribution, excess_risk, is_feasible
+from .distributions import BetaPrior, row_blocks, sample_matrix, sample_prior
+from .learners import Dataset, LearnerLike, train
+from .problems import BOX_LP, ProblemSpec, data_distribution, excess_risk
 
 SPARSE_SCORE = "sparse"
 SCALING_MATRIX_SCORE = "scaling_matrix"
@@ -35,10 +34,6 @@ TRACER_KINDS = (SPARSE_SCORE, SCALING_MATRIX_SCORE)
 
 HALF_TRACE_VALUE = "half_trace_value"
 NULL_QUANTILE = "null_quantile"
-
-# A learner is either a config for the zoo or a deterministic map from the
-# (n, d) sample matrix to a parameter vector.
-LearnerLike = Union[LearnerConfig, Callable[[np.ndarray], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -76,19 +71,15 @@ class TracerSpec:
                 raise ValueError("scaling tracer is singular at |mu_j| = 1")
 
 
-def _mu_array(mu) -> np.ndarray:
-    return mu.values if isinstance(mu, MeanVector) else np.asarray(mu, dtype=float)
-
-
-def sparse_tracer(mu, k: int, p: float, d: int, clip_bound: float | None = None) -> TracerSpec:
+def sparse_tracer(mu: np.ndarray, k: int, p: float, d: int, clip_bound: float | None = None) -> TracerSpec:
     """Sparse-score tracer; the default clip bound 2 sqrt(k) is never active
     for feasible parameters of the matching box problem."""
     if clip_bound is None:
         clip_bound = 2.0 * math.sqrt(k)
-    return TracerSpec(SPARSE_SCORE, _mu_array(mu), d, clip_bound, k=k, p=p)
+    return TracerSpec(SPARSE_SCORE, mu, d, clip_bound, k=k, p=p)
 
 
-def scaling_tracer(mu, gamma: float, s: int, d: int, clip_bound: float | None = None) -> TracerSpec:
+def scaling_tracer(mu: np.ndarray, gamma: float, s: int, d: int, clip_bound: float | None = None) -> TracerSpec:
     """Scaling-matrix tracer for dense +/-1 data.
 
     The sqrt(s) factor is the useful part of the subgaussian normalization;
@@ -97,14 +88,10 @@ def scaling_tracer(mu, gamma: float, s: int, d: int, clip_bound: float | None = 
     """
     if clip_bound is None:
         clip_bound = 2.0 * math.sqrt(s)
-    return TracerSpec(SCALING_MATRIX_SCORE, _mu_array(mu), d, clip_bound, gamma=gamma, s=s)
+    return TracerSpec(SCALING_MATRIX_SCORE, mu, d, clip_bound, gamma=gamma, s=s)
 
 
-def _theta_array(theta) -> np.ndarray:
-    return theta.theta if isinstance(theta, ParameterPoint) else np.asarray(theta, dtype=float)
-
-
-def score_batch(tr: TracerSpec, theta, Z: np.ndarray) -> tuple[np.ndarray, int]:
+def score_batch(tr: TracerSpec, theta: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, int]:
     """Scores for the rows of Z, clamped to [-clip_bound, clip_bound].
 
     The one implementation of both score formulas; score a single point
@@ -116,7 +103,7 @@ def score_batch(tr: TracerSpec, theta, Z: np.ndarray) -> tuple[np.ndarray, int]:
     `distributions.row_blocks`) in a reused buffer, so float64 working
     memory is O(block rows * d) whatever the number of rows.
     """
-    theta = _theta_array(theta)
+    theta = np.asarray(theta, dtype=float)
     Z = np.asarray(Z)
     if Z.ndim != 2 or Z.shape[1] != tr.d or theta.shape != (tr.d,):
         raise ValueError("dimension mismatch between tracer, theta, and data")
@@ -176,9 +163,11 @@ def null_quantile(xi: float) -> ThresholdPolicy:
 def calibrate_threshold(policy: ThresholdPolicy, null_scores) -> float:
     """Threshold lambda from a policy and (for null_quantile) a null sample.
 
-    null_quantile picks the smallest order statistic whose upper tail in
-    the null sample has mass at most xi, so the empirical false-positive
-    rate at calibration time is <= xi by construction.
+    null_quantile sorts the m null scores and takes the one at 0-based index
+    ceil(m (1 - xi)); every score >= lambda is flagged.  With distinct null
+    scores at most a fraction xi of the null sample is flagged, but ties at
+    lambda are all flagged and can push that fraction above xi (90 zeros
+    and 10 ones at xi = 0.05 give lambda = 1 and a rate of 0.10).
     """
     if policy.kind == HALF_TRACE_VALUE:
         return policy.t_hat / 2.0
@@ -209,13 +198,6 @@ class TraceReport:
     mu_l1: float
     excess_risk: float
     clip_events: int
-
-
-def _train_any(learner: LearnerLike, spec: ProblemSpec, data: Dataset, rng: np.random.Generator) -> ParameterPoint:
-    if isinstance(learner, LearnerConfig):
-        return train(learner, spec, data, rng)
-    theta = np.asarray(learner(data.z.astype(np.float64)), dtype=float)
-    return ParameterPoint(theta, is_feasible(spec, theta))
 
 
 def tracer_for(spec: ProblemSpec, mu: np.ndarray, kind: str, prior_gamma: float) -> TracerSpec:
@@ -256,7 +238,7 @@ def _draw_trial(learner: LearnerLike, spec: ProblemSpec, tracer_kind: str, prior
     pop = data_distribution(spec, mu)
     z_train = sample_matrix(pop, n, rng)
     held = [sample_matrix(pop, m, rng) for m in held_out]
-    theta = _train_any(learner, spec, Dataset(z_train), rng)
+    theta = train(learner, spec, Dataset(z_train), rng)
     return mu, tracer, theta, z_train, held
 
 
@@ -283,9 +265,9 @@ def run_trace_trial(
     mu, tracer, theta, z_train, (z_fresh, z_null) = _draw_trial(
         learner, spec, tracer_kind, prior, n, rng, (M, null_rows))
 
-    scores_train, clip_tr = score_batch(tracer, theta, z_train)
-    scores_fresh, clip_fr = score_batch(tracer, theta, z_fresh)
-    scores_null, clip_nu = score_batch(tracer, theta, z_null)
+    scores_train, clip_tr = score_batch(tracer, theta.theta, z_train)
+    scores_fresh, clip_fr = score_batch(tracer, theta.theta, z_fresh)
+    scores_null, clip_nu = score_batch(tracer, theta.theta, z_null)
     lam = calibrate_threshold(policy, scores_null)
 
     flagged = np.flatnonzero(scores_train >= lam)
@@ -320,7 +302,7 @@ def trace_value_contribution(
     adversarial trace value.
     """
     _, tracer, theta, z_train, _ = _draw_trial(learner, spec, tracer_kind, prior, n, rng)
-    scores, _ = score_batch(tracer, theta, z_train)
+    scores, _ = score_batch(tracer, theta.theta, z_train)
     return float(scores.mean())
 
 

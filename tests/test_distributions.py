@@ -10,38 +10,44 @@ from sparsetrace.distributions import (
     BetaPrior,
     MeanVector,
     SparsePopulation,
-    TernarySample,
     pmf,
     prior_quadrature,
     row_blocks,
     sample_matrix,
     sample_prior,
-    symmetric_beta_moment,
 )
+from sparsetrace.problems import BOX_LP, ParameterPoint, ProblemSpec, loss
 from sparsetrace.rng import substream
 
 SEED = 20240901
 
 
-def _pop(mu, k, d):
-    return SparsePopulation.from_array(np.asarray(mu, dtype=float), k, d)
+def symmetric_beta_moment(prior: BetaPrior, r: int) -> float:
+    """Closed-form r-th moment of one prior coordinate: odd moments vanish,
+    even ones are gamma^r * prod_{i=1..r/2} (2i - 1) / (2 beta + 2i - 1)."""
+    if r % 2 == 1:
+        return 0.0
+    value = prior.gamma**r
+    for i in range(1, r // 2 + 1):
+        value *= (2 * i - 1) / (2 * prior.beta + 2 * i - 1)
+    return value
 
 
 class TestSampleSupport:
     def test_full_support_is_everything(self):
         rng = substream(SEED, 0, "support")
-        z = sample_matrix(_pop(np.zeros(3), 3, 3), 20, rng)
+        z = sample_matrix(SparsePopulation(np.zeros(3), 3, 3), 20, rng)
         assert np.all(z != 0)
 
     def test_two_choose_one_is_fair(self):
-        z = sample_matrix(_pop(np.zeros(2), 1, 2), 10**5, substream(SEED, 1, "support"))
+        z = sample_matrix(SparsePopulation(np.zeros(2), 1, 2), 10**5, substream(SEED, 1, "support"))
         n = z.shape[0]
         ones = int(np.count_nonzero(z[:, 1]))
         sigma = math.sqrt(0.25 / n)
         assert abs(ones / n - 0.5) < 3 * sigma
 
     def test_five_choose_two_uniform_chisquare(self):
-        z = sample_matrix(_pop(np.zeros(5), 2, 5), 10**5, substream(SEED, 2, "support"))
+        z = sample_matrix(SparsePopulation(np.zeros(5), 2, 5), 10**5, substream(SEED, 2, "support"))
         n = z.shape[0]
         subsets = {frozenset(c): 0 for c in itertools.combinations(range(5), 2)}
         for row in z:
@@ -53,40 +59,40 @@ class TestSampleSupport:
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            _pop(np.zeros(4), 0, 4)
+            SparsePopulation(np.zeros(4), 0, 4)
         with pytest.raises(ValueError):
-            _pop(np.zeros(4), 5, 4)
+            SparsePopulation(np.zeros(4), 5, 4)
 
 
 class TestSampleSparse:
     def test_dense_zero_mean_is_fair_coins(self):
-        pop = _pop(np.zeros(4), 4, 4)
+        pop = SparsePopulation(np.zeros(4), 4, 4)
         draws = sample_matrix(pop, 4000, substream(SEED, 4, "sparse"))
         assert np.isin(draws, (-1, 1)).all()
         sigma = math.sqrt(1.0 / 4000)
         assert np.max(np.abs(draws.mean(axis=0))) < 4 * sigma
 
     def test_saturated_probability_is_deterministic(self):
-        pop = _pop([0.5, -0.5], 1, 2)
+        pop = SparsePopulation([0.5, -0.5], 1, 2)
         z = sample_matrix(pop, 200, substream(SEED, 5, "sparse"))
         assert set(map(tuple, z)) == {(1, 0), (0, -1)}
 
     def test_sample_mean_matches_population_mean(self):
         mu = np.array([1 / 3, 0.0, -1 / 3])
-        pop = _pop(mu, 2, 3)
+        pop = SparsePopulation(mu, 2, 3)
         n = 10**5
         z = sample_matrix(pop, n, substream(SEED, 6, "sparse"))
         sigma = np.sqrt((pop.k / pop.d - mu**2) / n)
         assert np.all(np.abs(z.mean(axis=0) - mu) < 3 * sigma)
 
     def test_support_size_is_k(self):
-        z = sample_matrix(_pop(np.zeros(6), 2, 6), 100, substream(SEED, 7, "sparse"))
+        z = sample_matrix(SparsePopulation(np.zeros(6), 2, 6), 100, substream(SEED, 7, "sparse"))
         assert np.all(np.count_nonzero(z, axis=1) == 2)
 
     def test_dense_single_draws_match_product_law_in_tv(self):
         # One row at a time, as a caller drawing single points would.
         mu = np.array([0.3, -0.15])
-        pop = _pop(mu, 2, 2)
+        pop = SparsePopulation(mu, 2, 2)
         rng = substream(SEED, 15, "sparse")
         n = 3 * 10**4
         z = np.concatenate([sample_matrix(pop, 1, rng) for _ in range(n)])
@@ -99,7 +105,7 @@ class TestSampleSparse:
 class TestSampleMatrix:
     def test_matches_population_mean_componentwise(self):
         mu = np.array([0.2, -0.1, 0.0, 0.25])
-        pop = _pop(mu, 3, 4)
+        pop = SparsePopulation(mu, 3, 4)
         rng = substream(SEED, 8, "matrix")
         n = 2 * 10**5
         z = sample_matrix(pop, n, rng)
@@ -109,7 +115,7 @@ class TestSampleMatrix:
 
     def test_batch_supports_are_uniform(self):
         # The argpartition supports must be exactly uniform k-subsets.
-        pop = _pop(np.zeros(5), 2, 5)
+        pop = SparsePopulation(np.zeros(5), 2, 5)
         rng = substream(SEED, 16, "matrix")
         n = 10**5
         z = sample_matrix(pop, n, rng)
@@ -121,7 +127,7 @@ class TestSampleMatrix:
 
     def test_dense_case_recovers_product_law_in_tv(self):
         mu = np.array([0.2, -0.1, 0.05])
-        pop = _pop(mu, 3, 3)
+        pop = SparsePopulation(mu, 3, 3)
         rng = substream(SEED, 9, "matrix")
         z = sample_matrix(pop, 10**6, rng)
         atoms = np.array(list(itertools.product((-1, 1), repeat=3)), dtype=np.int8)
@@ -134,7 +140,7 @@ class TestSampleMatrix:
 def _sample_matrix_reference(pop, n, rng):
     """The unblocked sampler: whole-matrix draws, np.where signs, one argpartition."""
     d, k = pop.d, pop.k
-    p_plus = (1.0 + (d / k) * pop.mu.values) / 2.0
+    p_plus = (1.0 + (d / k) * pop.mu) / 2.0
     if k == d:
         return np.where(rng.random((n, d)) < p_plus, 1, -1).astype(np.int8)
     keys = rng.random((n, d))
@@ -162,7 +168,7 @@ class TestBlockedSampleMatrix:
         rows = _block_rows(d)
         rng = substream(SEED, 17, "mu")
         mu = rng.uniform(-k / d, k / d, size=d)
-        pop = _pop(mu, k, d)
+        pop = SparsePopulation(mu, k, d)
         for n in sorted({0, 1, max(rows - 1, 0), rows + 1, 3 * rows + 2}):
             ours, ref = substream(SEED, n, "blocked"), substream(SEED, n, "blocked")
             z = sample_matrix(pop, n, ours)
@@ -180,19 +186,19 @@ class TestBlockedSampleMatrix:
 
 class TestPmf:
     def test_uniform_atoms(self):
-        assert pmf(_pop([0.0, 0.0], 1, 2), np.array([1, 0], dtype=np.int8)) == pytest.approx(0.25)
-        assert pmf(_pop([0.0, 0.0], 2, 2), np.array([1, -1], dtype=np.int8)) == pytest.approx(0.25)
+        assert pmf(SparsePopulation([0.0, 0.0], 1, 2), np.array([1, 0])) == pytest.approx(0.25)
+        assert pmf(SparsePopulation([0.0, 0.0], 2, 2), np.array([1, -1])) == pytest.approx(0.25)
 
     def test_hand_checked_sparse_atom(self):
-        value = pmf(_pop([1 / 3, 0.0, 0.0], 2, 3), np.array([1, -1, 0], dtype=np.int8))
+        value = pmf(SparsePopulation([1 / 3, 0.0, 0.0], 2, 3), np.array([1, -1, 0], dtype=np.int8))
         assert value == pytest.approx(0.125)
 
     def test_wrong_sparsity_has_zero_mass(self):
-        assert pmf(_pop([0.0, 0.0, 0.0], 2, 3), np.array([1, 0, 0], dtype=np.int8)) == 0.0
+        assert pmf(SparsePopulation([0.0, 0.0, 0.0], 2, 3), np.array([1, 0, 0])) == 0.0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            pmf(_pop([0.0, 0.0], 1, 2), np.array([1, 0, 0], dtype=np.int8))
+            pmf(SparsePopulation([0.0, 0.0], 1, 2), np.array([1, 0, 0], dtype=np.int8))
 
     def test_sums_to_one_on_enumerable_domains(self):
         rng = substream(SEED, 10, "pmf")
@@ -206,7 +212,7 @@ class TestPmf:
                         atoms.append(z)
                 for _ in range(20):
                     mu = rng.uniform(-k / d, k / d, size=d)
-                    pop = _pop(mu, k, d)
+                    pop = SparsePopulation(mu, k, d)
                     total = sum(pmf(pop, z) for z in atoms)
                     assert abs(total - 1.0) < 1e-10
 
@@ -289,19 +295,23 @@ class TestTypeInvariants:
 
     def test_population_enforces_mean_bound(self):
         with pytest.raises(ValueError):
-            _pop([0.9, 0.0], 1, 2)  # bound is k/d = 0.5
+            SparsePopulation([0.9, 0.0], 1, 2)  # bound is k/d = 0.5
+        with pytest.raises(ValueError, match="mean entries must be finite"):
+            SparsePopulation([math.nan, 0.0], 1, 2)
+        with pytest.raises(ValueError, match="expected"):
+            SparsePopulation([0.1, 0.0, 0.0], 1, 2)
+        mu = np.array([0.25, -0.5])
+        pop = SparsePopulation(mu, 1, 2)
+        mu[0] = 0.0
+        assert pop.mu[0] == 0.25 and not pop.mu.flags.writeable
 
     @pytest.mark.parametrize("bad", [np.array([255, 0]), np.array([255, 0], dtype=np.uint8),
                                      np.array([0.5, 1.0]), np.array([np.nan, 0.0]),
                                      np.array([-128, 0], dtype=np.int8)])
     def test_ternary_sample_rejects_values_before_the_cast(self, bad):
+        # A sample is an int8 row; pmf and loss check its values before the cast.
         with pytest.raises(ValueError, match="entries must take values"):
-            TernarySample(bad, np.flatnonzero(bad))
+            pmf(SparsePopulation([0.0, 0.0], 1, 2), bad)
+        spec = ProblemSpec(BOX_LP, d=2, p=2.0, k=1)
         with pytest.raises(ValueError, match="entries must take values"):
-            TernarySample.from_entries(bad)
-
-    def test_ternary_sample_support_must_match(self):
-        with pytest.raises(ValueError):
-            TernarySample(np.array([1, 0], dtype=np.int8), np.array([1]))
-        z = TernarySample.from_entries([0, -1, 1])
-        assert np.array_equal(z.support, [1, 2])
+            loss(spec, ParameterPoint(np.zeros(2), True), bad)

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sparsetrace.distributions import BetaPrior, SparsePopulation, sample_matrix
 from sparsetrace.learners import (
+    LEARNER_KINDS,
     Dataset,
     LearnerConfig,
     empirical_mean,
@@ -13,7 +15,7 @@ from sparsetrace.learners import (
     measure_excess_risk,
     train,
 )
-from sparsetrace.problems import BOX_LP, L1_CAPPED, ParameterPoint, ProblemSpec, excess_risk, is_feasible, support_maximum
+from sparsetrace.problems import BOX_LP, L1_CAPPED, ProblemSpec, excess_risk, is_feasible, support_maximum
 from sparsetrace.rng import substream
 
 SEED = 20240903
@@ -39,7 +41,7 @@ class TestTrain:
 
     def test_dp_output_is_feasible(self):
         spec = _box(16, 8)
-        pop = SparsePopulation.from_array(np.zeros(16), 8, 16)
+        pop = SparsePopulation(np.zeros(16), 8, 16)
         data = Dataset(sample_matrix(pop, 32, substream(SEED, 1)))
         cfg = LearnerConfig("gaussian_dp", epsilon=1.0, delta=1e-5)
         point = train(cfg, spec, data, substream(SEED, 2))
@@ -47,9 +49,8 @@ class TestTrain:
 
     def test_constant_zero_risk_equals_support_maximum(self):
         spec = _box(4, 4)
-        cfg = LearnerConfig("constant", fixed_point=ParameterPoint(np.zeros(4), True))
         data = Dataset(np.ones((3, 4), dtype=np.int8))
-        point = train(cfg, spec, data, substream(SEED, 3))
+        point = train(lambda z: np.zeros(4), spec, data, substream(SEED, 3))
         mu = np.array([0.3, -0.2, 0.0, 0.1])
         expected = spec.loss_scale * support_maximum(spec, mu)
         assert excess_risk(spec, point, mu) == pytest.approx(expected)
@@ -77,7 +78,7 @@ class TestTrain:
     def test_normalized_mean_targets_l2_ball(self):
         spec = ProblemSpec(L1_CAPPED, d=8, s=4)
         rng = substream(SEED, 7)
-        pop = SparsePopulation.from_array(np.full(8, 0.25), 8, 8)
+        pop = SparsePopulation(np.full(8, 0.25), 8, 8)
         data = Dataset(sample_matrix(pop, 64, rng))
         point = train(LearnerConfig("normalized_mean_l2"), spec, data, rng)
         assert np.linalg.norm(point.theta) <= 1 + 1e-9
@@ -87,6 +88,21 @@ class TestTrain:
         data = Dataset(np.array([[1, 1], [-1, -1]], dtype=np.int8))
         point = train(LearnerConfig("normalized_mean_l2"), spec, data, substream(SEED, 8))
         assert np.array_equal(point.theta, np.zeros(2))
+
+    def test_map_learner_gets_checked_data_and_a_feasibility_tag(self):
+        spec = _box(2, 2)
+        seen = []
+
+        def learner(z):
+            seen.append(z)
+            return np.full(2, 5.0)
+
+        point = train(learner, spec, Dataset(np.array([[1, -1]])), substream(SEED, 9))
+        assert seen[0].dtype == np.float64 and np.array_equal(seen[0], [[1.0, -1.0]])
+        assert point.feasible is False and np.array_equal(point.theta, [5.0, 5.0])
+        with pytest.raises(ValueError, match="exactly"):
+            train(learner, spec, Dataset(np.array([[1, 0]])), substream(SEED, 9))
+        assert len(seen) == 1
 
     def test_wrong_sparsity_rejected_for_box(self):
         spec = _box(3, 2)
@@ -99,7 +115,7 @@ class TestDpSensitivity:
     def test_neighboring_means_within_sensitivity_bound(self):
         rng = substream(SEED, 10)
         d, k, n = 12, 5, 20
-        pop = SparsePopulation.from_array(np.zeros(d), k, d)
+        pop = SparsePopulation(np.zeros(d), k, d)
         bound = 2 * math.sqrt(k) / n
         for _ in range(1000):
             z = sample_matrix(pop, n, rng)
@@ -132,10 +148,10 @@ class TestErmRiskIdentity:
         # alpha := realized excess risk makes <mu, theta> = sup - k^{1/q} alpha exact.
         rng = substream(SEED, 11)
         spec = _box(8, 4, p=3.0)
-        pop = SparsePopulation.from_array(rng.uniform(-0.5, 0.5, 8), 4, 8)
+        pop = SparsePopulation(rng.uniform(-0.5, 0.5, 8), 4, 8)
         data = Dataset(sample_matrix(pop, 16, rng))
         point = train(ERM, spec, data, rng)
-        mu = pop.population_mean
+        mu = pop.mu
         alpha = excess_risk(spec, point, mu)
         sup = spec.box_radius * np.sum(np.abs(mu))
         k_pow = spec.k ** (1 / spec.q)
@@ -143,22 +159,6 @@ class TestErmRiskIdentity:
 
 
 class TestDatasetType:
-    def test_from_samples_round_trip(self):
-        from sparsetrace.distributions import TernarySample
-
-        samples = [TernarySample.from_entries([1, 0, -1]),
-                   TernarySample.from_entries([0, 1, 1])]
-        data = Dataset.from_samples(samples)
-        assert data.n == 2 and data.d == 3 and len(data) == 2
-        assert np.array_equal(data.z[0], [1, 0, -1])
-
-    def test_mismatched_dimensions_rejected(self):
-        from sparsetrace.distributions import TernarySample
-
-        with pytest.raises(ValueError):
-            Dataset.from_samples([TernarySample.from_entries([1, 0]),
-                                  TernarySample.from_entries([1, 0, 1])])
-
     def test_non_ternary_entries_rejected(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[2, 0]], dtype=np.int8))
@@ -187,12 +187,12 @@ class TestFeasibilityInvariant:
     def test_all_learner_kinds_return_feasible_points(self):
         rng = substream(SEED, 30)
         spec = _box(16, 8)
-        pop = SparsePopulation.from_array(rng.uniform(-0.4, 0.4, 16), 8, 16)
+        pop = SparsePopulation(rng.uniform(-0.4, 0.4, 16), 8, 16)
         data = Dataset(sample_matrix(pop, 24, rng))
         configs = [ERM,
                    LearnerConfig("gaussian_dp", epsilon=1.0, delta=1e-5),
                    LearnerConfig("subsample", subsample_m=8),
-                   LearnerConfig("constant", fixed_point=ParameterPoint(np.zeros(16), True))]
+                   lambda z: np.zeros(16)]
         for cfg in configs:
             point = train(cfg, spec, data, rng)
             assert point.feasible and is_feasible(spec, point.theta)
@@ -202,9 +202,8 @@ class TestMeasureExcessRisk:
     def test_constant_zero_matches_uniform_prior_mean(self):
         # k = d, p = 2: risk of theta = 0 is ||mu||_1 / d, with mean E|mu| = 1/2.
         spec = _box(16, 16)
-        cfg = LearnerConfig("constant", fixed_point=ParameterPoint(np.zeros(16), True))
         prior = BetaPrior(1.0, 1.0, 16)
-        mean, ci = measure_excess_risk(cfg, spec, prior, n=4, trials=400, rng=substream(SEED, 12))
+        mean, ci = measure_excess_risk(lambda z: np.zeros(16), spec, prior, n=4, trials=400, rng=substream(SEED, 12))
         assert abs(mean - 0.5) < 2 * ci
 
     def test_erm_risk_decreases_with_n(self):
@@ -231,3 +230,10 @@ class TestMeasureExcessRisk:
         spec = _box(4, 4)
         with pytest.raises(ValueError):
             measure_excess_risk(ERM, spec, BetaPrior(1.0, 1.0, 4), 8, 10, substream(SEED, 18))
+
+
+def test_readme_lists_every_learner_kind():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text(encoding="utf-8").split())
+    listed = text.split("learners.py ", 1)[1].split(",", 1)[0]
+    assert tuple(listed.split(" / ")) == LEARNER_KINDS

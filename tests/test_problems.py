@@ -4,24 +4,55 @@ import math
 import numpy as np
 import pytest
 
+from sparsetrace.distributions import sample_matrix
 from sparsetrace.learners import Dataset, LearnerConfig, train
 from sparsetrace.problems import (
     BOX_LP,
+    FEASIBILITY_TOL,
     L1_CAPPED,
     L1_COUNTEREXAMPLE,
     ParameterPoint,
     ProblemSpec,
+    data_distribution,
     excess_risk,
     is_feasible,
     loss,
-    random_feasible_point,
     support_argmax,
     support_maximum,
-    validate_lipschitz,
 )
 from sparsetrace.rng import substream
 
 SEED = 20240902
+
+
+def random_feasible_point(spec: ProblemSpec, rng: np.random.Generator) -> ParameterPoint:
+    """A random point of the feasible set (any full-support law will do)."""
+    if spec.variant == BOX_LP:
+        r = spec.box_radius
+        return ParameterPoint(rng.uniform(-r, r, size=spec.d), True)
+    mags = rng.exponential(size=spec.d)
+    theta = np.where(rng.random(spec.d) < 0.5, 1.0, -1.0) * mags / mags.sum()
+    theta *= rng.random()
+    if spec.variant == L1_CAPPED:
+        theta = np.clip(theta, -1.0 / spec.s, 1.0 / spec.s)
+    return ParameterPoint(theta, True)
+
+
+def validate_lipschitz(spec: ProblemSpec, trials: int, rng: np.random.Generator) -> bool:
+    """Sampled check that |f(theta1, z) - f(theta2, z)| <= ||theta1 - theta2||_p,
+    with p the spec's for box_lp and p = 1 for the two l_1 variants; z is
+    uniform over the data space (one draw from the zero-mean population)."""
+    p = spec.p if spec.variant == BOX_LP else 1.0
+    uniform = data_distribution(spec, np.zeros(spec.d))
+    for _ in range(trials):
+        t1 = random_feasible_point(spec, rng)
+        t2 = random_feasible_point(spec, rng)
+        z = sample_matrix(uniform, 1, rng)[0]
+        gap = abs(loss(spec, t1, z) - loss(spec, t2, z))
+        norm = float(np.sum(np.abs(t1.theta - t2.theta) ** p) ** (1.0 / p))
+        if gap > norm + FEASIBILITY_TOL:
+            return False
+    return True
 
 
 def _brute_force_sup(spec: ProblemSpec, v: np.ndarray) -> float:

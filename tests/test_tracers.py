@@ -14,7 +14,7 @@ from sparsetrace.distributions import (
 )
 from sparsetrace.learners import LearnerConfig
 from sparsetrace.oracles import check_card_moments
-from sparsetrace.problems import BOX_LP, L1_CAPPED, ParameterPoint, ProblemSpec, support_argmax
+from sparsetrace.problems import BOX_LP, L1_CAPPED, ProblemSpec, support_argmax
 from sparsetrace.rng import substream
 from sparsetrace.tracers import (
     SCALING_MATRIX_SCORE,
@@ -70,7 +70,7 @@ class TestSparseScore:
         d, k, p = 8, 3, 2.5
         mu = rng.uniform(-k / d, k / d, size=d)
         tr = sparse_tracer(mu, k, p, d)
-        pop = SparsePopulation.from_array(mu, k, d)
+        pop = SparsePopulation(mu, k, d)
         spec = ProblemSpec(BOX_LP, d=d, p=p, k=k)
         for _ in range(50):
             theta = rng.uniform(-spec.box_radius, spec.box_radius, size=d)
@@ -83,7 +83,7 @@ class TestSparseScore:
         d, k, p = 16, 4, 2.0
         mu = rng.uniform(-k / d, k / d, size=d)
         tr = sparse_tracer(mu, k, p, d)
-        pop = SparsePopulation.from_array(mu, k, d)
+        pop = SparsePopulation(mu, k, d)
         spec = ProblemSpec(BOX_LP, d=d, p=p, k=k)
         z = sample_matrix(pop, 2000, rng)
         theta = spec.box_radius * np.where(rng.random(d) < 0.5, 1.0, -1.0)
@@ -145,7 +145,7 @@ class TestBlockedScoreBatch:
         rng = substream(SEED, d + k, "blocked")
         bound = min(k / d, 0.4)
         mu = rng.uniform(-bound, bound, size=d)
-        pop = SparsePopulation.from_array(mu, k, d)
+        pop = SparsePopulation(mu, k, d)
         rows = next(row_blocks(10**9, d))[1]
         z = sample_matrix(pop, 3 * rows + 2, rng)
         theta = rng.uniform(-1.0, 1.0, size=d)
@@ -190,9 +190,8 @@ class TestCalibrateThreshold:
 class TestRunTraceTrial:
     def test_constant_learner_has_zero_recall_at_positive_threshold(self):
         spec = ProblemSpec(BOX_LP, d=8, p=2.0, k=8)
-        cfg = LearnerConfig("constant", fixed_point=ParameterPoint(np.zeros(8), True))
         prior = BetaPrior(1.0, 1.0, 8)
-        report = run_trace_trial(cfg, spec, "sparse", prior, n=16, M=32,
+        report = run_trace_trial(lambda z: np.zeros(8), spec, "sparse", prior, n=16, M=32,
                                  policy=half_trace_value(1.0), rng=substream(SEED, 4))
         assert np.all(report.scores_train == 0.0)
         assert report.recall_estimate == 0.0
@@ -274,9 +273,8 @@ def _trace_value(learner, spec, prior, n, trials, rng):
 class TestEstimateTraceValue:
     def test_constant_learner_scores_exactly_zero(self):
         spec = ProblemSpec(BOX_LP, d=8, p=2.0, k=8)
-        cfg = LearnerConfig("constant", fixed_point=ParameterPoint(np.zeros(8), True))
         prior = BetaPrior(1.0, 1.0, 8)
-        t_hat, ci = _trace_value(cfg, spec, prior, n=8, trials=40, rng=substream(SEED, 8))
+        t_hat, ci = _trace_value(lambda z: np.zeros(8), spec, prior, n=8, trials=40, rng=substream(SEED, 8))
         assert t_hat == 0.0 and ci == 0.0
 
     def test_independent_learner_is_centered(self):
@@ -392,7 +390,7 @@ class TestScoreNormScaling:
                 prior = BetaPrior(2.0, 1.0, d)
                 mu = sample_prior(prior, rng).values
                 tr = sparse_tracer(mu, d, 2.0, d)
-                pop = SparsePopulation.from_array(mu, d, d)
+                pop = SparsePopulation(mu, d, d)
                 z = sample_matrix(pop, n, rng)
                 value = _max_score_vector_norm(tr, z, spec.box_radius, rng)
                 ratios.append(value / (math.sqrt(n) + math.sqrt(d)))

@@ -37,6 +37,7 @@ from .tracers import (
     null_quantile,
     run_trace_trial,
     score_batch,
+    sparse_tracer,
     trace_value_contribution,
 )
 

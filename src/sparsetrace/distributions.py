@@ -64,6 +64,20 @@ def row_blocks(n: int, width: int):
         yield start, stop, buf[: (stop - start) * width].reshape(stop - start, width)
 
 
+def check_mean(mu, d: int, bound: float) -> np.ndarray:
+    """A frozen float64 copy of the mean mu, which must be d finite entries
+    with |mu_j| <= bound (to 1e-12): the one mean check of the library.  A NaN
+    bound admits no mean."""
+    arr = _frozen(mu)
+    if arr.shape != (d,):
+        raise ValueError(f"mean has shape {arr.shape}, expected ({d},)")
+    if not np.isfinite(arr).all():
+        raise ValueError("mean entries must be finite")
+    if not np.max(np.abs(arr)) <= bound + 1e-12:
+        raise ValueError(f"mean entries must satisfy |mu_j| <= {bound}")
+    return arr
+
+
 @dataclass(frozen=True)
 class MeanVector:
     """Coordinate means constrained to a symmetric box [-box_bound, box_bound]^d."""
@@ -72,15 +86,7 @@ class MeanVector:
     box_bound: float
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values))
-        if self.values.ndim != 1 or self.values.size < 1:
-            raise ValueError("mean vector must be a nonempty 1-D array")
-        if not np.isfinite(self.values).all():
-            raise ValueError("mean entries must be finite")
-        if not self.box_bound >= 0:
-            raise ValueError("box_bound must be nonnegative")
-        if np.max(np.abs(self.values)) > self.box_bound + 1e-12:
-            raise ValueError(f"mean entries must satisfy |mu_j| <= {self.box_bound}")
+        object.__setattr__(self, "values", check_mean(self.values, np.size(self.values), self.box_bound))
 
 
 @dataclass(frozen=True)
@@ -97,16 +103,9 @@ class SparsePopulation:
     d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", _frozen(self.mu))
         if not 1 <= self.k <= self.d:
             raise ValueError(f"sparsity k={self.k} must lie in [1, d={self.d}]")
-        if self.mu.shape != (self.d,):
-            raise ValueError(f"mean has shape {self.mu.shape}, expected ({self.d},)")
-        if not np.isfinite(self.mu).all():
-            raise ValueError("mean entries must be finite")
-        bound = self.k / self.d
-        if np.max(np.abs(self.mu)) > bound + 1e-12:
-            raise ValueError(f"mean entries must satisfy |mu_j| <= k/d = {bound}")
+        object.__setattr__(self, "mu", check_mean(self.mu, self.d, self.k / self.d))
 
 
 @dataclass(frozen=True)

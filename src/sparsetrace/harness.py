@@ -28,9 +28,8 @@ from .learners import GAUSSIAN_DP, LEARNER_KINDS, SUBSAMPLE, LearnerConfig
 from .oracles import verification_grid
 from .problems import BOX_LP, VARIANTS, ProblemSpec
 from .rng import substream
-from .tracers import (HALF_TRACE_VALUE, NULL_QUANTILE, SCALING_MATRIX_SCORE, SPARSE_SCORE,
-                      ThresholdPolicy, TraceReport, default_prior, run_trace_trial,
-                      trace_value_contribution)
+from .tracers import (ThresholdPolicy, TraceReport, default_prior, half_trace_value, null_quantile,
+                      run_trace_trial, score_kind, trace_value_contribution)
 
 IDENTITY_TOL = 1e-8
 SCHEMA_VERSION = 2
@@ -50,10 +49,9 @@ class Plan(NamedTuple):
     """The domain objects a validated trace-style config describes."""
 
     spec: ProblemSpec
-    tracer: str  # the score kind of the variant
     prior: BetaPrior
     learners: tuple[LearnerConfig, ...]  # one per noise scale for sweep
-    policy: ThresholdPolicy
+    policy: ThresholdPolicy | None  # None for trace_value, which sets no threshold
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,6 @@ class ExperimentConfig:
     delta: float = 1e-5
     subsample_m: int | None = None
     xi: float = 0.05
-    policy: str = NULL_QUANTILE
     t_hat: float | None = None
     beta: float | None = None
     alpha_target: float | None = None
@@ -129,7 +126,7 @@ class ExperimentConfig:
         if not experiment.fields:
             return None
         for name in ("n", "M", "trials"):
-            if getattr(self, name) < 1:
+            if name in experiment.fields and getattr(self, name) < 1:
                 raise UsageError(f"{name}: must be >= 1")
         spec = _build("variant", self.resolved_spec)
         learner = _build("learner", LearnerConfig, self.learner, epsilon=self.epsilon,
@@ -147,10 +144,12 @@ class ExperimentConfig:
                 learners = tuple(replace(learner, epsilon=self.epsilon / v) for v in self.noise_scales)
             except ValueError as exc:
                 raise UsageError(f"noise_scales: epsilon / scale is out of range ({exc})") from exc
-        policy = _build("policy", ThresholdPolicy, self.policy, xi=self.xi, t_hat=self.t_hat)
+        # xi is checked even where t_hat sets the threshold: dp-audit's ceiling reads it.
+        policy = _build("xi", null_quantile, self.xi) if "xi" in experiment.fields else None
+        if policy is not None and self.t_hat is not None:
+            policy = _build("t_hat", half_trace_value, self.t_hat)
         prior = _build("alpha_target", default_prior, spec, self.alpha_target, self.beta)
-        tracer = SPARSE_SCORE if spec.variant == BOX_LP else SCALING_MATRIX_SCORE
-        return Plan(spec, tracer, prior, learners, policy)
+        return Plan(spec, prior, learners, policy)
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
@@ -270,8 +269,8 @@ def _run_verify(cfg: ExperimentConfig, plan: None, threads: int) -> Outcome:
 def _trace_rows(cfg: ExperimentConfig, plan: Plan, learner: LearnerConfig, purpose: str,
                 threads: int) -> list[tuple]:
     def one(trial: int, rng) -> tuple:
-        return _trace_row(trial, run_trace_trial(learner, plan.spec, plan.tracer, plan.prior,
-                                                 cfg.n, cfg.M, plan.policy, rng))
+        return _trace_row(trial, run_trace_trial(learner, plan.spec, score_kind(plan.spec),
+                                                 plan.prior, cfg.n, cfg.M, plan.policy, rng))
 
     return _map_trials(cfg, purpose, threads, one)
 
@@ -315,7 +314,7 @@ def _run_sweep(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
 
 def _run_trace_value(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
     def one(trial: int, rng) -> tuple:
-        return (trial, trace_value_contribution(plan.learners[0], plan.spec, plan.tracer,
+        return (trial, trace_value_contribution(plan.learners[0], plan.spec, score_kind(plan.spec),
                                                 plan.prior, cfg.n, rng))
 
     rows = _map_trials(cfg, "trace_value", threads, one)
@@ -343,7 +342,8 @@ EXPERIMENTS = {
                            _TRIAL_FIELDS, GAUSSIAN_DP),
     "sweep": Experiment("trace trials across Gaussian noise scales", _run_sweep,
                         _TRIAL_FIELDS + ("noise_scales",), GAUSSIAN_DP),
-    "trace_value": Experiment("plug-in trace value estimation", _run_trace_value, _TRIAL_FIELDS),
+    "trace_value": Experiment("plug-in trace value estimation", _run_trace_value,
+                              tuple(f for f in _TRIAL_FIELDS if f not in ("M", "xi", "t_hat"))),
 }
 
 _FIELD_HELP = {
@@ -359,8 +359,7 @@ _FIELD_HELP = {
     "delta": "DP delta in (0, 1) (gaussian_dp)",
     "subsample_m": "subsample size, 1 <= m <= n (subsample)",
     "xi": "soundness level, xi in (0, 1)",
-    "policy": "threshold calibration policy",
-    "t_hat": "finite trace value for half_trace_value",
+    "t_hat": "finite trace value; sets the threshold to t_hat / 2 (else the xi null quantile)",
     "beta": "prior shape override, beta > 0",
     "alpha_target": "target excess risk used to derive beta, > 0",
     "n": "training set size, n >= 1",
@@ -368,11 +367,7 @@ _FIELD_HELP = {
     "trials": "independent trials, >= 1",
     "noise_scales": "comma-separated positive noise multipliers",
 }
-_FIELD_CHOICES = {
-    "variant": VARIANTS,
-    "learner": LEARNER_KINDS,
-    "policy": (NULL_QUANTILE, HALF_TRACE_VALUE),
-}
+_FIELD_CHOICES = {"variant": VARIANTS, "learner": LEARNER_KINDS}
 _FLAG_NAMES = {"master_seed": "--seed", "output_path": "--out"}
 
 
@@ -444,10 +439,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     except UsageError as exc:
-        print(f"error: {exc}", flush=True)
+        print(f"error: {exc}", file=sys.stderr, flush=True)
         return EXIT_USAGE
     except OSError as exc:
-        print(f"i/o error: {exc}", flush=True)
+        print(f"i/o error: {exc}", file=sys.stderr, flush=True)
         return EXIT_IO
     except Exception:  # anything else is a bug: keep its traceback
         traceback.print_exc()

@@ -74,9 +74,9 @@ class LearnerConfig:
 LearnerLike = Union[LearnerConfig, Callable[[np.ndarray], np.ndarray]]
 
 
-def empirical_mean(data: Dataset) -> np.ndarray:
-    # Accumulates in float64 without a float64 copy of the (n, d) matrix.
-    return data.z.mean(axis=0, dtype=np.float64)
+def empirical_mean(z: np.ndarray) -> np.ndarray:
+    # Accumulates in float64 without a float64 copy of the (n, d) int8 matrix.
+    return z.mean(axis=0, dtype=np.float64)
 
 
 def gaussian_sigma(epsilon: float, delta: float, k_max: int, n: int) -> float:
@@ -108,10 +108,9 @@ def train(learner: LearnerLike, spec: ProblemSpec, data: Dataset, rng: np.random
     if learner.kind == SUBSAMPLE:
         if learner.subsample_m > data.n:
             raise ValueError(f"subsample_m={learner.subsample_m} exceeds dataset size n={data.n}")
-        head = Dataset(data.z[: learner.subsample_m])
-        return train(LearnerConfig(ERM_LINEAR), spec, head, rng)
+        return support_argmax(spec, empirical_mean(data.z[: learner.subsample_m]))
 
-    mu_hat = empirical_mean(data)
+    mu_hat = empirical_mean(data.z)
     if learner.kind == ERM_LINEAR:
         return support_argmax(spec, mu_hat)
     if learner.kind == GAUSSIAN_DP:
@@ -143,7 +142,7 @@ def measure_excess_risk(
         raise ValueError("trials must be >= 30 for a meaningful CI")
     if n < 1:
         raise ValueError("n must be >= 1")
-    bound = spec.data_sparsity / spec.d
+    bound = spec.mean_bound
     risks = np.empty(trials)
     for t in range(trials):
         mu = np.clip(sample_prior(prior, rng).values, -bound, bound)

@@ -65,14 +65,19 @@ def ternary_atoms(d: int, k: int) -> np.ndarray:
     return np.stack(atoms)
 
 
-def _dataset_table(atoms: np.ndarray, n: int, learner: Learner):
-    """Enumerate all size-n datasets over the atoms and precompute the
-    mu-independent pieces: learner outputs, summed samples, support counts."""
+def _enumerate(prior: BetaPrior, degree: int, atoms: np.ndarray, n: int, learner: Learner):
+    """(rule, idx, z_sets, thetas): the prior's Gauss rule exact to `degree`, and
+    every size-n dataset over the atoms as atom indices, samples and learner
+    outputs.  Raises EnumerationLimitError first if the instance is too big."""
+    rule = prior_quadrature(prior, degree)
     a = atoms.shape[0]
+    terms = (a**n) * (rule.nodes.size**prior.d)
+    if terms > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(f"instance needs {terms} weighted terms > {ENUMERATION_LIMIT}")
     idx = np.array(list(itertools.product(range(a), repeat=n)), dtype=np.int64)
     z_sets = atoms[idx]  # (N, n, d)
     thetas = np.stack([np.asarray(learner(z.astype(np.float64)), dtype=float) for z in z_sets])
-    return idx, z_sets, thetas
+    return rule, idx, z_sets, thetas
 
 
 def _node_tuples(nodes: np.ndarray, weights: np.ndarray, d: int):
@@ -100,15 +105,9 @@ def verify_sparse_identity(d: int, k: int, n: int, beta: float, learner: Learner
         raise ValueError("n must be >= 1")
     if beta < 1:
         raise ValueError("beta must be >= 1")
-    prior = BetaPrior(beta=beta, gamma=k / d, d=d)
-    rule = prior_quadrature(prior, n + 2)
     atoms = ternary_atoms(d, k)
-    a = atoms.shape[0]
-    terms = (a**n) * (rule.nodes.size**d)
-    if terms > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(f"instance needs {terms} weighted terms > {ENUMERATION_LIMIT}")
-
-    idx, z_sets, thetas = _dataset_table(atoms, n, learner)
+    rule, idx, z_sets, thetas = _enumerate(BetaPrior(beta=beta, gamma=k / d, d=d), n + 2,
+                                           atoms, n, learner)
     summed = z_sets.sum(axis=1).astype(np.float64)          # (N, d)
     support_counts = np.abs(z_sets).sum(axis=1).astype(np.float64)  # (N, d)
     const = np.einsum("nd,nd->n", thetas, summed)
@@ -145,15 +144,8 @@ def verify_scaling_identity(d: int, n: int, beta: float, gamma: float, learner: 
         raise ValueError("beta must be positive")
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
-    prior = BetaPrior(beta=beta, gamma=gamma, d=d)
-    rule = prior_quadrature(prior, n + 3)
-    atoms = ternary_atoms(d, d)  # the dense cube
-    a = atoms.shape[0]
-    terms = (a**n) * (rule.nodes.size**d)
-    if terms > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(f"instance needs {terms} weighted terms > {ENUMERATION_LIMIT}")
-
-    idx, z_sets, thetas = _dataset_table(atoms, n, learner)
+    rule, _, z_sets, thetas = _enumerate(BetaPrior(beta=beta, gamma=gamma, d=d), n + 3,
+                                         ternary_atoms(d, d), n, learner)  # the dense cube
     z_float = z_sets.astype(np.float64)                     # (N, n, d)
     lhs = 0.0
     rhs = 0.0

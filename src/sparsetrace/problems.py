@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SparsePopulation, ternary_int8
+from .distributions import SparsePopulation, check_mean, ternary_int8
 
 BOX_LP = "box_lp"
 L1_CAPPED = "l1_capped"
@@ -33,7 +33,7 @@ FEASIBILITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One problem instance; `p`, `k` apply to box_lp and `s` to l1_capped.
+    """One problem instance; `p`, `k` apply to box_lp and `s` to the l1 variants.
 
     Each error names the offending parameter first ('p: ...').
     """
@@ -53,8 +53,8 @@ class ProblemSpec:
             raise ValueError("p: must lie in [1, inf)")
         if self.variant == BOX_LP and (self.k is None or not 1 <= self.k <= self.d):
             raise ValueError(f"k: box_lp requires sparsity k in [1, d={self.d}]")
-        if self.variant == L1_CAPPED and (self.s is None or not 1 <= self.s <= self.d):
-            raise ValueError(f"s: l1_capped requires cap s in [1, d={self.d}]")
+        if (self.variant == L1_CAPPED or self.s is not None) and not 1 <= (self.s or 0) <= self.d:
+            raise ValueError(f"s: the cap s must lie in [1, d={self.d}] (l1_capped requires one)")
 
     @property
     def q(self) -> float:
@@ -80,6 +80,16 @@ class ProblemSpec:
         """Nonzero count of every data vector: k for box_lp, d otherwise."""
         return self.k if self.variant == BOX_LP else self.d
 
+    @property
+    def mean_bound(self) -> float:
+        """Bound data_sparsity / d on every |mu_j|: k/d for box_lp, 1 otherwise."""
+        return self.data_sparsity / self.d
+
+    @property
+    def cap(self) -> int:
+        """The cap s, or 1 where none is set: the scale of the l1 score and prior."""
+        return self.s if self.s is not None else 1
+
 
 @dataclass(frozen=True)
 class ParameterPoint:
@@ -94,17 +104,17 @@ class ParameterPoint:
         object.__setattr__(self, "theta", arr)
 
 
-def is_feasible(spec: ProblemSpec, theta: np.ndarray, tol: float = FEASIBILITY_TOL) -> bool:
-    """Membership in the feasible set, with tolerance on norm constraints."""
+def is_feasible(spec: ProblemSpec, theta: np.ndarray) -> bool:
+    """Membership in the feasible set, with tolerance FEASIBILITY_TOL on norm constraints."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (spec.d,):
         return False
     if spec.variant == BOX_LP:
-        return bool(np.max(np.abs(theta)) <= spec.box_radius + tol)
-    if np.sum(np.abs(theta)) > 1.0 + tol:
+        return bool(np.max(np.abs(theta)) <= spec.box_radius + FEASIBILITY_TOL)
+    if np.sum(np.abs(theta)) > 1.0 + FEASIBILITY_TOL:
         return False
     if spec.variant == L1_CAPPED:
-        return bool(np.max(np.abs(theta)) <= 1.0 / spec.s + tol)
+        return bool(np.max(np.abs(theta)) <= 1.0 / spec.s + FEASIBILITY_TOL)
     return True
 
 
@@ -171,12 +181,7 @@ def excess_risk(spec: ProblemSpec, theta: ParameterPoint, mu: np.ndarray) -> flo
     """
     if not theta.feasible:
         raise ValueError("excess risk evaluated at an infeasible parameter point")
-    values = np.asarray(mu, dtype=float)
-    if values.shape != (spec.d,):
-        raise ValueError(f"mean has shape {values.shape}, expected ({spec.d},)")
-    bound = spec.data_sparsity / spec.d
-    if np.max(np.abs(values)) > bound + 1e-9:
-        raise ValueError(f"mean entries must satisfy |mu_j| <= {bound}")
+    values = check_mean(mu, spec.d, spec.mean_bound)
     gap = support_maximum(spec, values) - float(np.dot(theta.theta, values))
     return max(spec.loss_scale * gap, 0.0)
 

@@ -14,7 +14,9 @@ Two score families are implemented:
   sqrt(s) * sum_j theta_j L_j (z_j - mu_j),
   L_j = (1 - (mu_j/gamma)^2) / (1 - mu_j^2),
   which keeps the fingerprinting identity exact when the prior lives on a
-  sub-interval [-gamma, gamma] of the mean domain.
+  sub-interval [-gamma, gamma] of the mean domain.  s is the cap (1 on
+  l1_counterexample); any unknown constant of the subgaussian
+  normalization is absorbed by threshold calibration.
 """
 
 from __future__ import annotations
@@ -24,71 +26,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BetaPrior, row_blocks, sample_matrix, sample_prior
+from .distributions import BetaPrior, check_mean, row_blocks, sample_matrix, sample_prior
 from .learners import Dataset, LearnerLike, train
 from .problems import BOX_LP, ProblemSpec, data_distribution, excess_risk
 
 SPARSE_SCORE = "sparse"
 SCALING_MATRIX_SCORE = "scaling_matrix"
-TRACER_KINDS = (SPARSE_SCORE, SCALING_MATRIX_SCORE)
 
-HALF_TRACE_VALUE = "half_trace_value"
-NULL_QUANTILE = "null_quantile"
+
+def score_kind(spec: ProblemSpec) -> str:
+    """The score of the spec's geometry: sparse on box_lp, scaling-matrix on the l_1 variants."""
+    return SPARSE_SCORE if spec.variant == BOX_LP else SCALING_MATRIX_SCORE
 
 
 @dataclass(frozen=True)
 class TracerSpec:
-    """Score-function parameters; built from the true mean of each trial."""
+    """The score function of one trial: the problem, its true mean, and the
+    prior's half-width gamma, which the scaling-matrix score reads and needs
+    |mu_j| <= gamma < 1 for (past gamma the scaling matrix is negative)."""
 
-    kind: str
+    spec: ProblemSpec
     mu: np.ndarray
-    d: int
-    clip_bound: float
-    k: int | None = None
-    p: float | None = None
     gamma: float | None = None
-    s: int | None = None
 
     def __post_init__(self):
-        arr = np.array(self.mu, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "mu", arr)
-        if self.kind not in TRACER_KINDS:
-            raise ValueError(f"unknown tracer kind {self.kind!r}")
-        if arr.shape != (self.d,):
-            raise ValueError("mu dimension does not match d")
-        if not self.clip_bound > 0:
-            raise ValueError("clip_bound must be positive")
-        if self.kind == SPARSE_SCORE:
-            if self.k is None or not 1 <= self.k <= self.d or self.p is None or self.p < 1:
-                raise ValueError("sparse tracer requires 1 <= k <= d and p >= 1")
-            if np.max(np.abs(arr)) > self.k / self.d + 1e-12:
-                raise ValueError("sparse tracer requires |mu_j| <= k/d")
-        else:
-            if self.gamma is None or not 0 < self.gamma < 1 or self.s is None or self.s < 1:
-                raise ValueError("scaling tracer requires gamma in (0, 1) and s >= 1")
-            if np.max(np.abs(arr)) >= 1.0:
-                raise ValueError("scaling tracer is singular at |mu_j| = 1")
+        if self.kind == SCALING_MATRIX_SCORE and (self.gamma is None or not 0 < self.gamma < 1):
+            raise ValueError("scaling tracer requires gamma in (0, 1)")
+        bound = self.spec.mean_bound if self.kind == SPARSE_SCORE else self.gamma
+        object.__setattr__(self, "mu", check_mean(self.mu, self.spec.d, bound))
+
+    @property
+    def kind(self) -> str:
+        return score_kind(self.spec)
+
+    @property
+    def clip_bound(self) -> float:
+        """2 sqrt(k) for the sparse score and 2 sqrt(s) for the scaling-matrix
+        score: never active for feasible parameters of the matching problem."""
+        return 2.0 * math.sqrt(self.spec.k if self.kind == SPARSE_SCORE else self.spec.cap)
 
 
-def sparse_tracer(mu: np.ndarray, k: int, p: float, d: int, clip_bound: float | None = None) -> TracerSpec:
-    """Sparse-score tracer; the default clip bound 2 sqrt(k) is never active
-    for feasible parameters of the matching box problem."""
-    if clip_bound is None:
-        clip_bound = 2.0 * math.sqrt(k)
-    return TracerSpec(SPARSE_SCORE, mu, d, clip_bound, k=k, p=p)
-
-
-def scaling_tracer(mu: np.ndarray, gamma: float, s: int, d: int, clip_bound: float | None = None) -> TracerSpec:
-    """Scaling-matrix tracer for dense +/-1 data.
-
-    The sqrt(s) factor is the useful part of the subgaussian normalization;
-    any unknown constant in that normalization is dropped here and absorbed
-    by threshold calibration downstream.
-    """
-    if clip_bound is None:
-        clip_bound = 2.0 * math.sqrt(s)
-    return TracerSpec(SCALING_MATRIX_SCORE, mu, d, clip_bound, gamma=gamma, s=s)
+def sparse_tracer(mu: np.ndarray, k: int, p: float, d: int) -> TracerSpec:
+    """Sparse-score tracer for the box_lp problem with sparsity k, norm p and dimension d."""
+    return TracerSpec(ProblemSpec(BOX_LP, d=d, p=p, k=k), mu)
 
 
 def score_batch(tr: TracerSpec, theta: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, int]:
@@ -103,13 +83,14 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z: np.ndarray) -> tuple[np.nd
     `distributions.row_blocks`) in a reused buffer, so float64 working
     memory is O(block rows * d) whatever the number of rows.
     """
+    spec = tr.spec
     theta = np.asarray(theta, dtype=float)
     Z = np.asarray(Z)
-    if Z.ndim != 2 or Z.shape[1] != tr.d or theta.shape != (tr.d,):
+    if Z.ndim != 2 or Z.shape[1] != spec.d or theta.shape != (spec.d,):
         raise ValueError("dimension mismatch between tracer, theta, and data")
     if tr.kind == SPARSE_SCORE:
-        scale = tr.d ** (1.0 / tr.p) / math.sqrt(tr.k)
-        ratio = tr.d / tr.k
+        scale = spec.d ** (1.0 / spec.p) / math.sqrt(spec.k)
+        ratio = spec.d / spec.k
         weights = theta * tr.mu
     else:
         lam = (1.0 - (tr.mu / tr.gamma) ** 2) / (1.0 - tr.mu**2)
@@ -123,41 +104,34 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z: np.ndarray) -> tuple[np.nd
             raw[i:j] = scale * (signed - ratio * (zf @ weights))
         else:
             zf -= tr.mu
-            raw[i:j] = math.sqrt(tr.s) * (zf @ weights)
-    clipped = np.clip(raw, -tr.clip_bound, tr.clip_bound)
-    return clipped, int(np.count_nonzero(np.abs(raw) > tr.clip_bound))
+            raw[i:j] = math.sqrt(spec.cap) * (zf @ weights)
+    clip = tr.clip_bound
+    return np.clip(raw, -clip, clip), int(np.count_nonzero(np.abs(raw) > clip))
 
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """How to turn scores into In/Out decisions.
+    """How to turn scores into In/Out decisions: exactly one of xi (the null
+    sample's (1 - xi)-quantile) and a known trace value t_hat (t_hat / 2)."""
 
-    null_quantile needs xi and half_trace_value needs t_hat; either value is
-    checked whenever it is given.
-    """
-
-    kind: str
     xi: float | None = None
     t_hat: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (HALF_TRACE_VALUE, NULL_QUANTILE):
-            raise ValueError(f"unknown threshold policy {self.kind!r}")
+        if (self.xi is None) == (self.t_hat is None):
+            raise ValueError("a threshold policy takes exactly one of xi and t_hat")
         if self.xi is not None and not 0 < self.xi < 1:
             raise ValueError("xi: must lie in (0, 1)")
         if self.t_hat is not None and not math.isfinite(self.t_hat):
             raise ValueError("t_hat: must be finite")
-        needed = "xi" if self.kind == NULL_QUANTILE else "t_hat"
-        if getattr(self, needed) is None:
-            raise ValueError(f"{needed}: {self.kind} requires a value")
 
 
 def half_trace_value(t_hat: float) -> ThresholdPolicy:
-    return ThresholdPolicy(HALF_TRACE_VALUE, t_hat=t_hat)
+    return ThresholdPolicy(t_hat=t_hat)
 
 
 def null_quantile(xi: float) -> ThresholdPolicy:
-    return ThresholdPolicy(NULL_QUANTILE, xi=xi)
+    return ThresholdPolicy(xi=xi)
 
 
 def calibrate_threshold(policy: ThresholdPolicy, null_scores) -> float:
@@ -169,7 +143,7 @@ def calibrate_threshold(policy: ThresholdPolicy, null_scores) -> float:
     lambda are all flagged and can push that fraction above xi (90 zeros
     and 10 ones at xi = 0.05 give lambda = 1 and a rate of 0.10).
     """
-    if policy.kind == HALF_TRACE_VALUE:
+    if policy.t_hat is not None:
         return policy.t_hat / 2.0
     scores = np.sort(np.asarray(null_scores, dtype=float))
     m = scores.size
@@ -200,19 +174,6 @@ class TraceReport:
     clip_events: int
 
 
-def tracer_for(spec: ProblemSpec, mu: np.ndarray, kind: str, prior_gamma: float) -> TracerSpec:
-    """Build the tracer matching a problem spec from the trial's true mean."""
-    if kind not in TRACER_KINDS:
-        raise ValueError(f"unknown tracer kind {kind!r}")
-    if kind == SPARSE_SCORE:
-        if spec.variant != BOX_LP:
-            raise ValueError("the sparse score requires the box_lp variant")
-        return sparse_tracer(mu, spec.k, spec.p, spec.d)
-    if spec.variant == BOX_LP:
-        raise ValueError("the scaling-matrix score requires an l1 variant")
-    return scaling_tracer(mu, prior_gamma, spec.s if spec.s is not None else 1, spec.d)
-
-
 def null_calibration_size(xi: float) -> int:
     """Independent null-sample size used inside trace trials."""
     return max(1000, math.ceil(10.0 / xi))
@@ -222,19 +183,21 @@ def _draw_trial(learner: LearnerLike, spec: ProblemSpec, tracer_kind: str, prior
                 n: int, rng: np.random.Generator, held_out: tuple[int, ...] = ()):
     """The random part of a trial, shared by every trial kind.
 
-    Draws mu from the prior (clipped to the population box bound, and for
-    the scaling tracer to the prior's gamma), builds the tracer from that
-    true mean, samples n training rows and then one matrix per held_out
-    size, and trains on the training rows last.  Returns
-    (mu, tracer, theta, z_train, held-out matrices).
+    Draws mu from the prior (clipped to the smaller of the population box
+    bound and the prior's gamma), builds the tracer from that true mean,
+    samples n training rows and then one matrix per held_out size, and
+    trains on the training rows last.  `tracer_kind` must be the spec's
+    `score_kind`.  Returns (mu, tracer, theta, z_train, held-out matrices).
     """
-    bound = spec.data_sparsity / spec.d
+    if tracer_kind != score_kind(spec):
+        raise ValueError(f"the {spec.variant} variant takes the {score_kind(spec)!r} score, "
+                         f"not {tracer_kind!r}")
+    # gamma * (G1 - G2) / (G1 + G2) rounds one ulp past gamma when G2 is
+    # negligible next to G1, which small beta makes common; past gamma the
+    # scaling matrix turns negative.
+    bound = min(spec.mean_bound, prior.gamma)
     mu = np.clip(sample_prior(prior, rng).values, -bound, bound)
-    if tracer_kind == SCALING_MATRIX_SCORE:
-        # gamma * (G1 - G2) / (G1 + G2) rounds one ulp past gamma when G2 is
-        # negligible next to G1, which small beta makes common.
-        mu = np.clip(mu, -prior.gamma, prior.gamma)
-    tracer = tracer_for(spec, mu, tracer_kind, prior.gamma)
+    tracer = TracerSpec(spec, mu, prior.gamma)
     pop = data_distribution(spec, mu)
     z_train = sample_matrix(pop, n, rng)
     held = [sample_matrix(pop, m, rng) for m in held_out]
@@ -261,7 +224,7 @@ def run_trace_trial(
     """
     if n < 1 or M < 1:
         raise ValueError("n and M must be >= 1")
-    null_rows = null_calibration_size(policy.xi) if policy.kind == NULL_QUANTILE else 0
+    null_rows = null_calibration_size(policy.xi) if policy.xi is not None else 0
     mu, tracer, theta, z_train, (z_fresh, z_null) = _draw_trial(
         learner, spec, tracer_kind, prior, n, rng, (M, null_rows))
 
@@ -319,22 +282,20 @@ def default_beta(spec: ProblemSpec, alpha_target: float) -> float:
     if spec.variant == BOX_LP:
         ratio = (spec.k / spec.d) ** (1.0 / spec.p)
         return max(1.0, (ratio / (6.0 * alpha_target)) ** 2)
-    s = spec.s if spec.s is not None else 1
-    return max(1.0, 1.0 + 0.5 * math.log(spec.d / (16.0 * max(s, 14))))
+    return max(1.0, 1.0 + 0.5 * math.log(spec.d / (16.0 * max(spec.cap, 14))))
 
 
 def default_prior(
     spec: ProblemSpec,
     alpha_target: float | None = None,
     beta: float | None = None,
-    gamma: float | None = None,
 ) -> BetaPrior:
-    """Prior used by trace experiments when not overridden.
+    """Prior used by trace experiments.
 
     box_lp pins gamma to the population box bound k/d; the l_1 variants
-    default to gamma = min(8 alpha, 0.99), kept strictly below 1 so the
-    scaling matrix stays finite.  A given alpha_target must be positive
-    even where beta and gamma are given too.
+    use gamma = min(8 alpha, 0.99), kept strictly below 1 so the scaling
+    matrix stays finite.  A given alpha_target must be positive even where
+    beta is given too.
     """
     if alpha_target is not None and not alpha_target > 0:
         raise ValueError("alpha_target: must be positive")
@@ -342,10 +303,7 @@ def default_prior(
         if alpha_target is None:
             raise ValueError("beta: either beta or alpha_target must be given")
         beta = default_beta(spec, alpha_target)
-    if spec.variant == BOX_LP:
-        gamma = spec.k / spec.d
-    elif gamma is None:
-        if alpha_target is None:
-            raise ValueError("alpha_target: l1 variants derive gamma from it unless gamma is given")
-        gamma = min(8.0 * alpha_target, 0.99)
+    if spec.variant != BOX_LP and alpha_target is None:
+        raise ValueError("alpha_target: l1 variants derive gamma from it")
+    gamma = spec.mean_bound if spec.variant == BOX_LP else min(8.0 * alpha_target, 0.99)
     return BetaPrior(beta=beta, gamma=gamma, d=spec.d)

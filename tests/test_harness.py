@@ -97,7 +97,7 @@ class TestConfig:
         plan = ExperimentConfig(experiment="sweep", learner="gaussian_dp", epsilon=2.0,
                                 beta=3.0, noise_scales=(0.5, 4.0)).validate()
         assert [lc.epsilon for lc in plan.learners] == [4.0, 0.5]
-        assert (plan.prior.beta, plan.policy.xi, plan.spec.k, plan.tracer) == (3.0, 0.05, 64, "sparse")
+        assert (plan.prior.beta, plan.policy.xi, plan.spec.k) == (3.0, 0.05, 64)
         assert ExperimentConfig(experiment="verify").validate() is None
 
 
@@ -138,7 +138,7 @@ class TestParseCli:
         expected = f"error: {key}: could not parse {value!r}\n"
         for argv in (["sweep", flag, value], ["sweep", "--config", str(path)]):
             assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
-            assert capsys.readouterr().out == expected
+            assert capsys.readouterr() == ("", expected)
 
     def test_none_clears_an_optional_config_value(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -161,10 +161,22 @@ class TestParseCli:
     def test_verify_takes_only_run_flags(self):
         assert set(_flags("verify")) == {"master_seed", "output_path", "config", "threads"}
 
+    def test_trace_value_takes_only_flags_it_reads(self, tmp_path):
+        assert not {"M", "xi", "t_hat"} & set(_flags("trace-value"))
+        assert main(["trace-value", "--M", "5", "--alpha-target", "0.1",
+                     "--out", str(tmp_path / "tv.csv")]) == EXIT_USAGE
+        assert ExperimentConfig(experiment="trace_value", M=0, alpha_target=0.1).validate().policy is None
+
     def test_tracer_is_not_a_setting(self):
         with pytest.raises(UsageError, match="unknown key 'tracer'"):
             ExperimentConfig.from_text("experiment = trace\ntracer = sparse\n")
         assert main(["trace", "--tracer", "sparse"]) == EXIT_USAGE
+
+    def test_policy_is_not_a_setting(self, tmp_path, capsys):
+        (tmp_path / "exp.cfg").write_text("experiment = trace\npolicy = half_trace_value\n")
+        assert main(["trace", "--config", str(tmp_path / "exp.cfg")]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: config line 2: unknown key 'policy'\n")
+        assert main(["trace", "--policy", "half_trace_value"]) == EXIT_USAGE
 
 
 class TestRun:
@@ -214,10 +226,11 @@ class TestRun:
         row = lines[2].split(",")
         assert float(row[1]) == float(format(float(row[1]), ".17g"))
 
-    def test_unwritable_output_is_io_error(self):
+    def test_unwritable_output_is_io_error(self, capsys):
         assert main(["trace", "--d", "16", "--n", "8", "--M", "8", "--trials", "2",
                      "--alpha-target", "0.1",
                      "--out", "/nonexistent-dir/deep/out.csv"]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("i/o error: ")
 
     def test_dp_audit_within_ceiling(self, tmp_path):
         cfg = ExperimentConfig(experiment="dp_audit", d=1024, n=100, M=200,
@@ -239,19 +252,15 @@ class TestRun:
         assert len(means) == 3 and means[0] > means[1] > means[2]
 
     def test_half_trace_value_policy_via_cli(self, tmp_path):
+        # --t-hat alone selects the t_hat / 2 threshold.
         out = tmp_path / "ht.csv"
         code = main(["trace", "--d", "32", "--n", "8", "--M", "16", "--trials", "4",
-                     "--alpha-target", "0.2", "--policy", "half_trace_value",
-                     "--t-hat", "1.6", "--out", str(out)])
+                     "--alpha-target", "0.2", "--t-hat", "1.6", "--out", str(out)])
         assert code == EXIT_OK
         rows = [l for l in out.read_text().splitlines()
                 if l and not l.startswith("#")][1:]
         lam = {row.split(",")[6] for row in rows}
         assert lam == {format(0.8, ".17g")}
-
-    def test_policy_without_t_hat_is_usage_error(self, tmp_path):
-        assert main(["trace", "--policy", "half_trace_value", "--alpha-target", "0.1",
-                     "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
 
     def test_trace_value_summary_present(self, tmp_path):
         cfg = ExperimentConfig(experiment="trace_value", d=64, n=32, trials=40,

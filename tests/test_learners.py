@@ -121,15 +121,15 @@ class TestDpSensitivity:
             z = sample_matrix(pop, n, rng)
             z_prime = z.copy()
             z_prime[int(rng.integers(n))] = sample_matrix(pop, 1, rng)[0]
-            gap = np.linalg.norm(empirical_mean(Dataset(z)) - empirical_mean(Dataset(z_prime)))
+            gap = np.linalg.norm(empirical_mean(z) - empirical_mean(z_prime))
             assert gap <= bound + 1e-12
 
     def test_empirical_mean_makes_no_float64_copy(self):
         n, d = 400, 4096
-        data = Dataset(np.ones((n, d), dtype=np.int8))
+        z = np.ones((n, d), dtype=np.int8)
         tracemalloc.start()
         try:
-            mean = empirical_mean(data)
+            mean = empirical_mean(z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -31,3 +31,15 @@ def test_every_public_definition_is_exported_or_used_in_the_library():
               if name not in sparsetrace.__all__
               and not any(name in names for i, names in enumerate(used) if i != own)]
     assert unused == []
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    # __init__ imports names to re-export them.
+    for path in sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [s for s in ast.walk(tree) if isinstance(s, (ast.Import, ast.ImportFrom))
+                   and getattr(s, "module", None) != "__future__"]
+        names = {a.asname or a.name.split(".")[0] for s in imports for a in s.names}
+        unused += [f"{path.stem}: {name}" for name in sorted(names - _names_used(tree))]
+    assert unused == []

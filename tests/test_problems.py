@@ -214,6 +214,15 @@ class TestExcessRisk:
         assert np.dot(a.theta, mu) == pytest.approx(np.dot(b.theta, mu))
         assert excess_risk(spec, a, mu) == pytest.approx(excess_risk(spec, b, mu), abs=1e-12)
 
+    def test_mean_past_the_bound_has_neither_risk_nor_population(self):
+        # One tolerance for the bound k/d: a mean 1e-10 past it is rejected alike.
+        spec = ProblemSpec(BOX_LP, d=4, p=2.0, k=2)
+        mu = np.array([0.5 + 1e-10, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"\|mu_j\| <= 0.5"):
+            excess_risk(spec, support_argmax(spec, mu), mu)
+        with pytest.raises(ValueError, match=r"\|mu_j\| <= 0.5"):
+            data_distribution(spec, mu)
+
     def test_always_nonnegative(self):
         rng = substream(SEED, 4, "risk")
         spec = ProblemSpec(L1_CAPPED, d=6, s=3)
@@ -261,3 +270,6 @@ class TestSpecValidation:
             ProblemSpec(L1_CAPPED, d=4)
         with pytest.raises(ValueError):
             ProblemSpec("simplex", d=4)
+        # The l1_counterexample score reads a given cap too, so it is checked there.
+        with pytest.raises(ValueError, match=r"s: the cap s must lie in \[1, d=4\]"):
+            ProblemSpec(L1_COUNTEREXAMPLE, d=4, s=0)

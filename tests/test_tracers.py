@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +17,8 @@ from sparsetrace.problems import BOX_LP, L1_CAPPED, ProblemSpec, support_argmax
 from sparsetrace.rng import substream
 from sparsetrace.tracers import (
     SCALING_MATRIX_SCORE,
+    ThresholdPolicy,
+    TracerSpec,
     _draw_trial,
     calibrate_threshold,
     default_beta,
@@ -25,7 +26,6 @@ from sparsetrace.tracers import (
     half_trace_value,
     null_quantile,
     run_trace_trial,
-    scaling_tracer,
     score_batch,
     sparse_tracer,
     trace_value_contribution,
@@ -92,10 +92,11 @@ class TestSparseScore:
         assert np.max(np.abs(scores)) <= 2 * math.sqrt(k)
 
     def test_clipping_clamps_and_counts(self):
-        tr = sparse_tracer(np.zeros(2), 2, 2.0, 2, clip_bound=0.5)
+        # theta = (5, 5) is far outside the box: the raw score 10 passes 2 sqrt(k).
+        tr = sparse_tracer(np.zeros(2), 2, 2.0, 2)
         z = np.array([[1, 1]], dtype=np.int8)
         scores, clipped = score_batch(tr, np.array([5.0, 5.0]), z)
-        assert clipped == 1 and scores[0] == pytest.approx(0.5)
+        assert clipped == 1 and scores[0] == pytest.approx(2 * math.sqrt(2))
 
     def test_dimension_mismatch_rejected(self):
         tr = sparse_tracer(np.zeros(4), 2, 2.0, 4)
@@ -105,34 +106,41 @@ class TestSparseScore:
 
 class TestScalingScore:
     def test_zero_mean_reduces_to_inner_product(self):
-        tr = scaling_tracer(np.zeros(3), 0.5, 4, 3)
-        theta = np.array([0.1, 0.2, 0.3])
-        assert _score_one(tr, theta, [1, -1, 1]) == pytest.approx(2.0 * (0.1 - 0.2 + 0.3))
+        tr = TracerSpec(ProblemSpec(L1_CAPPED, d=4, s=4), np.zeros(4), 0.5)
+        theta = np.array([0.1, 0.2, 0.3, 0.0])
+        assert _score_one(tr, theta, [1, -1, 1, 1]) == pytest.approx(2.0 * (0.1 - 0.2 + 0.3))
 
     def test_scaling_factor_value(self):
-        tr = scaling_tracer(np.full(1, 0.25), 0.5, 1, 1)
+        tr = TracerSpec(ProblemSpec(L1_CAPPED, d=1, s=1), np.full(1, 0.25), 0.5)
         # Lambda = (1 - (0.25/0.5)^2) / (1 - 0.25^2) = 0.8
         assert _score_one(tr, np.ones(1), [1]) == pytest.approx(0.8 * 0.75)
 
     def test_mean_at_gamma_contributes_nothing(self):
-        tr = scaling_tracer(np.array([0.5, 0.0]), 0.5, 1, 2)
+        tr = TracerSpec(ProblemSpec(L1_CAPPED, d=2, s=1), np.array([0.5, 0.0]), 0.5)
         assert _score_one(tr, np.array([1.0, 0.0]), [1, 1]) == pytest.approx(0.0)
 
     def test_singular_mean_rejected(self):
-        with pytest.raises(ValueError):
-            scaling_tracer(np.array([1.0]), 0.5, 1, 1)
+        # Past gamma the scaling matrix turns negative, and at 1 it is singular.
+        for mu in (1.0, 0.6):
+            with pytest.raises(ValueError, match=r"\|mu_j\| <= 0.5"):
+                TracerSpec(ProblemSpec(L1_CAPPED, d=1, s=1), np.array([mu]), 0.5)
+
+    def test_clip_bound_follows_the_cap(self):
+        assert TracerSpec(ProblemSpec(L1_CAPPED, d=16, s=4), np.zeros(16), 0.5).clip_bound == 4.0
+        assert TracerSpec(ProblemSpec("l1_counterexample", d=16), np.zeros(16), 0.5).clip_bound == 2.0
 
 
-def _score_batch_reference(tr, theta, Z):
+def _score_batch_reference(tr, theta, Z, clip=None):
     """The unblocked formula: one float64 cast of all of Z, then both products."""
     Zf = Z.astype(np.float64)
+    spec = tr.spec
     if tr.kind == "sparse":
-        scale = tr.d ** (1.0 / tr.p) / math.sqrt(tr.k)
-        raw = scale * (Zf @ theta - (tr.d / tr.k) * (np.abs(Zf) @ (theta * tr.mu)))
+        scale = spec.d ** (1.0 / spec.p) / math.sqrt(spec.k)
+        raw = scale * (Zf @ theta - (spec.d / spec.k) * (np.abs(Zf) @ (theta * tr.mu)))
     else:
         lam = (1.0 - (tr.mu / tr.gamma) ** 2) / (1.0 - tr.mu**2)
-        raw = math.sqrt(tr.s) * ((Zf - tr.mu) @ (theta * lam))
-    clip = tr.clip_bound
+        raw = math.sqrt(spec.s) * ((Zf - tr.mu) @ (theta * lam))
+    clip = tr.clip_bound if clip is None else clip
     return np.clip(raw, -clip, clip), int(np.count_nonzero(np.abs(raw) > clip))
 
 
@@ -148,14 +156,14 @@ class TestBlockedScoreBatch:
         pop = SparsePopulation(mu, k, d)
         rows = next(row_blocks(10**9, d))[1]
         z = sample_matrix(pop, 3 * rows + 2, rng)
+        tr = sparse_tracer(mu, k, 2.0, d) if kind == "sparse" \
+            else TracerSpec(ProblemSpec(L1_CAPPED, d=d, s=3), mu, 0.5)
+        # Scale theta so the clip bound falls halfway between two middle raw scores: about
+        # half the rows are clamped, and none sits on the bound where a last bit flips it.
         theta = rng.uniform(-1.0, 1.0, size=d)
-        make = (lambda c: sparse_tracer(mu, k, 2.0, d, clip_bound=c)) if kind == "sparse" \
-            else (lambda c: scaling_tracer(mu, 0.5, 3, d, clip_bound=c))
-        # Clip halfway between two middle raw scores: about half the rows are
-        # clamped, and no score sits on the bound where a last-bit change flips it.
-        magnitudes = np.sort(np.abs(_score_batch_reference(make(1e300), theta, z)[0]))
+        magnitudes = np.sort(np.abs(_score_batch_reference(tr, theta, z, clip=math.inf)[0]))
         middle = magnitudes.size // 2
-        tr = make(float(magnitudes[middle - 1] + magnitudes[middle]) / 2)
+        theta *= tr.clip_bound / (float(magnitudes[middle - 1] + magnitudes[middle]) / 2)
         scores, clipped = score_batch(tr, theta, z)
         expected, expected_clipped = _score_batch_reference(tr, theta, z)
         np.testing.assert_allclose(scores, expected, rtol=1e-12)
@@ -165,6 +173,8 @@ class TestBlockedScoreBatch:
 class TestCalibrateThreshold:
     def test_half_trace_value(self):
         assert calibrate_threshold(half_trace_value(1.6), []) == pytest.approx(0.8)
+        with pytest.raises(ValueError, match="exactly one of xi and t_hat"):
+            ThresholdPolicy(xi=0.05, t_hat=1.6)
 
     def test_small_order_statistic_example(self):
         lam = calibrate_threshold(null_quantile(0.5), [1.0, 2.0, 3.0, 4.0])
@@ -239,6 +249,12 @@ class TestRunTraceTrial:
         assert np.abs(sample_prior(prior, substream(SEED, 50)).values).max() > 0.8
         mu, *_ = _draw_trial(ERM, spec, SCALING_MATRIX_SCORE, prior, 4, substream(SEED, 50))
         assert np.abs(mu).max() <= 0.8
+
+    def test_trial_rejects_a_score_the_variant_does_not_take(self):
+        spec = ProblemSpec(BOX_LP, d=8, p=2.0, k=8)
+        with pytest.raises(ValueError, match="takes the 'sparse' score"):
+            run_trace_trial(ERM, spec, SCALING_MATRIX_SCORE, BetaPrior(1.0, 1.0, 8), n=4, M=4,
+                            policy=null_quantile(0.5), rng=substream(SEED, 15))
 
     def test_report_invariants_hold(self):
         spec = ProblemSpec(BOX_LP, d=128, p=2.0, k=32)
@@ -360,14 +376,14 @@ def _max_score_vector_norm(tr, Z, radius, rng, restarts=32, max_sweeps=64):
     gives a lower bound on the true supremum.
     """
     # Column j of the score map is the (unclipped) score vector at theta = e_j.
-    columns = _score_batch_reference(replace(tr, clip_bound=math.inf), np.eye(tr.d), Z)[0]
+    columns = _score_batch_reference(tr, np.eye(tr.spec.d), Z, clip=math.inf)[0]
     best = 0.0
     for _ in range(restarts):
-        theta = radius * np.where(rng.random(tr.d) < 0.5, 1.0, -1.0)
+        theta = radius * np.where(rng.random(tr.spec.d) < 0.5, 1.0, -1.0)
         phi = columns @ theta
         for _ in range(max_sweeps):
             changed = False
-            for j in range(tr.d):
+            for j in range(tr.spec.d):
                 rest = phi - columns[:, j] * theta[j]
                 new = radius if float(np.dot(rest, columns[:, j])) >= 0 else -radius
                 if new != theta[j]:

@@ -168,16 +168,17 @@ def _uniform_blocks(rng: np.random.Generator, n: int, width: int):
 def sample_matrix(pop: SparsePopulation, n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent draws as an (n, d) int8 matrix.
 
-    Vectorized batch path: supports come from per-row argpartition of i.i.d.
-    uniform keys (the k smallest keys form an exactly uniform k-subset).
-    The dense case k = d skips support selection entirely.
+    For k < d each row's support is an exactly uniform k-subset from Floyd's
+    algorithm, vectorized over rows: one rng.integers draw gives every row its
+    k candidates, the i-th from [0, d - k + i], and round i keeps the i-th
+    candidate unless the row already holds it, in which case it takes
+    d - k + i.  The output matrix is the membership set, so no (n, d)
+    working array is built.  One rng.random((n, k)) draw then gives the signs.
+    The dense case k = d skips support selection and draws rng.random((n, d)).
 
     Uniforms are drawn row block by row block (see `row_blocks`), so the
-    float64 working memory beyond the output (and, for k < d, an (n, k)
-    index array) is O(block rows * d), about BLOCK_ENTRIES entries.  The
-    stream is consumed exactly as by one rng.random((n, d)) call for the
-    keys followed by one rng.random((n, k)) call for the signs: blocking
-    changes no draw and no output.
+    float64 working memory beyond the output is about BLOCK_ENTRIES entries;
+    blocking changes no draw and no output.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -188,13 +189,16 @@ def sample_matrix(pop: SparsePopulation, n: int, rng: np.random.Generator) -> np
         for i, j, u in _uniform_blocks(rng, n, d):
             _signs_into(u, p_plus, out[i:j])
         return out
-    sel = np.empty((n, k), dtype=np.intp)
-    for i, j, keys in _uniform_blocks(rng, n, d):
-        sel[i:j] = np.argpartition(keys, k - 1, axis=1)[:, :k]
+    sel = rng.integers(0, np.arange(d - k + 1, d + 1), size=(n, k))
+    out = np.zeros((n, d), dtype=np.int8)
+    rows = np.arange(n)
+    for i in range(k):
+        t = sel[:, i]
+        t[out[rows, t] != 0] = d - k + i
+        out[rows, t] = 1
     signs = np.empty((n, k), dtype=np.int8)
     for i, j, u in _uniform_blocks(rng, n, k):
         _signs_into(u, p_plus[sel[i:j]], signs[i:j])
-    out = np.zeros((n, d), dtype=np.int8)
     np.put_along_axis(out, sel, signs, axis=1)
     return out
 
@@ -216,14 +220,13 @@ def pmf(pop: SparsePopulation, z) -> float:
 
 
 def sample_prior(prior: BetaPrior, rng: np.random.Generator) -> MeanVector:
-    """Draw mu ~ prior via two Gamma(beta, 1) variates per coordinate.
+    """Draw mu ~ prior as gamma * (2 B - 1) with B ~ Beta(beta, beta) per coordinate.
 
-    gamma * (G1 - G2) / (G1 + G2) has exactly the rescaled symmetric beta
-    law; no inverse-CDF table is needed.
+    numpy's Beta sampler moves to log space where its variates underflow, so
+    a tiny beta gives no 0/0 NaN; and |2 B - 1| <= 1 survives rounding, so
+    |mu_j| <= gamma holds exactly.
     """
-    g1 = rng.gamma(prior.beta, size=prior.d)
-    g2 = rng.gamma(prior.beta, size=prior.d)
-    values = prior.gamma * (g1 - g2) / (g1 + g2)
+    values = prior.gamma * (2.0 * rng.beta(prior.beta, prior.beta, size=prior.d) - 1.0)
     return MeanVector(values, prior.gamma)
 
 

@@ -32,7 +32,7 @@ from .tracers import (ThresholdPolicy, TraceReport, default_prior, half_trace_va
                       run_trace_trial, score_kind, trace_value_contribution)
 
 IDENTITY_TOL = 1e-8
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 1
@@ -128,6 +128,8 @@ class ExperimentConfig:
         for name in ("n", "M", "trials"):
             if name in experiment.fields and getattr(self, name) < 1:
                 raise UsageError(f"{name}: must be >= 1")
+        if self.master_seed < 0:
+            raise UsageError("master_seed: must be >= 0")  # a SeedSequence entropy word
         spec = _build("variant", self.resolved_spec)
         learner = _build("learner", LearnerConfig, self.learner, epsilon=self.epsilon,
                          delta=self.delta, subsample_m=self.subsample_m)
@@ -144,9 +146,8 @@ class ExperimentConfig:
                 learners = tuple(replace(learner, epsilon=self.epsilon / v) for v in self.noise_scales)
             except ValueError as exc:
                 raise UsageError(f"noise_scales: epsilon / scale is out of range ({exc})") from exc
-        # xi is checked even where t_hat sets the threshold: dp-audit's ceiling reads it.
         policy = _build("xi", null_quantile, self.xi) if "xi" in experiment.fields else None
-        if policy is not None and self.t_hat is not None:
+        if "t_hat" in experiment.fields and self.t_hat is not None:
             policy = _build("t_hat", half_trace_value, self.t_hat)
         prior = _build("alpha_target", default_prior, spec, self.alpha_target, self.beta)
         return Plan(spec, prior, learners, policy)
@@ -338,8 +339,9 @@ _TRIAL_FIELDS = tuple(f.name for f in fields(ExperimentConfig)
 EXPERIMENTS = {
     "verify": Experiment("run the exact identity-check battery", _run_verify),
     "trace": Experiment("soundness/recall trials for one learner", _run_trace, _TRIAL_FIELDS),
+    # The recall ceiling assumes the xi null-quantile threshold, so no t_hat.
     "dp_audit": Experiment("trace trials plus the DP recall ceiling", _run_dp_audit,
-                           _TRIAL_FIELDS, GAUSSIAN_DP),
+                           tuple(f for f in _TRIAL_FIELDS if f != "t_hat"), GAUSSIAN_DP),
     "sweep": Experiment("trace trials across Gaussian noise scales", _run_sweep,
                         _TRIAL_FIELDS + ("noise_scales",), GAUSSIAN_DP),
     "trace_value": Experiment("plug-in trace value estimation", _run_trace_value,
@@ -347,13 +349,13 @@ EXPERIMENTS = {
 }
 
 _FIELD_HELP = {
-    "master_seed": "64-bit master seed",
+    "master_seed": "master seed, >= 0",
     "output_path": "CSV output path",
     "variant": "problem geometry",
     "d": "dimension, d >= 1",
     "p": "norm index, p in [1, inf) (box_lp)",
     "k": "data sparsity, 1 <= k <= d (box_lp; default d)",
-    "s": "box cap, 1 <= s <= d (l1_capped)",
+    "s": "box cap, 1 <= s <= d (l1_capped only)",
     "learner": "learner kind",
     "epsilon": "DP epsilon in (0, 10] (gaussian_dp)",
     "delta": "DP delta in (0, 1) (gaussian_dp)",

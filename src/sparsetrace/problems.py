@@ -33,7 +33,7 @@ FEASIBILITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One problem instance; `p`, `k` apply to box_lp and `s` to the l1 variants.
+    """One problem instance; `p`, `k` apply to box_lp and the cap `s` to l1_capped only.
 
     Each error names the offending parameter first ('p: ...').
     """
@@ -53,8 +53,10 @@ class ProblemSpec:
             raise ValueError("p: must lie in [1, inf)")
         if self.variant == BOX_LP and (self.k is None or not 1 <= self.k <= self.d):
             raise ValueError(f"k: box_lp requires sparsity k in [1, d={self.d}]")
-        if (self.variant == L1_CAPPED or self.s is not None) and not 1 <= (self.s or 0) <= self.d:
-            raise ValueError(f"s: the cap s must lie in [1, d={self.d}] (l1_capped requires one)")
+        if self.variant != L1_CAPPED and self.s is not None:
+            raise ValueError(f"s: only l1_capped takes a cap, not {self.variant}")
+        if self.variant == L1_CAPPED and not 1 <= (self.s or 0) <= self.d:
+            raise ValueError(f"s: l1_capped requires a cap s in [1, d={self.d}]")
 
     @property
     def q(self) -> float:
@@ -87,7 +89,7 @@ class ProblemSpec:
 
     @property
     def cap(self) -> int:
-        """The cap s, or 1 where none is set: the scale of the l1 score and prior."""
+        """The cap s on l1_capped and 1 elsewhere: the scale of the l1 score and prior."""
         return self.s if self.s is not None else 1
 
 

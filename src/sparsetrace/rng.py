@@ -1,43 +1,19 @@
-"""Counter-based random substreams for reproducible parallel experiments.
+"""Seeded random substreams, one per (master seed, trial, purpose) slot.
 
-Every random stream in the library is identified by a 64-bit master seed
-plus a (trial, purpose) pair.  The triple is folded into a single 64-bit
-key with the splitmix64 finalizer and used to key a Philox counter-based
-bit generator, so any trial can be replayed in isolation and results do
-not depend on worker scheduling.
+Each slot seeds an SFC64 generator through a SeedSequence (the NEP 19 idiom),
+so any trial replays in isolation and no result depends on worker scheduling.
 """
-
-from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
-
-def mix64(x: int) -> int:
-    """splitmix64 finalizer: bijective 64-bit avalanche mix."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _fold_tag(tag: str) -> int:
-    """FNV-1a hash of a purpose tag, 64-bit."""
-    h = 0xCBF29CE484222325
-    for byte in tag.encode("utf-8"):
-        h = ((h ^ byte) * 0x100000001B3) & _MASK64
-    return h
-
-
-def substream_key(master_seed: int, trial: int = 0, purpose: str = "") -> int:
-    """Derive the 64-bit substream key for (master_seed, trial, purpose)."""
-    h = mix64(master_seed & _MASK64)
-    h = mix64(h ^ (trial & _MASK64))
-    h = mix64(h ^ _fold_tag(purpose))
-    return h
-
 
 def substream(master_seed: int, trial: int = 0, purpose: str = "") -> np.random.Generator:
-    """Independent generator for one (trial, purpose) slot of an experiment."""
-    return np.random.Generator(np.random.Philox(key=substream_key(master_seed, trial, purpose)))
+    """Independent generator for one (trial, purpose) slot of an experiment.
+
+    The purpose's UTF-8 bytes enter as their length and then as zero-padded
+    little-endian uint32 words; the length keeps "a" and "a\\0" apart.
+    """
+    tag = purpose.encode("utf-8")
+    words = np.frombuffer(tag + b"\0" * (-len(tag) % 4), dtype="<u4").tolist()
+    seed = np.random.SeedSequence([master_seed, trial, len(tag), *words])
+    return np.random.Generator(np.random.SFC64(seed))

@@ -183,20 +183,16 @@ def _draw_trial(learner: LearnerLike, spec: ProblemSpec, tracer_kind: str, prior
                 n: int, rng: np.random.Generator, held_out: tuple[int, ...] = ()):
     """The random part of a trial, shared by every trial kind.
 
-    Draws mu from the prior (clipped to the smaller of the population box
-    bound and the prior's gamma), builds the tracer from that true mean,
-    samples n training rows and then one matrix per held_out size, and
-    trains on the training rows last.  `tracer_kind` must be the spec's
+    Draws mu from the prior (whose gamma must not pass the spec's mean
+    bound), builds the tracer from that true mean, samples n training rows
+    and then one matrix per held_out size, and trains on the training rows
+    last.  `tracer_kind` must be the spec's
     `score_kind`.  Returns (mu, tracer, theta, z_train, held-out matrices).
     """
     if tracer_kind != score_kind(spec):
         raise ValueError(f"the {spec.variant} variant takes the {score_kind(spec)!r} score, "
                          f"not {tracer_kind!r}")
-    # gamma * (G1 - G2) / (G1 + G2) rounds one ulp past gamma when G2 is
-    # negligible next to G1, which small beta makes common; past gamma the
-    # scaling matrix turns negative.
-    bound = min(spec.mean_bound, prior.gamma)
-    mu = np.clip(sample_prior(prior, rng).values, -bound, bound)
+    mu = sample_prior(prior, rng).values
     tracer = TracerSpec(spec, mu, prior.gamma)
     pop = data_distribution(spec, mu)
     z_train = sample_matrix(pop, n, rng)

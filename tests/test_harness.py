@@ -87,6 +87,10 @@ class TestConfig:
             (dict(beta=nan), "beta"),
             (dict(p=inf, alpha_target=0.1), "p"),
             (dict(t_hat=inf, alpha_target=0.1), "t_hat"),
+            # Only l1_capped has a cap; elsewhere s would just rescale the score.
+            (dict(variant="l1_counterexample", s=4, alpha_target=0.1), "s"),
+            (dict(k=8, s=4, alpha_target=0.1), "s"),
+            (dict(master_seed=-1, alpha_target=0.1), "master_seed"),
         ]
         for overrides, field in cases:
             cfg = ExperimentConfig(**{"experiment": "trace", **overrides})
@@ -167,6 +171,17 @@ class TestParseCli:
                      "--out", str(tmp_path / "tv.csv")]) == EXIT_USAGE
         assert ExperimentConfig(experiment="trace_value", M=0, alpha_target=0.1).validate().policy is None
 
+    def test_dp_audit_takes_no_t_hat(self, tmp_path):
+        # The recall ceiling n e^eps xi + n delta assumes the xi null-quantile
+        # threshold; a t_hat / 2 threshold flags at another rate.
+        assert "t_hat" not in _flags("dp-audit")
+        assert main(["dp-audit", "--d", "64", "--n", "16", "--M", "50", "--trials", "9",
+                     "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
+                     "--t-hat", "-100", "--out", str(tmp_path / "dp.csv")]) == EXIT_USAGE
+        plan = ExperimentConfig(experiment="dp_audit", learner="gaussian_dp", t_hat=-100.0,
+                                alpha_target=0.1).validate()
+        assert (plan.policy.xi, plan.policy.t_hat) == (0.05, None)
+
     def test_tracer_is_not_a_setting(self):
         with pytest.raises(UsageError, match="unknown key 'tracer'"):
             ExperimentConfig.from_text("experiment = trace\ntracer = sparse\n")
@@ -206,7 +221,7 @@ class TestRun:
         cfg = _small_trace(tmp_path)
         run(cfg, threads=1)
         lines = open(cfg.output_path).read().splitlines()
-        assert lines[0] == "# sparsetrace-csv schema=2 experiment=trace"
+        assert lines[0] == "# sparsetrace-csv schema=3 experiment=trace"
         header = lines[1].split(",")
         assert header == ["trial_index", "mu_norm_l1", "excess_risk",
                           "t_hat_contribution", "recall", "soundness", "lambda",
@@ -373,6 +388,20 @@ class TestMainExitCodes:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "Warning" not in proc.stderr
         assert "#summary,max_rel_error," in out.read_text()
+
+    def test_tiny_beta_trace_writes_finite_mu(self, tmp_path):
+        # At beta = 1e-3 the prior's variates underflow; its means must stay finite.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = tmp_path / "t.csv"
+        proc = subprocess.run([sys.executable, "-m", "sparsetrace", "trace", "--d", "16",
+                               "--beta", "1e-3", "--trials", "3", "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        lines = out.read_text().splitlines()
+        mu_l1 = [float(line.split(",")[1]) for line in lines[2:] if not line.startswith("#")]
+        assert len(mu_l1) == 3 and all(0.0 <= v <= 16.0 for v in mu_l1)
 
 
 

@@ -270,6 +270,13 @@ class TestSpecValidation:
             ProblemSpec(L1_CAPPED, d=4)
         with pytest.raises(ValueError):
             ProblemSpec("simplex", d=4)
-        # The l1_counterexample score reads a given cap too, so it is checked there.
-        with pytest.raises(ValueError, match=r"s: the cap s must lie in \[1, d=4\]"):
-            ProblemSpec(L1_COUNTEREXAMPLE, d=4, s=0)
+        for s in (0, 5):
+            with pytest.raises(ValueError, match=r"s: l1_capped requires a cap s in \[1, d=4\]"):
+                ProblemSpec(L1_CAPPED, d=4, s=s)
+        # Only l1_capped has a cap; elsewhere s would just rescale the score.
+        with pytest.raises(ValueError, match="s: only l1_capped takes a cap"):
+            ProblemSpec(L1_COUNTEREXAMPLE, d=4, s=2)
+        with pytest.raises(ValueError, match="s: only l1_capped takes a cap"):
+            ProblemSpec(BOX_LP, d=4, p=2.0, k=2, s=2)
+        assert ProblemSpec(L1_COUNTEREXAMPLE, d=4).cap == 1
+        assert ProblemSpec(L1_CAPPED, d=4, s=3).cap == 3

@@ -241,12 +241,14 @@ class TestRunTraceTrial:
         assert 0.0 <= report.recall_estimate <= 32
 
     def test_scaling_trial_mean_stays_within_gamma(self):
-        # At small beta a prior draw can round one ulp past gamma, where the
-        # scaling matrix turns negative; the trial clips it back.
+        # Past gamma the scaling matrix turns negative.  Small beta puts most
+        # draws at the ends of [-gamma, gamma], where rounding must not carry
+        # one past gamma.
         d = 4096
         spec = ProblemSpec(L1_CAPPED, d=d, s=4)
         prior = BetaPrior(beta=0.05, gamma=0.8, d=d)
-        assert np.abs(sample_prior(prior, substream(SEED, 50)).values).max() > 0.8
+        for trial in range(5):
+            assert np.abs(sample_prior(prior, substream(SEED, trial)).values).max() <= 0.8
         mu, *_ = _draw_trial(ERM, spec, SCALING_MATRIX_SCORE, prior, 4, substream(SEED, 50))
         assert np.abs(mu).max() <= 0.8
 

@@ -61,7 +61,7 @@ class ExperimentConfig:
     experiment: str
     variant: str = BOX_LP
     d: int = 64
-    p: float = 2.0
+    p: float | None = None
     k: int | None = None
     s: int | None = None
     learner: str = "erm"
@@ -108,8 +108,7 @@ class ExperimentConfig:
         return cls(**values)
 
     def resolved_spec(self) -> ProblemSpec:
-        k = self.k if self.k is not None else (self.d if self.variant == BOX_LP else None)
-        return ProblemSpec(self.variant, d=self.d, p=self.p, k=k, s=self.s)
+        return ProblemSpec(self.variant, d=self.d, p=self.p, k=self.k, s=self.s)
 
     def validate(self) -> Plan | None:
         """Build the domain objects this config describes, or raise UsageError.
@@ -353,9 +352,9 @@ _FIELD_HELP = {
     "output_path": "CSV output path",
     "variant": "problem geometry",
     "d": "dimension, d >= 1",
-    "p": "norm index, p in [1, inf) (box_lp)",
-    "k": "data sparsity, 1 <= k <= d (box_lp; default d)",
-    "s": "box cap, 1 <= s <= d (l1_capped only)",
+    "p": "norm index, p in [1, inf) (box_lp only; default 2)",
+    "k": "data sparsity, 1 <= k <= d (default d; l1_capped takes only d)",
+    "s": "box cap, 1 <= s <= d (l1_capped only; s = 1 is the plain l1 ball)",
     "learner": "learner kind",
     "epsilon": "DP epsilon in (0, 10] (gaussian_dp)",
     "delta": "DP delta in (0, 1) (gaussian_dp)",
@@ -421,7 +420,9 @@ def _parse_args(argv=None) -> tuple[ExperimentConfig, int | None]:
                 config = ExperimentConfig.from_text(fh.read())
         except OSError as exc:
             raise UsageError(f"config: cannot read {config_path!r}: {exc}") from exc
-        config = replace(config, experiment=experiment)
+        if config.experiment != experiment:
+            raise UsageError(f"experiment: the config file sets {config.experiment!r}, "
+                             f"the subcommand {experiment!r}")
     overrides = {key: _parse_field(key, value) for key, value in args.items() if value is not None}
     return replace(config, **overrides), threads
 

@@ -47,9 +47,9 @@ class Dataset:
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """Which learner to run plus its kind-specific parameters.
-
-    An error about one parameter names it first ('epsilon: ...').
+    """Which learner to run plus its kind-specific parameters: epsilon and
+    delta for gaussian_dp (other kinds ignore them), subsample_m for
+    subsample only.  An error about one parameter names it first ('epsilon: ...').
     """
 
     kind: str
@@ -67,6 +67,8 @@ class LearnerConfig:
                 raise ValueError("delta: gaussian_dp requires delta in (0, 1)")
         if self.kind == SUBSAMPLE and (self.subsample_m is None or self.subsample_m < 1):
             raise ValueError("subsample_m: subsample requires subsample_m >= 1")
+        if self.kind != SUBSAMPLE and self.subsample_m is not None:
+            raise ValueError(f"subsample_m: only subsample takes a subsample size, not {self.kind}")
 
 
 # A learner is either a config for the zoo or a deterministic map from the
@@ -114,8 +116,7 @@ def train(learner: LearnerLike, spec: ProblemSpec, data: Dataset, rng: np.random
     if learner.kind == ERM_LINEAR:
         return support_argmax(spec, mu_hat)
     if learner.kind == GAUSSIAN_DP:
-        k_max = spec.data_sparsity
-        sigma = gaussian_sigma(learner.epsilon, learner.delta, k_max, data.n)
+        sigma = gaussian_sigma(learner.epsilon, learner.delta, spec.k, data.n)
         noisy = mu_hat + sigma * rng.standard_normal(spec.d)
         return support_argmax(spec, noisy)
 

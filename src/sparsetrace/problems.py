@@ -1,17 +1,17 @@
-"""Hard linear-loss problem instances over three feasible-set geometries.
+"""Hard linear-loss problem instances over two feasible-set geometries.
 
-All three instances share the linear loss shape f(theta, z) = -scale * <theta, z>,
+Both instances share the linear loss shape f(theta, z) = -scale * <theta, z>,
 so population risks, optimal risks, and support-function maximizers have
 closed forms:
 
 * ``box_lp``: Theta is the l-infinity ball of radius d^(-1/p) (the largest
   box inscribed in the unit l_p ball), data are k-sparse ternary vectors,
-  and the loss carries a k^(-1/q) normalization (q the Holder conjugate)
-  that makes f 1-Lipschitz in l_p.
+  and the loss carries a k^(-(p-1)/p) normalization that makes f
+  1-Lipschitz in l_p.
 * ``l1_capped``: Theta is the l_1 ball intersected with the box of radius
-  1/s, data are dense +/-1 vectors.
-* ``l1_counterexample``: Theta is the plain l_1 ball; an accurate learner
-  here snaps to a vertex and leaks nothing about individual samples.
+  1/s, data are dense +/-1 vectors.  At s = 1 the box is inactive and Theta
+  is the plain l_1 ball, the counterexample on which an accurate learner
+  snaps to a vertex and leaks nothing about individual samples.
 """
 
 from __future__ import annotations
@@ -25,22 +25,23 @@ from .distributions import SparsePopulation, check_mean, ternary_int8
 
 BOX_LP = "box_lp"
 L1_CAPPED = "l1_capped"
-L1_COUNTEREXAMPLE = "l1_counterexample"
-VARIANTS = (BOX_LP, L1_CAPPED, L1_COUNTEREXAMPLE)
+VARIANTS = (BOX_LP, L1_CAPPED)
 
 FEASIBILITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One problem instance; `p`, `k` apply to box_lp and the cap `s` to l1_capped only.
+    """One problem instance.  box_lp takes the norm index `p` (default 2) and
+    the data sparsity `k` (default d); l1_capped takes the cap `s`, and its
+    data are dense, so its k is d.  Defaults are filled in here.
 
     Each error names the offending parameter first ('p: ...').
     """
 
     variant: str
     d: int
-    p: float = 2.0
+    p: float | None = None
     k: int | None = None
     s: int | None = None
 
@@ -49,23 +50,30 @@ class ProblemSpec:
             raise ValueError(f"variant: must be one of {VARIANTS}")
         if self.d < 1:
             raise ValueError("d: must be >= 1")
-        if not 1 <= self.p < math.inf:
-            raise ValueError("p: must lie in [1, inf)")
-        if self.variant == BOX_LP and (self.k is None or not 1 <= self.k <= self.d):
-            raise ValueError(f"k: box_lp requires sparsity k in [1, d={self.d}]")
-        if self.variant != L1_CAPPED and self.s is not None:
-            raise ValueError(f"s: only l1_capped takes a cap, not {self.variant}")
-        if self.variant == L1_CAPPED and not 1 <= (self.s or 0) <= self.d:
+        if self.variant == BOX_LP:
+            if self.p is None:
+                object.__setattr__(self, "p", 2.0)
+            if self.k is None:
+                object.__setattr__(self, "k", self.d)
+            if not 1 <= self.p < math.inf:
+                raise ValueError("p: must lie in [1, inf)")
+            if not 1 <= self.k <= self.d:
+                raise ValueError(f"k: box_lp requires sparsity k in [1, d={self.d}]")
+            if self.s is not None:
+                raise ValueError("s: only l1_capped takes a cap, not box_lp")
+            return
+        if self.p is not None:
+            raise ValueError("p: only box_lp takes a norm index")
+        if self.k is None:
+            object.__setattr__(self, "k", self.d)
+        if self.k != self.d:
+            raise ValueError(f"k: l1_capped data are dense, so k must be d={self.d}")
+        if not 1 <= (self.s or 0) <= self.d:
             raise ValueError(f"s: l1_capped requires a cap s in [1, d={self.d}]")
 
     @property
-    def q(self) -> float:
-        """Holder conjugate p / (p - 1); +inf at p = 1."""
-        return float("inf") if self.p == 1.0 else self.p / (self.p - 1.0)
-
-    @property
     def loss_scale(self) -> float:
-        """k^(-1/q) for box_lp (1 at p = 1, the continuous limit), else 1."""
+        """k^(-(p-1)/p) for box_lp (1 at p = 1, the continuous limit), else 1."""
         if self.variant != BOX_LP:
             return 1.0
         return float(self.k) ** (-(self.p - 1.0) / self.p)
@@ -78,19 +86,9 @@ class ProblemSpec:
         return float(self.d) ** (-1.0 / self.p)
 
     @property
-    def data_sparsity(self) -> int:
-        """Nonzero count of every data vector: k for box_lp, d otherwise."""
-        return self.k if self.variant == BOX_LP else self.d
-
-    @property
     def mean_bound(self) -> float:
-        """Bound data_sparsity / d on every |mu_j|: k/d for box_lp, 1 otherwise."""
-        return self.data_sparsity / self.d
-
-    @property
-    def cap(self) -> int:
-        """The cap s on l1_capped and 1 elsewhere: the scale of the l1 score and prior."""
-        return self.s if self.s is not None else 1
+        """Bound k/d on every |mu_j|: 1 on l1_capped, whose data are dense."""
+        return self.k / self.d
 
 
 @dataclass(frozen=True)
@@ -113,24 +111,21 @@ def is_feasible(spec: ProblemSpec, theta: np.ndarray) -> bool:
         return False
     if spec.variant == BOX_LP:
         return bool(np.max(np.abs(theta)) <= spec.box_radius + FEASIBILITY_TOL)
-    if np.sum(np.abs(theta)) > 1.0 + FEASIBILITY_TOL:
-        return False
-    if spec.variant == L1_CAPPED:
-        return bool(np.max(np.abs(theta)) <= 1.0 / spec.s + FEASIBILITY_TOL)
-    return True
+    return bool(np.sum(np.abs(theta)) <= 1.0 + FEASIBILITY_TOL
+                and np.max(np.abs(theta)) <= 1.0 / spec.s + FEASIBILITY_TOL)
 
 
 def check_data(spec: ProblemSpec, z: np.ndarray) -> None:
     """Require z to be n >= 1 rows of the spec's data space: d ternary entries
-    with exactly `spec.data_sparsity` nonzeros each.
+    with exactly `spec.k` nonzeros each.
 
     Entry values are checked when the rows are cast to int8 (see
     `distributions.ternary_int8`), before this check runs.
     """
     if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] != spec.d:
         raise ValueError(f"data has shape {z.shape}, expected (n >= 1, {spec.d})")
-    if np.any(np.count_nonzero(z, axis=1) != spec.data_sparsity):
-        raise ValueError(f"every data point must have exactly {spec.data_sparsity} nonzeros")
+    if np.any(np.count_nonzero(z, axis=1) != spec.k):
+        raise ValueError(f"every data point must have exactly {spec.k} nonzeros")
 
 
 def loss(spec: ProblemSpec, theta: ParameterPoint, z: np.ndarray) -> float:
@@ -147,10 +142,8 @@ def support_maximum(spec: ProblemSpec, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=float)
     if spec.variant == BOX_LP:
         return spec.box_radius * float(np.sum(np.abs(v)))
-    if spec.variant == L1_CAPPED:
-        mags = np.sort(np.abs(v))[::-1]
-        return float(np.sum(mags[: spec.s])) / spec.s
-    return float(np.max(np.abs(v)))
+    mags = np.sort(np.abs(v))[::-1]
+    return float(np.sum(mags[: spec.s])) / spec.s
 
 
 def support_argmax(spec: ProblemSpec, v: np.ndarray) -> ParameterPoint:
@@ -166,12 +159,8 @@ def support_argmax(spec: ProblemSpec, v: np.ndarray) -> ParameterPoint:
     if spec.variant == BOX_LP:
         return ParameterPoint(spec.box_radius * signs, True)
     theta = np.zeros(spec.d)
-    if spec.variant == L1_CAPPED:
-        top = np.argsort(-np.abs(v), kind="stable")[: spec.s]
-        theta[top] = signs[top] / spec.s
-    else:
-        j = int(np.argmax(np.abs(v)))
-        theta[j] = signs[j]
+    top = np.argsort(-np.abs(v), kind="stable")[: spec.s]
+    theta[top] = signs[top] / spec.s
     return ParameterPoint(theta, True)
 
 
@@ -191,8 +180,8 @@ def excess_risk(spec: ProblemSpec, theta: ParameterPoint, mu: np.ndarray) -> flo
 def data_distribution(spec: ProblemSpec, mu: np.ndarray) -> SparsePopulation:
     """Population over the spec's data space with mean mu.
 
-    box_lp uses the k-sparse family; the l1 variants use the dense product
-    of +/-1 coins (the k = d member of the same family).
+    box_lp uses the k-sparse family; l1_capped uses the dense product of
+    +/-1 coins (the k = d member of the same family).
     """
-    return SparsePopulation(mu, spec.data_sparsity, spec.d)
+    return SparsePopulation(mu, spec.k, spec.d)
 

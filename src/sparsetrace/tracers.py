@@ -14,9 +14,9 @@ Two score families are implemented:
   sqrt(s) * sum_j theta_j L_j (z_j - mu_j),
   L_j = (1 - (mu_j/gamma)^2) / (1 - mu_j^2),
   which keeps the fingerprinting identity exact when the prior lives on a
-  sub-interval [-gamma, gamma] of the mean domain.  s is the cap (1 on
-  l1_counterexample); any unknown constant of the subgaussian
-  normalization is absorbed by threshold calibration.
+  sub-interval [-gamma, gamma] of the mean domain.  s is the l1_capped
+  cap (s = 1 is the plain l_1 ball); any unknown constant of the
+  subgaussian normalization is absorbed by threshold calibration.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ SCALING_MATRIX_SCORE = "scaling_matrix"
 
 
 def score_kind(spec: ProblemSpec) -> str:
-    """The score of the spec's geometry: sparse on box_lp, scaling-matrix on the l_1 variants."""
+    """The score of the spec's geometry: sparse on box_lp, scaling-matrix on l1_capped."""
     return SPARSE_SCORE if spec.variant == BOX_LP else SCALING_MATRIX_SCORE
 
 
@@ -63,7 +63,7 @@ class TracerSpec:
     def clip_bound(self) -> float:
         """2 sqrt(k) for the sparse score and 2 sqrt(s) for the scaling-matrix
         score: never active for feasible parameters of the matching problem."""
-        return 2.0 * math.sqrt(self.spec.k if self.kind == SPARSE_SCORE else self.spec.cap)
+        return 2.0 * math.sqrt(self.spec.k if self.kind == SPARSE_SCORE else self.spec.s)
 
 
 def sparse_tracer(mu: np.ndarray, k: int, p: float, d: int) -> TracerSpec:
@@ -104,7 +104,7 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z: np.ndarray) -> tuple[np.nd
             raw[i:j] = scale * (signed - ratio * (zf @ weights))
         else:
             zf -= tr.mu
-            raw[i:j] = math.sqrt(spec.cap) * (zf @ weights)
+            raw[i:j] = math.sqrt(spec.s) * (zf @ weights)
     clip = tr.clip_bound
     return np.clip(raw, -clip, clip), int(np.count_nonzero(np.abs(raw) > clip))
 
@@ -270,7 +270,7 @@ def default_beta(spec: ProblemSpec, alpha_target: float) -> float:
 
     box_lp uses (k^(1/p) / (6 d^(1/p) alpha))^2, the scale at which the
     prior puts enough l_1 mass on the mean to make risk-alpha learners
-    correlate with their samples.  The l_1 variants use
+    correlate with their samples.  l1_capped uses
     1 + log(d / (16 max(s, 14))) / 2.
     """
     if not alpha_target > 0:
@@ -278,7 +278,7 @@ def default_beta(spec: ProblemSpec, alpha_target: float) -> float:
     if spec.variant == BOX_LP:
         ratio = (spec.k / spec.d) ** (1.0 / spec.p)
         return max(1.0, (ratio / (6.0 * alpha_target)) ** 2)
-    return max(1.0, 1.0 + 0.5 * math.log(spec.d / (16.0 * max(spec.cap, 14))))
+    return max(1.0, 1.0 + 0.5 * math.log(spec.d / (16.0 * max(spec.s, 14))))
 
 
 def default_prior(
@@ -288,8 +288,8 @@ def default_prior(
 ) -> BetaPrior:
     """Prior used by trace experiments.
 
-    box_lp pins gamma to the population box bound k/d; the l_1 variants
-    use gamma = min(8 alpha, 0.99), kept strictly below 1 so the scaling
+    box_lp pins gamma to the population box bound k/d; l1_capped uses
+    gamma = min(8 alpha, 0.99), kept strictly below 1 so the scaling
     matrix stays finite.  A given alpha_target must be positive even where
     beta is given too.
     """
@@ -300,6 +300,6 @@ def default_prior(
             raise ValueError("beta: either beta or alpha_target must be given")
         beta = default_beta(spec, alpha_target)
     if spec.variant != BOX_LP and alpha_target is None:
-        raise ValueError("alpha_target: l1 variants derive gamma from it")
+        raise ValueError("alpha_target: l1_capped derives gamma from it")
     gamma = spec.mean_bound if spec.variant == BOX_LP else min(8.0 * alpha_target, 0.99)
     return BetaPrior(beta=beta, gamma=gamma, d=spec.d)

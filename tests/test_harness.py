@@ -64,8 +64,9 @@ class TestConfig:
     def test_round_trip_preserves_none_and_floats(self):
         cfg = ExperimentConfig(experiment="trace", alpha_target=0.1234567890123456,
                                k=None, s=None)
+        assert "p = none\n" in cfg.to_text()
         again = ExperimentConfig.from_text(cfg.to_text())
-        assert again.k is None and again.alpha_target == cfg.alpha_target
+        assert again.p is None and again.k is None and again.alpha_target == cfg.alpha_target
 
     def test_unknown_key_rejected(self):
         with pytest.raises(UsageError):
@@ -87,10 +88,22 @@ class TestConfig:
             (dict(beta=nan), "beta"),
             (dict(p=inf, alpha_target=0.1), "p"),
             (dict(t_hat=inf, alpha_target=0.1), "t_hat"),
-            # Only l1_capped has a cap; elsewhere s would just rescale the score.
-            (dict(variant="l1_counterexample", s=4, alpha_target=0.1), "s"),
+            # Only l1_capped has a cap; on box_lp s would just rescale the score.
             (dict(k=8, s=4, alpha_target=0.1), "s"),
+            # The plain l_1 ball is l1_capped at s = 1, not a variant of its own.
+            (dict(variant="l1_counterexample", alpha_target=0.1), "variant"),
+            # Only box_lp reads p and k; l1_capped data are dense.
+            (dict(variant="l1_capped", s=4, p=3.0, alpha_target=0.1), "p"),
+            (dict(variant="l1_capped", s=4, k=8, alpha_target=0.1), "k"),
             (dict(master_seed=-1, alpha_target=0.1), "master_seed"),
+            (dict(n=0, alpha_target=0.1), "n"),
+            (dict(M=0, alpha_target=0.1), "M"),
+            (dict(trials=0, alpha_target=0.1), "trials"),
+            (dict(learner="subsample", subsample_m=65, alpha_target=0.1), "subsample_m"),
+            # Only the subsample learner reads subsample_m.
+            (dict(subsample_m=3, alpha_target=0.1), "subsample_m"),
+            (dict(experiment="sweep", learner="gaussian_dp", beta=2.0, noise_scales=(1.0, -2.0)),
+             "noise_scales"),
         ]
         for overrides, field in cases:
             cfg = ExperimentConfig(**{"experiment": "trace", **overrides})
@@ -130,6 +143,25 @@ class TestParseCli:
 
     def test_missing_config_file_is_usage_error(self):
         assert main(["trace", "--config", "/nonexistent/x.cfg"]) == EXIT_USAGE
+
+    def test_config_file_cannot_change_the_subcommand(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text("experiment = sweep\nlearner = gaussian_dp\nbeta = 2\n")
+        assert main(["trace", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "error: experiment: the config file sets 'sweep', the subcommand 'trace'\n")
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--variant", "l1_capped", "--s", "4", "--p", "3"],
+        ["--variant", "l1_capped", "--s", "4", "--k", "8"],
+        ["--variant", "l1_counterexample"],
+        ["--subsample-m", "3"],
+    ])
+    def test_settings_the_run_would_ignore_are_usage_errors(self, tmp_path, extra):
+        assert main(["trace", "--d", "64", "--trials", "2", "--alpha-target", "0.1",
+                     "--out", str(tmp_path / "t.csv")] + extra) == EXIT_USAGE
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("key, flag, value", [
         ("d", "--d", "1.5"), ("d", "--d", "none"), ("xi", "--xi", "abc"),

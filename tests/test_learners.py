@@ -145,7 +145,7 @@ class TestDpSensitivity:
 
 class TestErmRiskIdentity:
     def test_realized_risk_identity(self):
-        # alpha := realized excess risk makes <mu, theta> = sup - k^{1/q} alpha exact.
+        # alpha := realized excess risk makes <mu, theta> = sup - k^((p-1)/p) alpha exact.
         rng = substream(SEED, 11)
         spec = _box(8, 4, p=3.0)
         pop = SparsePopulation(rng.uniform(-0.5, 0.5, 8), 4, 8)
@@ -154,7 +154,7 @@ class TestErmRiskIdentity:
         mu = pop.mu
         alpha = excess_risk(spec, point, mu)
         sup = spec.box_radius * np.sum(np.abs(mu))
-        k_pow = spec.k ** (1 / spec.q)
+        k_pow = spec.k ** ((spec.p - 1) / spec.p)
         assert float(np.dot(mu, point.theta)) == pytest.approx(sup - k_pow * alpha, abs=1e-12)
 
 

@@ -10,7 +10,6 @@ from sparsetrace.problems import (
     BOX_LP,
     FEASIBILITY_TOL,
     L1_CAPPED,
-    L1_COUNTEREXAMPLE,
     ParameterPoint,
     ProblemSpec,
     data_distribution,
@@ -33,14 +32,12 @@ def random_feasible_point(spec: ProblemSpec, rng: np.random.Generator) -> Parame
     mags = rng.exponential(size=spec.d)
     theta = np.where(rng.random(spec.d) < 0.5, 1.0, -1.0) * mags / mags.sum()
     theta *= rng.random()
-    if spec.variant == L1_CAPPED:
-        theta = np.clip(theta, -1.0 / spec.s, 1.0 / spec.s)
-    return ParameterPoint(theta, True)
+    return ParameterPoint(np.clip(theta, -1.0 / spec.s, 1.0 / spec.s), True)
 
 
 def validate_lipschitz(spec: ProblemSpec, trials: int, rng: np.random.Generator) -> bool:
     """Sampled check that |f(theta1, z) - f(theta2, z)| <= ||theta1 - theta2||_p,
-    with p the spec's for box_lp and p = 1 for the two l_1 variants; z is
+    with p the spec's for box_lp and p = 1 for l1_capped; z is
     uniform over the data space (one draw from the zero-mean population)."""
     p = spec.p if spec.variant == BOX_LP else 1.0
     uniform = data_distribution(spec, np.zeros(spec.d))
@@ -63,10 +60,9 @@ def _brute_force_sup(spec: ProblemSpec, v: np.ndarray) -> float:
         for signs in itertools.product((-r, r), repeat=spec.d):
             best = max(best, float(np.dot(signs, v)))
         return best
-    sparsity = spec.s if spec.variant == L1_CAPPED else 1
-    mag = 1.0 / sparsity
-    for support in itertools.combinations(range(spec.d), sparsity):
-        for signs in itertools.product((-mag, mag), repeat=sparsity):
+    mag = 1.0 / spec.s
+    for support in itertools.combinations(range(spec.d), spec.s):
+        for signs in itertools.product((-mag, mag), repeat=spec.s):
             theta = np.zeros(spec.d)
             theta[list(support)] = signs
             best = max(best, float(np.dot(theta, v)))
@@ -82,7 +78,7 @@ class TestLoss:
     def test_zero_parameter_gives_zero(self):
         for spec in (ProblemSpec(BOX_LP, d=3, p=1.5, k=2),
                      ProblemSpec(L1_CAPPED, d=3, s=2),
-                     ProblemSpec(L1_COUNTEREXAMPLE, d=3)):
+                     ProblemSpec(L1_CAPPED, d=3, s=1)):
             z = np.ones(3, dtype=np.int8)
             if spec.variant == BOX_LP:
                 z = np.array([1, -1, 0], dtype=np.int8)
@@ -103,7 +99,7 @@ class TestLoss:
     @pytest.mark.parametrize("spec, bad, good", [
         (ProblemSpec(BOX_LP, d=3, p=2.0, k=2), [1, 0, 0], [1, 0, -1]),
         (ProblemSpec(L1_CAPPED, d=3, s=2), [1, 0, -1], [1, 1, -1]),
-        (ProblemSpec(L1_COUNTEREXAMPLE, d=3), [0, -1, 1], [1, -1, 1]),
+        (ProblemSpec(L1_CAPPED, d=3, s=1), [0, -1, 1], [1, -1, 1]),
     ])
     def test_train_and_loss_share_the_data_space(self, spec, bad, good):
         theta = ParameterPoint(np.zeros(3), True)
@@ -138,12 +134,12 @@ class TestSupportArgmax:
         assert point.theta == pytest.approx([0.0, -0.5, 0.5])
 
     def test_counterexample_single_vertex(self):
-        spec = ProblemSpec(L1_COUNTEREXAMPLE, d=3)
+        spec = ProblemSpec(L1_CAPPED, d=3, s=1)
         point = support_argmax(spec, np.array([0.1, 0.1, -0.2]))
         assert point.theta == pytest.approx([0.0, 0.0, -1.0])
 
     def test_lowest_index_tie_break(self):
-        spec = ProblemSpec(L1_COUNTEREXAMPLE, d=3)
+        spec = ProblemSpec(L1_CAPPED, d=3, s=1)
         point = support_argmax(spec, np.array([0.2, 0.2, -0.2]))
         assert point.theta == pytest.approx([1.0, 0.0, 0.0])
 
@@ -151,7 +147,7 @@ class TestSupportArgmax:
         rng = substream(SEED, 0, "argmax")
         specs = [ProblemSpec(BOX_LP, d=5, p=3.0, k=2),
                  ProblemSpec(L1_CAPPED, d=6, s=3),
-                 ProblemSpec(L1_COUNTEREXAMPLE, d=6)]
+                 ProblemSpec(L1_CAPPED, d=6, s=1)]
         for spec in specs:
             for _ in range(50):
                 v = rng.standard_normal(spec.d)
@@ -165,7 +161,7 @@ class TestSupportArgmax:
         for spec in (ProblemSpec(BOX_LP, d=6, p=2.5, k=3),
                      ProblemSpec(L1_CAPPED, d=8, s=4),
                      ProblemSpec(L1_CAPPED, d=6, s=2),
-                     ProblemSpec(L1_COUNTEREXAMPLE, d=7)):
+                     ProblemSpec(L1_CAPPED, d=7, s=1)):
             for _ in range(20):
                 v = rng.standard_normal(spec.d)
                 assert support_maximum(spec, v) == pytest.approx(
@@ -183,8 +179,8 @@ class TestExcessRisk:
         rng = substream(SEED, 2, "risk")
         for spec in (ProblemSpec(BOX_LP, d=5, p=2.0, k=3),
                      ProblemSpec(L1_CAPPED, d=5, s=2),
-                     ProblemSpec(L1_COUNTEREXAMPLE, d=5)):
-            bound = spec.data_sparsity / spec.d
+                     ProblemSpec(L1_CAPPED, d=5, s=1)):
+            bound = spec.k / spec.d
             mu = rng.uniform(-bound, bound, size=spec.d)
             point = support_argmax(spec, mu)
             assert excess_risk(spec, point, mu) == pytest.approx(0.0, abs=1e-12)
@@ -241,7 +237,7 @@ class TestLipschitz:
     def test_l1_instances(self):
         rng = substream(SEED, 6, "lip")
         assert validate_lipschitz(ProblemSpec(L1_CAPPED, d=8, s=3), 10**4, rng)
-        assert validate_lipschitz(ProblemSpec(L1_COUNTEREXAMPLE, d=8), 2500, rng)
+        assert validate_lipschitz(ProblemSpec(L1_CAPPED, d=8, s=1), 2500, rng)
 
     def test_degenerate_pair_holds_with_equality(self):
         spec = ProblemSpec(BOX_LP, d=3, p=2.0, k=2)
@@ -251,11 +247,6 @@ class TestLipschitz:
 
 
 class TestSpecValidation:
-    def test_holder_conjugate(self):
-        assert ProblemSpec(BOX_LP, d=4, p=2.0, k=2).q == pytest.approx(2.0)
-        assert ProblemSpec(BOX_LP, d=4, p=4.0, k=2).q == pytest.approx(4 / 3)
-        assert math.isinf(ProblemSpec(BOX_LP, d=4, p=1.0, k=2).q)
-
     def test_p_equal_one_scale_is_unity(self):
         assert ProblemSpec(BOX_LP, d=4, p=1.0, k=3).loss_scale == pytest.approx(1.0)
 
@@ -268,15 +259,21 @@ class TestSpecValidation:
             ProblemSpec(BOX_LP, d=4, p=2.0, k=5)
         with pytest.raises(ValueError):
             ProblemSpec(L1_CAPPED, d=4)
+        with pytest.raises(ValueError, match="variant: must be one of"):
+            ProblemSpec("l1_counterexample", d=4)  # the plain l_1 ball is l1_capped at s = 1
         with pytest.raises(ValueError):
             ProblemSpec("simplex", d=4)
         for s in (0, 5):
             with pytest.raises(ValueError, match=r"s: l1_capped requires a cap s in \[1, d=4\]"):
                 ProblemSpec(L1_CAPPED, d=4, s=s)
-        # Only l1_capped has a cap; elsewhere s would just rescale the score.
-        with pytest.raises(ValueError, match="s: only l1_capped takes a cap"):
-            ProblemSpec(L1_COUNTEREXAMPLE, d=4, s=2)
+        # Only l1_capped has a cap; on box_lp s would just rescale the score.
         with pytest.raises(ValueError, match="s: only l1_capped takes a cap"):
             ProblemSpec(BOX_LP, d=4, p=2.0, k=2, s=2)
-        assert ProblemSpec(L1_COUNTEREXAMPLE, d=4).cap == 1
-        assert ProblemSpec(L1_CAPPED, d=4, s=3).cap == 3
+        # Only box_lp reads p and k; l1_capped data are dense, so its k is d.
+        with pytest.raises(ValueError, match="p: only box_lp takes a norm index"):
+            ProblemSpec(L1_CAPPED, d=4, p=2.0, s=2)
+        with pytest.raises(ValueError, match="k: l1_capped data are dense, so k must be d=4"):
+            ProblemSpec(L1_CAPPED, d=4, k=2, s=2)
+        assert ProblemSpec(L1_CAPPED, d=4, k=4, s=2) == ProblemSpec(L1_CAPPED, d=4, s=2)
+        assert ProblemSpec(L1_CAPPED, d=4, s=2).k == 4
+        assert ProblemSpec(BOX_LP, d=4) == ProblemSpec(BOX_LP, d=4, p=2.0, k=4)

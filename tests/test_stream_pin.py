@@ -1,4 +1,4 @@
-"""Pin the random stream: the exact bytes of two small seeded CSVs.
+"""Pin the random stream: the exact bytes of three small seeded CSVs.
 
 The digests change only together with `harness.SCHEMA_VERSION`.  A change
 that moves any draw (the generator, the substream seeding, the order of
@@ -24,6 +24,10 @@ PINNED = {
                   "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
                   "--seed", "11"],
                  "cea8dafbadc1cdd0a5c3b1b0130be4df3c72a928ccc9ee33bde5875b76a43106"),
+    # l1_capped at s = 1, the plain l_1 ball: dense +/-1 rows, the scaling-matrix score.
+    "trace_l1": (["trace", "--variant", "l1_capped", "--s", "1", "--d", "64", "--n", "16",
+                  "--M", "50", "--trials", "4", "--alpha-target", "0.1", "--seed", "11"],
+                 "7d7ec29eb38ea82e10411601ad4e538772500476eb8600047dd167ef170804e8"),
 }
 
 

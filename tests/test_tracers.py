@@ -127,7 +127,7 @@ class TestScalingScore:
 
     def test_clip_bound_follows_the_cap(self):
         assert TracerSpec(ProblemSpec(L1_CAPPED, d=16, s=4), np.zeros(16), 0.5).clip_bound == 4.0
-        assert TracerSpec(ProblemSpec("l1_counterexample", d=16), np.zeros(16), 0.5).clip_bound == 2.0
+        assert TracerSpec(ProblemSpec(L1_CAPPED, d=16, s=1), np.zeros(16), 0.5).clip_bound == 2.0
 
 
 def _score_batch_reference(tr, theta, Z, clip=None):

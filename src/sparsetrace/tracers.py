@@ -3,8 +3,10 @@
 A tracer knows the data distribution (here: the true mean drawn for the
 trial) and scores candidate points by their correlation with the learned
 parameter after centering.  Fresh points score zero in expectation, so a
-threshold calibrated on an independent null sample controls the false
-positive rate while training points of accurate learners score high.
+threshold at the (1 - xi)-quantile of their null law (exact at a box vertex
+on dense box_lp data, sampled elsewhere, with a tie weight on the atom at
+the threshold) controls the false positive rate while training points of
+accurate learners score high.
 
 Two score families are implemented:
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import BetaPrior, check_mean, row_blocks, sample_matrix, sample_prior
-from .learners import Dataset, LearnerLike, train
+from .learners import ERM_LINEAR, GAUSSIAN_DP, SUBSAMPLE, Dataset, LearnerConfig, LearnerLike, train
 from .problems import BOX_LP, ProblemSpec, data_distribution, excess_risk
 
 SPARSE_SCORE = "sparse"
@@ -88,6 +90,7 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z: np.ndarray) -> tuple[np.nd
     Z = np.asarray(Z)
     if Z.ndim != 2 or Z.shape[1] != spec.d or theta.shape != (spec.d,):
         raise ValueError("dimension mismatch between tracer, theta, and data")
+    lattice = _lattice(tr, theta)
     if tr.kind == SPARSE_SCORE:
         scale = spec.d ** (1.0 / spec.p) / math.sqrt(spec.k)
         ratio = spec.d / spec.k
@@ -98,7 +101,9 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z: np.ndarray) -> tuple[np.nd
     raw = np.empty(Z.shape[0])
     for i, j, zf in row_blocks(*Z.shape):
         np.copyto(zf, Z[i:j])
-        if tr.kind == SPARSE_SCORE:
+        if lattice is not None:
+            raw[i:j] = lattice_score(zf @ lattice[0], *lattice[1:])
+        elif tr.kind == SPARSE_SCORE:
             signed = zf @ theta
             np.abs(zf, out=zf)
             raw[i:j] = scale * (signed - ratio * (zf @ weights))
@@ -109,10 +114,49 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z: np.ndarray) -> tuple[np.nd
     return np.clip(raw, -clip, clip), int(np.count_nonzero(np.abs(raw) > clip))
 
 
+def _lattice(tr: TracerSpec, theta: np.ndarray):
+    """(t, centre, scale) when theta is a box vertex r * t on dense box_lp data,
+    where the sparse score is scale * (z . t - centre); else None."""
+    spec, r = tr.spec, abs(float(theta[0]))
+    if tr.kind != SPARSE_SCORE or spec.k != spec.d or r == 0 or not np.all(np.abs(theta) == r):
+        return None
+    t = np.sign(theta)
+    return t, float(t @ tr.mu), r * spec.d ** (1.0 / spec.p) / math.sqrt(spec.k)
+
+
+def lattice_score(products: np.ndarray, centre: float, scale: float) -> np.ndarray:
+    """Vertex scores from the exact integer products z . t, bit for bit equal for equal products."""
+    return scale * (products - centre)
+
+
+def poisson_binomial_pmf(p: np.ndarray) -> np.ndarray:
+    """P(B = b), b = 0..len(p), for B the successes of independent Bernoulli(p_j): the product
+    of the polynomials (1 - p_j) + p_j x, taken in pairs a level at a time by batched real FFTs."""
+    polys = np.stack([1.0 - p, p], axis=1)
+    while polys.shape[0] > 1:
+        if polys.shape[0] % 2:
+            polys = np.vstack([polys, np.eye(1, polys.shape[1])])
+        width, size = 2 * polys.shape[1] - 1, 1 << (2 * polys.shape[1] - 2).bit_length()
+        spectra = np.fft.rfft(polys[0::2], size) * np.fft.rfft(polys[1::2], size)
+        polys = np.fft.irfft(spectra, size)[:, :width]
+    return np.maximum(polys[0, :p.size + 1], 0.0)
+
+
+def _vertex_null_law(tr: TracerSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(atom scores, masses) of a fresh row's score at a box vertex on dense box_lp data:
+    z . t = 2B - d, B Poisson binomial with P(z_j = t_j) = (1 + t_j mu_j) / 2."""
+    lattice = _lattice(tr, theta)
+    if lattice is None:
+        raise ValueError("the exact null law needs theta at a box vertex and k = d")
+    t, centre, scale = lattice
+    atoms = lattice_score(2.0 * np.arange(tr.spec.d + 1) - tr.spec.d, centre, scale)
+    return np.clip(atoms, -tr.clip_bound, tr.clip_bound), poisson_binomial_pmf((1.0 + t * tr.mu) / 2.0)
+
+
 @dataclass(frozen=True)
 class ThresholdPolicy:
     """How to turn scores into In/Out decisions: exactly one of xi (the null
-    sample's (1 - xi)-quantile) and a known trace value t_hat (t_hat / 2)."""
+    law's (1 - xi)-quantile) and a known trace value t_hat (t_hat / 2)."""
 
     xi: float | None = None
     t_hat: float | None = None
@@ -134,39 +178,51 @@ def null_quantile(xi: float) -> ThresholdPolicy:
     return ThresholdPolicy(xi=xi)
 
 
-def calibrate_threshold(policy: ThresholdPolicy, null_scores) -> float:
-    """Threshold lambda from a policy and (for null_quantile) a null sample.
+def calibrate_threshold(policy: ThresholdPolicy, null_scores, masses=None) -> float:
+    """Threshold lambda from a policy and, for null_quantile, a discrete null law.
 
-    null_quantile sorts the m null scores and takes the one at 0-based index
-    ceil(m (1 - xi)); every score >= lambda is flagged.  With distinct null
-    scores at most a fraction xi of the null sample is flagged, but ties at
-    lambda are all flagged and can push that fraction above xi (90 zeros
-    and 10 ones at xi = 0.05 give lambda = 1 and a rate of 0.10).
+    The law puts `masses` on the values `null_scores`, or equal masses on a
+    null sample of at least 1/xi values.  lambda is the smallest value with
+    null mass below xi above it.  Flagging every score above lambda and a
+    share `tie_weight` of those at it flags null mass xi exactly: 90 zeros
+    and 10 ones at xi = 0.05 give lambda = 1 and q = 0.5.
     """
     if policy.t_hat is not None:
         return policy.t_hat / 2.0
-    scores = np.sort(np.asarray(null_scores, dtype=float))
-    m = scores.size
-    if m * policy.xi < 1.0:
-        raise ValueError(f"null sample of size {m} is insufficient; need >= {math.ceil(1.0 / policy.xi)}")
-    j = math.ceil(m * (1.0 - policy.xi) - 1e-12)
-    return float(scores[min(j, m - 1)])
+    scores = np.asarray(null_scores, dtype=float)
+    weights = np.ones(scores.size) if masses is None else np.asarray(masses, dtype=float)
+    if masses is None and scores.size * policy.xi < 1.0:
+        raise ValueError(f"null sample of size {scores.size} is insufficient; need >= {math.ceil(1.0 / policy.xi)}")
+    order = np.argsort(scores, kind="stable")
+    above = weights.sum() - np.cumsum(weights[order])
+    # The slack keeps a mass of exactly xi above a value, up to rounding, from counting as below xi.
+    return float(scores[order][np.argmax(above < policy.xi * weights.sum() * (1.0 - 1e-12))])
+
+
+def tie_weight(policy: ThresholdPolicy, null_scores, lam: float, masses=None) -> float:
+    """q = (xi - P(null > lam)) / P(null = lam), clipped to [0, 1], for the
+    law and lambda of `calibrate_threshold`; 1 for a t_hat policy."""
+    if policy.t_hat is not None:
+        return 1.0
+    scores = np.asarray(null_scores, dtype=float)
+    weights = np.ones(scores.size) if masses is None else np.asarray(masses, dtype=float)
+    above, at = weights[scores > lam].sum(), weights[scores == lam].sum()
+    return float(np.clip((policy.xi * weights.sum() - above) / at, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
 class TraceReport:
     """Per-trial attack outcome.
 
-    ``recall_estimate`` is the flagged-training-point count (so it lies in
-    [0, n]); ``soundness_estimate`` is the flagged fraction of the fresh
-    sample.  The mean, realized risk, and clip counter ride along for
-    experiment records.
+    ``recall_estimate`` is the expected number of flagged training points
+    under the tie weight (so it lies in [0, n]); ``soundness_estimate`` is
+    the same expectation over the fresh sample, as a fraction of it.  The
+    mean, realized risk, and clip counter ride along for experiment records.
     """
 
     scores_train: np.ndarray
     scores_fresh: np.ndarray
     threshold: float
-    flagged: np.ndarray
     recall_estimate: float
     soundness_estimate: float
     mu_l1: float
@@ -175,7 +231,7 @@ class TraceReport:
 
 
 def null_calibration_size(xi: float) -> int:
-    """Independent null-sample size used inside trace trials."""
+    """Null-sample size of a trace trial whose null law is not exact."""
     return max(1000, math.ceil(10.0 / xi))
 
 
@@ -213,33 +269,37 @@ def run_trace_trial(
 ) -> TraceReport:
     """One full attack trial.
 
-    Draws a trial (see `_draw_trial`) with M fresh points and, for
-    null_quantile, a separate null sample; scores everything and calibrates
-    the threshold on the null sample, so soundness estimates carry no
-    selection bias.  Fresh and null points never influence training.
+    Draws a trial (see `_draw_trial`) with M fresh points.  Under
+    null_quantile a vertex learner on dense box_lp data takes the exact null
+    law; any other run draws a separate null sample.  Recall and soundness
+    count scores above the threshold, plus the tie weight times those at it.
     """
     if n < 1 or M < 1:
         raise ValueError("n and M must be >= 1")
-    null_rows = null_calibration_size(policy.xi) if policy.xi is not None else 0
-    mu, tracer, theta, z_train, (z_fresh, z_null) = _draw_trial(
-        learner, spec, tracer_kind, prior, n, rng, (M, null_rows))
+    exact = (policy.xi is not None and spec.variant == BOX_LP and spec.k == spec.d
+             and isinstance(learner, LearnerConfig) and learner.kind in (ERM_LINEAR, GAUSSIAN_DP, SUBSAMPLE))
+    held_out = (M,) if exact else (M, null_calibration_size(policy.xi) if policy.xi is not None else 0)
+    mu, tracer, theta, z_train, (z_fresh, *z_null) = _draw_trial(
+        learner, spec, tracer_kind, prior, n, rng, held_out)
 
     scores_train, clip_tr = score_batch(tracer, theta.theta, z_train)
     scores_fresh, clip_fr = score_batch(tracer, theta.theta, z_fresh)
-    scores_null, clip_nu = score_batch(tracer, theta.theta, z_null)
-    lam = calibrate_threshold(policy, scores_null)
+    if exact:
+        (scores_null, masses), clip_nu = _vertex_null_law(tracer, theta.theta), 0
+    else:
+        (scores_null, clip_nu), masses = score_batch(tracer, theta.theta, z_null[0]), None
+    lam = calibrate_threshold(policy, scores_null, masses)
+    q = tie_weight(policy, scores_null, lam, masses)
+    # The expected flags: every score above lambda, and a share q of those at it.
+    recall, fresh = (np.count_nonzero(s > lam) + q * np.count_nonzero(s == lam) for s in (scores_train, scores_fresh))
 
-    flagged = np.flatnonzero(scores_train >= lam)
-    recall = float(flagged.size)
-    soundness = float(np.count_nonzero(scores_fresh >= lam)) / M
     risk = excess_risk(spec, theta, mu) if theta.feasible else float("nan")
     return TraceReport(
         scores_train=scores_train,
         scores_fresh=scores_fresh,
         threshold=lam,
-        flagged=flagged,
         recall_estimate=recall,
-        soundness_estimate=soundness,
+        soundness_estimate=fresh / M,
         mu_l1=float(np.sum(np.abs(mu))),
         excess_risk=risk,
         clip_events=clip_tr + clip_fr + clip_nu,

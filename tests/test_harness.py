@@ -40,6 +40,12 @@ def _flags(command):
             if a.option_strings and a.dest != "help"}
 
 
+def _summary(path, column) -> float:
+    """The mean in a CSV's #summary row for one column."""
+    line = next(l for l in path.read_text().splitlines() if l.startswith(f"#summary,{column},"))
+    return float(line.split(",")[2])
+
+
 def _small_trace(tmp_path, **overrides):
     base = dict(experiment="trace", d=64, n=16, M=50, trials=10, alpha_target=0.1,
                 master_seed=SEED, output_path=str(tmp_path / "out.csv"))
@@ -253,7 +259,7 @@ class TestRun:
         cfg = _small_trace(tmp_path)
         run(cfg, threads=1)
         lines = open(cfg.output_path).read().splitlines()
-        assert lines[0] == "# sparsetrace-csv schema=3 experiment=trace"
+        assert lines[0] == "# sparsetrace-csv schema=4 experiment=trace"
         header = lines[1].split(",")
         assert header == ["trial_index", "mu_norm_l1", "excess_risk",
                           "t_hat_contribution", "recall", "soundness", "lambda",
@@ -286,6 +292,44 @@ class TestRun:
                                master_seed=SEED, output_path=str(tmp_path / "dp.csv"))
         assert run(cfg, threads=4) == EXIT_OK
         assert "#summary,dp_recall_ceiling," in open(cfg.output_path).read()
+
+    @pytest.mark.parametrize("d", [8, 16, 32])
+    def test_small_d_dp_audit_is_sound_on_the_lattice(self, tmp_path, d):
+        # gaussian_dp at k = d scores on a lattice, whose atom at lambda once
+        # lifted soundness to 0.129, 0.102 and 0.070.  Under the exact null law
+        # each trial's mean soundness is xi, and its variance over M fresh rows is
+        # at most xi (1 - xi) / M; the band is 4 standard errors over the trials.
+        out = tmp_path / "small.csv"
+        assert main(["dp-audit", "--d", str(d), "--n", "64", "--learner", "gaussian_dp",
+                     "--epsilon", "0.1", "--delta", "1e-5", "--xi", "0.05", "--beta", "1",
+                     "--trials", "300", "--seed", "5", "--out", str(out)]) == EXIT_OK
+        soundness = _summary(out, "soundness")
+        assert abs(soundness - 0.05) <= 4 * (0.05 * 0.95 / (1000 * 300)) ** 0.5
+
+    def test_plain_l1_ball_is_sound(self, tmp_path):
+        # At s = 1 the scaling-matrix score takes two values, so most null rows
+        # tie at lambda (soundness was 0.879).  A trial's soundness mixes the
+        # sampled null's error with the fresh sample's: each has variance at
+        # most xi (1 - xi) over its 1000 rows, and the band is 4 standard errors
+        # over the 10 trials.
+        out = tmp_path / "l1.csv"
+        assert main(["trace", "--variant", "l1_capped", "--s", "1", "--d", "128",
+                     "--alpha-target", "0.1", "--trials", "10", "--out", str(out)]) == EXIT_OK
+        soundness = _summary(out, "soundness")
+        assert abs(soundness - 0.05) <= 4 * (0.05 * 0.95 * (1 / 1000 + 1 / 1000) / 10) ** 0.5
+
+    def test_vertex_recall_and_soundness_do_not_depend_on_p(self, tmp_path):
+        # At k = d a vertex learner's theta is d^(-1/p) sign(mu_hat), and p only
+        # rescales every score, so the flagged counts are the same for every p.
+        columns = set()
+        for p in ("1.5", "2", "3"):
+            out = tmp_path / f"p{p}.csv"
+            assert main(["trace", "--d", "512", "--n", "64", "--p", p, "--alpha-target", "0.05",
+                         "--trials", "20", "--seed", "7", "--out", str(out)]) == EXIT_OK
+            rows = [line.split(",") for line in out.read_text().splitlines()[2:]
+                    if not line.startswith("#")]
+            columns.add(tuple((r[4], r[5]) for r in rows))
+        assert len(columns) == 1
 
     def test_sweep_recall_non_increasing_in_noise(self, tmp_path):
         cfg = ExperimentConfig(experiment="sweep", d=256, n=100, M=100, trials=500,

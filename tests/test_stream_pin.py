@@ -1,11 +1,13 @@
 """Pin the random stream: the exact bytes of three small seeded CSVs.
 
-The digests change only together with `harness.SCHEMA_VERSION`.  A change
-that moves any draw (the generator, the substream seeding, the order of
-draws, the Floyd support sampler for k < d, the prior) or any formula on the
-way to the CSV fails here; if the move is meant, bump SCHEMA_VERSION and
-record the new digests.  They were taken with numpy 2.4.6, whose Generator
-samplers numpy itself may change between feature releases.
+Each digest covers the bytes after the schema line, which is checked on
+its own, so a digest that survives a schema bump shows that its run's
+draws and values did not move.  A change that moves any draw (the
+generator, the substream seeding, the order of draws, the Floyd support
+sampler for k < d, the prior) or any formula on the way to the CSV fails
+here; if the move is meant, bump SCHEMA_VERSION and record the new
+digests.  They were taken with numpy 2.4.6, whose Generator samplers numpy
+itself may change between feature releases.
 """
 
 import hashlib
@@ -15,27 +17,30 @@ import pytest
 from sparsetrace.harness import EXIT_OK, SCHEMA_VERSION, main
 
 PINNED = {
-    # k = d: the dense sign path.
+    # k = d with ERM: the dense sign path and the exact null law.
     "trace": (["trace", "--d", "64", "--n", "16", "--M", "50", "--trials", "4",
                "--alpha-target", "0.1", "--seed", "11"],
-              "462106b2d30f7f1196203ceb5d065fda7c6c9fc79217a6701bb2aa61b41f4d57"),
-    # k < d: Floyd supports, then signs on them.
+              "6d2d7d10bad4aebb5838d58474eefb0359708146a81c77510888dda42cef3c77"),
+    # k < d: Floyd supports, then signs on them, and a sampled null law.
     "dp_audit": (["dp-audit", "--d", "256", "--k", "8", "--n", "16", "--M", "50", "--trials", "4",
                   "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
                   "--seed", "11"],
-                 "cea8dafbadc1cdd0a5c3b1b0130be4df3c72a928ccc9ee33bde5875b76a43106"),
+                 "dfbec633d4d73137af38c0d08190f77e17a770f9d5d52d3ef090ea56119d6242"),
     # l1_capped at s = 1, the plain l_1 ball: dense +/-1 rows, the scaling-matrix score.
     "trace_l1": (["trace", "--variant", "l1_capped", "--s", "1", "--d", "64", "--n", "16",
                   "--M", "50", "--trials", "4", "--alpha-target", "0.1", "--seed", "11"],
-                 "7d7ec29eb38ea82e10411601ad4e538772500476eb8600047dd167ef170804e8"),
+                 "fe938f99db52fbd83e41d9626d9698b98dbd0ec3da68a7c239b8e57c67f8398a"),
 }
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_seeded_csv_bytes_are_pinned(name, threads, tmp_path):
-    assert SCHEMA_VERSION == 3
+    assert SCHEMA_VERSION == 4
     argv, digest = PINNED[name]
     out = tmp_path / f"{name}.csv"
     assert main(argv + ["--threads", str(threads), "--out", str(out)]) == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    schema, _, body = out.read_bytes().partition(b"\n")
+    experiment = argv[0].replace("-", "_")
+    assert schema == f"# sparsetrace-csv schema={SCHEMA_VERSION} experiment={experiment}".encode()
+    assert hashlib.sha256(body).hexdigest() == digest

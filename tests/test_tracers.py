@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from sparsetrace.distributions import (
     BLOCK_ENTRIES,
@@ -20,14 +23,17 @@ from sparsetrace.tracers import (
     ThresholdPolicy,
     TracerSpec,
     _draw_trial,
+    _vertex_null_law,
     calibrate_threshold,
     default_beta,
     default_prior,
     half_trace_value,
     null_quantile,
+    poisson_binomial_pmf,
     run_trace_trial,
     score_batch,
     sparse_tracer,
+    tie_weight,
     trace_value_contribution,
 )
 
@@ -196,6 +202,100 @@ class TestCalibrateThreshold:
             lam = calibrate_threshold(null_quantile(xi), scores)
             assert np.mean(scores >= lam) <= xi + 1e-12
 
+    def test_ninety_zeros_and_ten_ones(self):
+        scores = np.array([0.0] * 90 + [1.0] * 10)
+        policy = null_quantile(0.05)
+        lam = calibrate_threshold(policy, scores)
+        q = tie_weight(policy, scores, lam)
+        assert (lam, q) == (1.0, 0.5)
+        assert (np.count_nonzero(scores > lam) + q * np.count_nonzero(scores == lam)) / 100 == 0.05
+
+    def test_given_masses_are_the_law(self):
+        # The same law as the 100-point sample, given as two atoms with their masses.
+        policy = null_quantile(0.05)
+        lam = calibrate_threshold(policy, [1.0, 0.0], [0.1, 0.9])
+        assert (lam, tie_weight(policy, [1.0, 0.0], lam, [0.1, 0.9])) == (1.0, 0.5)
+
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=300),
+           st.floats(1e-3, 0.999, allow_nan=False))
+    def test_tie_weight_flags_exactly_xi_of_a_tied_sample(self, values, xi):
+        scores = np.array(values, dtype=float)
+        m = scores.size
+        assume(m * xi >= 1)
+        policy = null_quantile(xi)
+        lam = calibrate_threshold(policy, scores)
+        q = tie_weight(policy, scores, lam)
+        assert 0.0 <= q <= 1.0
+        flagged = np.count_nonzero(scores > lam) + q * np.count_nonzero(scores == lam)
+        assert flagged == pytest.approx(xi * m, rel=1e-9)
+
+
+def _pmf_recurrence(p):
+    """The O(d^2) reference: add one Bernoulli at a time."""
+    pmf = np.zeros(p.size + 1)
+    pmf[0] = 1.0
+    for pj in p:
+        pmf[1:] = pmf[1:] * (1.0 - pj) + pmf[:-1] * pj
+        pmf[0] *= 1.0 - pj
+    return pmf
+
+
+class TestExactNullLaw:
+    @pytest.mark.parametrize("d", [1, 5, 12])
+    def test_law_matches_enumeration_of_every_sign_vector(self, d):
+        rng = substream(SEED, d, "enumerate")
+        spec = ProblemSpec(BOX_LP, d=d, p=3.0)
+        mu = rng.uniform(-1.0, 1.0, size=d)
+        t = np.where(rng.random(d) < 0.5, 1.0, -1.0)
+        tr = TracerSpec(spec, mu)
+        atoms, masses = _vertex_null_law(tr, spec.box_radius * t)
+        Z = np.array(list(itertools.product((-1, 1), repeat=d)), dtype=np.int8)
+        probs = np.prod((1.0 + Z * mu) / 2.0, axis=1)
+        B = np.count_nonzero(Z == t, axis=1)
+        np.testing.assert_allclose(masses, np.bincount(B, weights=probs, minlength=d + 1),
+                                   rtol=0, atol=1e-12)
+        # A row with B = b scores bit for bit as atom b.
+        scores, clipped = score_batch(tr, spec.box_radius * t, Z)
+        assert clipped == 0 and np.array_equal(scores, atoms[B])
+
+    @pytest.mark.parametrize("d", [33, 1000, 4096])
+    def test_pmf_matches_the_recurrence(self, d):
+        p = substream(SEED, d, "pmf").random(d)
+        np.testing.assert_allclose(poisson_binomial_pmf(p), _pmf_recurrence(p), rtol=0, atol=1e-12)
+
+    def test_exact_threshold_matches_a_monte_carlo_null(self):
+        d, m, xi = 16, 10**5, 0.05
+        spec = ProblemSpec(BOX_LP, d=d)
+        rng = substream(SEED, 16, "exact-vs-mc")
+        mu = sample_prior(BetaPrior(1.0, 1.0, d), rng).values
+        pop = SparsePopulation(mu, d, d)
+        theta = support_argmax(spec, sample_matrix(pop, 8, rng).mean(axis=0)).theta
+        tr = TracerSpec(spec, mu)
+        policy = null_quantile(xi)
+        atoms, masses = _vertex_null_law(tr, theta)
+        lam = calibrate_threshold(policy, atoms, masses)
+        q = tie_weight(policy, atoms, lam, masses)
+        above, at = masses[atoms > lam].sum(), masses[atoms == lam].sum()
+        # The flagged indicator (1 above lam, q at it) has variance above + q^2 at - xi^2,
+        # so q's Monte Carlo error is about its standard error over m rows, divided by at.
+        se = math.sqrt((above + q * q * at - xi * xi) / m) / at
+        # lam is well inside its atom: the sampled tail masses cannot move it.
+        assert above < xi - 5 * math.sqrt(above / m) and above + at > xi + 5 * math.sqrt(xi / m)
+        scores, _ = score_batch(tr, theta, sample_matrix(pop, m, rng))
+        lam_mc = calibrate_threshold(policy, scores)
+        assert lam_mc == lam
+        assert abs(tie_weight(policy, scores, lam_mc) - q) <= 5 * se
+
+    def test_law_requires_a_vertex_at_k_equal_d(self):
+        spec = ProblemSpec(BOX_LP, d=8)
+        theta = np.full(8, spec.box_radius)
+        theta[0] = 0.0
+        with pytest.raises(ValueError, match="box vertex"):
+            _vertex_null_law(TracerSpec(spec, np.zeros(8)), theta)
+        sparse = ProblemSpec(BOX_LP, d=8, k=4)
+        with pytest.raises(ValueError, match="box vertex"):
+            _vertex_null_law(TracerSpec(sparse, np.zeros(8)), np.full(8, sparse.box_radius))
+
 
 class TestRunTraceTrial:
     def test_constant_learner_has_zero_recall_at_positive_threshold(self):
@@ -205,7 +305,6 @@ class TestRunTraceTrial:
                                  policy=half_trace_value(1.0), rng=substream(SEED, 4))
         assert np.all(report.scores_train == 0.0)
         assert report.recall_estimate == 0.0
-        assert report.flagged.size == 0
 
     def test_erm_flags_training_points_and_is_sound(self):
         spec = ProblemSpec(BOX_LP, d=1024, p=2.0, k=1024)
@@ -215,7 +314,10 @@ class TestRunTraceTrial:
                                  policy=null_quantile(0.05), rng=substream(SEED, 5))
         assert report.recall_estimate > 0
         assert report.soundness_estimate <= 0.05 + 3 * math.sqrt(0.05 / M)
-        assert np.array_equal(report.flagged, np.flatnonzero(report.scores_train >= report.threshold))
+        # Scores above the threshold count whole and those at it by the tie weight.
+        lam = report.threshold
+        assert (np.count_nonzero(report.scores_train > lam) <= report.recall_estimate
+                <= np.count_nonzero(report.scores_train >= lam))
 
     def test_dp_recall_respects_privacy_ceiling(self):
         spec = ProblemSpec(BOX_LP, d=1024, p=2.0, k=1024)
@@ -265,8 +367,9 @@ class TestRunTraceTrial:
                                  policy=null_quantile(0.1), rng=substream(SEED, 14))
         assert report.soundness_estimate == pytest.approx(
             np.count_nonzero(report.scores_fresh >= report.threshold) / 80)
-        assert report.recall_estimate == report.flagged.size
-        assert 0.0 <= report.recall_estimate <= 40
+        lam = report.threshold
+        assert (np.count_nonzero(report.scores_train > lam) <= report.recall_estimate
+                <= np.count_nonzero(report.scores_train >= lam) <= 40)
         assert report.clip_events == 0
 
     def test_fresh_scores_have_zero_mean(self):

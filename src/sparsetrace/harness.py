@@ -29,10 +29,10 @@ from .oracles import verification_grid
 from .problems import BOX_LP, VARIANTS, ProblemSpec
 from .rng import substream
 from .tracers import (ThresholdPolicy, TraceReport, default_prior, half_trace_value, null_quantile,
-                      run_trace_trial, score_kind, trace_value_contribution)
+                      run_trace_arms, run_trace_trial, score_kind, trace_value_contribution)
 
 IDENTITY_TOL = 1e-8
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 1
@@ -138,11 +138,12 @@ class ExperimentConfig:
             raise UsageError(f"learner: {self.experiment} requires {experiment.learner}")
         learners = (learner,)
         if "noise_scales" in experiment.fields:
-            if not self.noise_scales or not all(v > 0 for v in self.noise_scales):
-                raise UsageError("noise_scales: must be positive")
+            scales = self.noise_scales
+            if not (scales and scales[0] > 0 and all(a < b for a, b in zip(scales, scales[1:]))):
+                raise UsageError("noise_scales: must be positive and strictly increasing")
             # sigma scales as 1/epsilon, so a noise multiplier c is epsilon / c.
             try:
-                learners = tuple(replace(learner, epsilon=self.epsilon / v) for v in self.noise_scales)
+                learners = tuple(replace(learner, epsilon=self.epsilon / v) for v in scales)
             except ValueError as exc:
                 raise UsageError(f"noise_scales: epsilon / scale is out of range ({exc})") from exc
         policy = _build("xi", null_quantile, self.xi) if "xi" in experiment.fields else None
@@ -266,17 +267,12 @@ def _run_verify(cfg: ExperimentConfig, plan: None, threads: int) -> Outcome:
     return ("instance", "lhs", "rhs", "rel_error"), rows, summaries, failures
 
 
-def _trace_rows(cfg: ExperimentConfig, plan: Plan, learner: LearnerConfig, purpose: str,
-                threads: int) -> list[tuple]:
+def _run_trace(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
     def one(trial: int, rng) -> tuple:
-        return _trace_row(trial, run_trace_trial(learner, plan.spec, score_kind(plan.spec),
+        return _trace_row(trial, run_trace_trial(plan.learners[0], plan.spec, score_kind(plan.spec),
                                                  plan.prior, cfg.n, cfg.M, plan.policy, rng))
 
-    return _map_trials(cfg, purpose, threads, one)
-
-
-def _run_trace(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
-    rows = _trace_rows(cfg, plan, plan.learners[0], "trace", threads)
+    rows = _map_trials(cfg, "trace", threads, one)
     return TRACE_COLUMNS, rows, _summaries(rows, TRACE_COLUMNS), []
 
 
@@ -293,22 +289,23 @@ def _run_dp_audit(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
 
 
 def _run_sweep(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
-    """Trace trials per noise scale; fails if mean recall rises with noise beyond CI overlap."""
-    rows: list[tuple] = []
-    means: list[tuple[float, float, float]] = []
-    summaries: list[str] = []
-    for si, (scale, learner) in enumerate(zip(cfg.noise_scales, plan.learners)):
-        scale_rows = _trace_rows(cfg, plan, learner, f"sweep{si}", threads)
-        rows.extend((scale,) + r for r in scale_rows)
-        mean, ci = mean_ci([r[RECALL] for r in scale_rows])
-        means.append((scale, mean, ci))
-        summaries.append(f"#summary,recall@scale={scale:g},{_fmt(mean)},{_fmt(ci)}")
+    """Every noise scale on each trial's one draw; fails where the paired rise in recall from one
+    scale to the next exceeds its CI half-width, a one-sided test of about 2.5% at equal means."""
+    def one(trial: int, rng) -> list[tuple]:
+        return [_trace_row(trial, report) for report in run_trace_arms(
+            plan.learners, plan.spec, score_kind(plan.spec), plan.prior, cfg.n, cfg.M, plan.policy, rng)]
+
+    arms = list(zip(*_map_trials(cfg, "sweep", threads, one)))  # per scale, its rows in trial order
+    rows = [(scale,) + r for scale, arm in zip(cfg.noise_scales, arms) for r in arm]
+    recalls = [[r[RECALL] for r in arm] for arm in arms]
+    summaries = [f"#summary,recall@scale={scale:g},{_fmt(mean)},{_fmt(ci)}"
+                 for scale, (mean, ci) in zip(cfg.noise_scales, map(mean_ci, recalls))]
     failures = []
-    for (s0, m0, c0), (s1, m1, c1) in zip(means, means[1:]):
-        if m1 > m0 + c0 + c1:
-            failures.append(f"mean recall rose from {m0:.3g} ± {c0:.2g} at scale {s0:g} "
-                            f"to {m1:.3g} ± {c1:.2g} at scale {s1:g} "
-                            f"(over by {m1 - m0 - c0 - c1:.3g})")
+    for s0, s1, r0, r1 in zip(cfg.noise_scales, cfg.noise_scales[1:], recalls, recalls[1:]):
+        rise, ci = mean_ci([b - a for a, b in zip(r0, r1)])
+        if rise > ci:
+            failures.append(f"mean recall rose by {rise:.3g} ± {ci:.2g} from scale {s0:g} "
+                            f"to scale {s1:g} (over by {rise - ci:.3g})")
     return ("noise_scale",) + TRACE_COLUMNS, rows, summaries, failures
 
 

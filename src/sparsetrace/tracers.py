@@ -6,7 +6,9 @@ parameter after centering.  Fresh points score zero in expectation, so a
 threshold at the (1 - xi)-quantile of their null law (exact at a box vertex
 on dense box_lp data, sampled elsewhere, with a tie weight on the atom at
 the threshold) controls the false positive rate while training points of
-accurate learners score high.
+accurate learners score high.  A trial draws its rows once and trains each
+learner on them from one generator state, so the arms of a noise sweep
+share the data and the Gaussian noise vector.
 
 Two score families are implemented:
 
@@ -230,20 +232,15 @@ class TraceReport:
     clip_events: int
 
 
-def null_calibration_size(xi: float) -> int:
-    """Null-sample size of a trace trial whose null law is not exact."""
-    return max(1000, math.ceil(10.0 / xi))
-
-
-def _draw_trial(learner: LearnerLike, spec: ProblemSpec, tracer_kind: str, prior: BetaPrior,
-                n: int, rng: np.random.Generator, held_out: tuple[int, ...] = ()):
+def _draw_trial(learners: tuple[LearnerLike, ...], spec: ProblemSpec, tracer_kind: str,
+                prior: BetaPrior, n: int, rng: np.random.Generator, held_out: tuple[int, ...] = ()):
     """The random part of a trial, shared by every trial kind.
 
     Draws mu from the prior (whose gamma must not pass the spec's mean
     bound), builds the tracer from that true mean, samples n training rows
-    and then one matrix per held_out size, and trains on the training rows
-    last.  `tracer_kind` must be the spec's
-    `score_kind`.  Returns (mu, tracer, theta, z_train, held-out matrices).
+    and then one matrix per held_out size, and trains each learner last,
+    each from the generator state the data draws left.  `tracer_kind` must
+    be the spec's `score_kind`.  Returns (mu, tracer, thetas, z_train, held).
     """
     if tracer_kind != score_kind(spec):
         raise ValueError(f"the {spec.variant} variant takes the {score_kind(spec)!r} score, "
@@ -253,57 +250,62 @@ def _draw_trial(learner: LearnerLike, spec: ProblemSpec, tracer_kind: str, prior
     pop = data_distribution(spec, mu)
     z_train = sample_matrix(pop, n, rng)
     held = [sample_matrix(pop, m, rng) for m in held_out]
-    theta = train(learner, spec, Dataset(z_train), rng)
-    return mu, tracer, theta, z_train, held
+    data, state = Dataset(z_train), rng.bit_generator.state
+    thetas = []
+    for learner in learners:
+        rng.bit_generator.state = state
+        thetas.append(train(learner, spec, data, rng))
+    return mu, tracer, thetas, z_train, held
 
 
-def run_trace_trial(
-    learner: LearnerLike,
-    spec: ProblemSpec,
-    tracer_kind: str,
-    prior: BetaPrior,
-    n: int,
-    M: int,
-    policy: ThresholdPolicy,
-    rng: np.random.Generator,
-) -> TraceReport:
-    """One full attack trial.
+def run_trace_arms(learners: tuple[LearnerLike, ...], spec: ProblemSpec, tracer_kind: str, prior: BetaPrior,
+                   n: int, M: int, policy: ThresholdPolicy, rng: np.random.Generator) -> list[TraceReport]:
+    """One full attack trial per learner, all on one draw (see `_draw_trial`) with M fresh points.
 
-    Draws a trial (see `_draw_trial`) with M fresh points.  Under
-    null_quantile a vertex learner on dense box_lp data takes the exact null
-    law; any other run draws a separate null sample.  Recall and soundness
-    count scores above the threshold, plus the tie weight times those at it.
+    Under null_quantile, when every learner is a vertex learner on dense
+    box_lp data, each arm takes its exact null law; any other run draws one
+    null sample that every arm scores.  Recall and soundness count scores
+    above the threshold, plus the tie weight times those at it.
     """
     if n < 1 or M < 1:
         raise ValueError("n and M must be >= 1")
     exact = (policy.xi is not None and spec.variant == BOX_LP and spec.k == spec.d
-             and isinstance(learner, LearnerConfig) and learner.kind in (ERM_LINEAR, GAUSSIAN_DP, SUBSAMPLE))
-    held_out = (M,) if exact else (M, null_calibration_size(policy.xi) if policy.xi is not None else 0)
-    mu, tracer, theta, z_train, (z_fresh, *z_null) = _draw_trial(
-        learner, spec, tracer_kind, prior, n, rng, held_out)
+             and all(isinstance(learner, LearnerConfig) and learner.kind in (ERM_LINEAR, GAUSSIAN_DP, SUBSAMPLE)
+                     for learner in learners))
+    held_out = (M,) if exact else (M, max(1000, math.ceil(10.0 / policy.xi)) if policy.xi is not None else 0)
+    mu, tracer, thetas, z_train, (z_fresh, *z_null) = _draw_trial(
+        learners, spec, tracer_kind, prior, n, rng, held_out)
 
-    scores_train, clip_tr = score_batch(tracer, theta.theta, z_train)
-    scores_fresh, clip_fr = score_batch(tracer, theta.theta, z_fresh)
-    if exact:
-        (scores_null, masses), clip_nu = _vertex_null_law(tracer, theta.theta), 0
-    else:
-        (scores_null, clip_nu), masses = score_batch(tracer, theta.theta, z_null[0]), None
-    lam = calibrate_threshold(policy, scores_null, masses)
-    q = tie_weight(policy, scores_null, lam, masses)
-    # The expected flags: every score above lambda, and a share q of those at it.
-    recall, fresh = (np.count_nonzero(s > lam) + q * np.count_nonzero(s == lam) for s in (scores_train, scores_fresh))
+    reports = []
+    for theta in thetas:
+        scores_train, clip_tr = score_batch(tracer, theta.theta, z_train)
+        scores_fresh, clip_fr = score_batch(tracer, theta.theta, z_fresh)
+        if exact:
+            (scores_null, masses), clip_nu = _vertex_null_law(tracer, theta.theta), 0
+        else:
+            (scores_null, clip_nu), masses = score_batch(tracer, theta.theta, z_null[0]), None
+        lam = calibrate_threshold(policy, scores_null, masses)
+        q = tie_weight(policy, scores_null, lam, masses)
+        # The expected flags: every score above lambda, and a share q of those at it.
+        recall, fresh = (np.count_nonzero(s > lam) + q * np.count_nonzero(s == lam)
+                         for s in (scores_train, scores_fresh))
+        reports.append(TraceReport(
+            scores_train=scores_train,
+            scores_fresh=scores_fresh,
+            threshold=lam,
+            recall_estimate=recall,
+            soundness_estimate=fresh / M,
+            mu_l1=float(np.sum(np.abs(mu))),
+            excess_risk=excess_risk(spec, theta, mu) if theta.feasible else float("nan"),
+            clip_events=clip_tr + clip_fr + clip_nu,
+        ))
+    return reports
 
-    risk = excess_risk(spec, theta, mu) if theta.feasible else float("nan")
-    return TraceReport(
-        scores_train=scores_train,
-        scores_fresh=scores_fresh,
-        threshold=lam,
-        recall_estimate=recall,
-        soundness_estimate=fresh / M,
-        mu_l1=float(np.sum(np.abs(mu))),
-        excess_risk=risk,
-        clip_events=clip_tr + clip_fr + clip_nu,
-    )
+
+def run_trace_trial(learner: LearnerLike, spec: ProblemSpec, tracer_kind: str, prior: BetaPrior,
+                    n: int, M: int, policy: ThresholdPolicy, rng: np.random.Generator) -> TraceReport:
+    """One full attack trial: `run_trace_arms` with one learner."""
+    return run_trace_arms((learner,), spec, tracer_kind, prior, n, M, policy, rng)[0]
 
 
 def trace_value_contribution(
@@ -320,7 +322,7 @@ def trace_value_contribution(
     learner/tracer pair: neither an upper nor a lower bound on the
     adversarial trace value.
     """
-    _, tracer, theta, z_train, _ = _draw_trial(learner, spec, tracer_kind, prior, n, rng)
+    _, tracer, (theta,), z_train, _ = _draw_trial((learner,), spec, tracer_kind, prior, n, rng)
     scores, _ = score_batch(tracer, theta.theta, z_train)
     return float(scores.mean())
 

@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -44,6 +44,12 @@ def _summary(path, column) -> float:
     """The mean in a CSV's #summary row for one column."""
     line = next(l for l in path.read_text().splitlines() if l.startswith(f"#summary,{column},"))
     return float(line.split(",")[2])
+
+
+def _summary_pair(path, column) -> tuple[float, float]:
+    """The mean and CI half-width in a CSV's #summary row for one column."""
+    line = next(l for l in path.read_text().splitlines() if l.startswith(f"#summary,{column},"))
+    return float(line.split(",")[2]), float(line.split(",")[3])
 
 
 def _small_trace(tmp_path, **overrides):
@@ -109,6 +115,13 @@ class TestConfig:
             # Only the subsample learner reads subsample_m.
             (dict(subsample_m=3, alpha_target=0.1), "subsample_m"),
             (dict(experiment="sweep", learner="gaussian_dp", beta=2.0, noise_scales=(1.0, -2.0)),
+             "noise_scales"),
+            # Adjacent scales are compared in the order given, which must be rising noise.
+            (dict(experiment="sweep", learner="gaussian_dp", beta=2.0, noise_scales=(4.0, 1.0, 0.25)),
+             "noise_scales"),
+            (dict(experiment="sweep", learner="gaussian_dp", beta=2.0, noise_scales=(1.0, 1.0)),
+             "noise_scales"),
+            (dict(experiment="sweep", learner="gaussian_dp", beta=2.0, noise_scales=(1.0, nan)),
              "noise_scales"),
         ]
         for overrides, field in cases:
@@ -259,7 +272,7 @@ class TestRun:
         cfg = _small_trace(tmp_path)
         run(cfg, threads=1)
         lines = open(cfg.output_path).read().splitlines()
-        assert lines[0] == "# sparsetrace-csv schema=4 experiment=trace"
+        assert lines[0] == "# sparsetrace-csv schema=5 experiment=trace"
         header = lines[1].split(",")
         assert header == ["trial_index", "mu_norm_l1", "excess_risk",
                           "t_hat_contribution", "recall", "soundness", "lambda",
@@ -342,6 +355,20 @@ class TestRun:
                  if l.startswith("#summary,recall@")]
         assert len(means) == 3 and means[0] > means[1] > means[2]
 
+    def test_sweep_scales_share_each_trials_draw(self, tmp_path):
+        # Every scale of a trial runs on one draw, so they share its mean.
+        out = tmp_path / "sw.csv"
+        assert main(["sweep", "--d", "64", "--n", "16", "--M", "50", "--trials", "5",
+                     "--learner", "gaussian_dp", "--beta", "2", "--noise-scales", "0.5,1,4",
+                     "--seed", "3", "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]
+                if not line.startswith("#")]
+        assert [r[0] for r in rows] == ["0.5"] * 5 + ["1"] * 5 + ["4"] * 5
+        means = {}
+        for r in rows:
+            means.setdefault(r[1], set()).add(r[2])
+        assert len(means) == 5 and all(len(v) == 1 for v in means.values())
+
     def test_half_trace_value_policy_via_cli(self, tmp_path):
         # --t-hat alone selects the t_hat / 2 threshold.
         out = tmp_path / "ht.csv"
@@ -400,24 +427,44 @@ class TestAcceptanceFailurePaths:
         assert "mean recall" not in open(cfg.output_path).read()
 
     def test_sweep_exits_one_when_recall_grows_with_noise(self, tmp_path, monkeypatch, capsys):
-        real = harness.run_trace_trial
+        real = harness.run_trace_arms
 
-        def rigged(learner, spec, kind, prior, n, M, policy, rng):
-            report = real(learner, spec, kind, prior, n, M, policy, rng)
-            from dataclasses import replace
+        def rigged(learners, spec, kind, prior, n, M, policy, rng):
+            reports = real(learners, spec, kind, prior, n, M, policy, rng)
             # recall increases with the learner's sigma (smaller epsilon)
-            return replace(report, recall_estimate=float(n) / learner.epsilon)
+            return [replace(r, recall_estimate=float(n) / lc.epsilon) for lc, r in zip(learners, reports)]
 
-        monkeypatch.setattr(harness, "run_trace_trial", rigged)
+        monkeypatch.setattr(harness, "run_trace_arms", rigged)
         cfg = ExperimentConfig(experiment="sweep", d=64, n=40, M=50, trials=6,
                                learner="gaussian_dp", epsilon=1.0, delta=1e-5,
                                beta=2.0, noise_scales=(0.5, 2.0), master_seed=SEED,
                                output_path=str(tmp_path / "sw.csv"))
         assert run(cfg, threads=1) == EXIT_ACCEPTANCE
         # recall is n / epsilon: 40 / 2 = 20 at scale 0.5 and 40 / 0.5 = 80 at scale 2.
-        assert capsys.readouterr().err == (
-            "sweep: mean recall rose from 20 ± 0 at scale 0.5 to 80 ± 0 at scale 2 "
-            "(over by 60)\n")
+        assert capsys.readouterr().err == \
+            "sweep: mean recall rose by 60 ± 0 from scale 0.5 to scale 2 (over by 60)\n"
+
+    def test_sweep_paired_check_catches_a_rise_within_ci_overlap(self, tmp_path, monkeypatch, capsys):
+        # A constant per-trial rise of 1 has paired CI 0, so it fails, while the
+        # unpaired means still overlap: m1 - m0 = 1 <= c0 + c1.  Whole recalls
+        # keep the differences exact.
+        real = harness.run_trace_arms
+
+        def rigged(learners, *args):
+            first, second = real(learners, *args)
+            recall = float(round(first.recall_estimate))
+            return [replace(first, recall_estimate=recall), replace(second, recall_estimate=recall + 1.0)]
+
+        monkeypatch.setattr(harness, "run_trace_arms", rigged)
+        cfg = ExperimentConfig(experiment="sweep", d=64, n=40, M=50, trials=10,
+                               learner="gaussian_dp", epsilon=1.0, delta=1e-5,
+                               beta=2.0, noise_scales=(0.5, 2.0), master_seed=SEED,
+                               output_path=str(tmp_path / "sw.csv"))
+        assert run(cfg, threads=1) == EXIT_ACCEPTANCE
+        assert capsys.readouterr().err == \
+            "sweep: mean recall rose by 1 ± 0 from scale 0.5 to scale 2 (over by 1)\n"
+        (m0, c0), (m1, c1) = (_summary_pair(tmp_path / "sw.csv", f"recall@scale={s}") for s in ("0.5", "2"))
+        assert m1 - m0 == pytest.approx(1.0) and c0 + c1 > 1.0
 
     def test_passing_run_prints_nothing(self, tmp_path, capsys):
         assert run(_small_trace(tmp_path), threads=1) == EXIT_OK

@@ -1,4 +1,4 @@
-"""Pin the random stream: the exact bytes of three small seeded CSVs.
+"""Pin the random stream: the exact bytes of four small seeded CSVs.
 
 Each digest covers the bytes after the schema line, which is checked on
 its own, so a digest that survives a schema bump shows that its run's
@@ -30,13 +30,18 @@ PINNED = {
     "trace_l1": (["trace", "--variant", "l1_capped", "--s", "1", "--d", "64", "--n", "16",
                   "--M", "50", "--trials", "4", "--alpha-target", "0.1", "--seed", "11"],
                  "fe938f99db52fbd83e41d9626d9698b98dbd0ec3da68a7c239b8e57c67f8398a"),
+    # Two noise scales on one draw per trial: shared rows, null sample and noise vector.
+    "sweep": (["sweep", "--d", "256", "--k", "8", "--n", "16", "--M", "50", "--trials", "4",
+               "--learner", "gaussian_dp", "--epsilon", "1", "--alpha-target", "0.1",
+               "--noise-scales", "0.5,2", "--seed", "11"],
+              "34b21aa95a27842fe7bc623ef6bf74f2688965a504896065085ca8f181751e19"),
 }
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_seeded_csv_bytes_are_pinned(name, threads, tmp_path):
-    assert SCHEMA_VERSION == 4
+    assert SCHEMA_VERSION == 5
     argv, digest = PINNED[name]
     out = tmp_path / f"{name}.csv"
     assert main(argv + ["--threads", str(threads), "--out", str(out)]) == EXIT_OK

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sparsetrace.rng import substream
 from sparsetrace.tracers import (
     SCALING_MATRIX_SCORE,
     ThresholdPolicy,
+    TraceReport,
     TracerSpec,
     _draw_trial,
     _vertex_null_law,
@@ -30,8 +32,10 @@ from sparsetrace.tracers import (
     half_trace_value,
     null_quantile,
     poisson_binomial_pmf,
+    run_trace_arms,
     run_trace_trial,
     score_batch,
+    score_kind,
     sparse_tracer,
     tie_weight,
     trace_value_contribution,
@@ -351,8 +355,33 @@ class TestRunTraceTrial:
         prior = BetaPrior(beta=0.05, gamma=0.8, d=d)
         for trial in range(5):
             assert np.abs(sample_prior(prior, substream(SEED, trial)).values).max() <= 0.8
-        mu, *_ = _draw_trial(ERM, spec, SCALING_MATRIX_SCORE, prior, 4, substream(SEED, 50))
+        mu, *_ = _draw_trial((ERM,), spec, SCALING_MATRIX_SCORE, prior, 4, substream(SEED, 50))
         assert np.abs(mu).max() <= 0.8
+
+    @pytest.mark.parametrize("variant", ["dense", "sparse", "l1"])
+    def test_each_arm_is_its_learners_single_trial(self, variant):
+        # The arms share the draw, and each consumes it as a lone learner does.
+        spec = {"dense": ProblemSpec(BOX_LP, d=64), "sparse": ProblemSpec(BOX_LP, d=128, k=8),
+                "l1": ProblemSpec(L1_CAPPED, d=64, s=2)}[variant]
+        prior = default_prior(spec, alpha_target=0.1)
+        dp = LearnerConfig("gaussian_dp", epsilon=0.5, delta=1e-5)
+        learners = (dp, replace(dp, epsilon=5.0))
+        args = (spec, score_kind(spec), prior, 16, 50, null_quantile(0.1))
+        arms = run_trace_arms(learners, *args, substream(SEED, 60))
+        for learner, arm in zip(learners, arms):
+            single = run_trace_trial(learner, *args, substream(SEED, 60))
+            for f in fields(TraceReport):
+                np.testing.assert_array_equal(getattr(arm, f.name), getattr(single, f.name))
+
+    def test_equal_learners_give_identical_reports(self):
+        # Every arm restarts from the generator state after the data draws, so the
+        # gaussian_dp noise vector is the same in each.
+        spec = ProblemSpec(BOX_LP, d=128, k=16)
+        prior = default_prior(spec, alpha_target=0.1)
+        dp = LearnerConfig("gaussian_dp", epsilon=0.5, delta=1e-5)
+        a, b = run_trace_arms((dp, dp), spec, "sparse", prior, 16, 50, null_quantile(0.1), substream(SEED, 61))
+        for f in fields(TraceReport):
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
 
     def test_trial_rejects_a_score_the_variant_does_not_take(self):
         spec = ProblemSpec(BOX_LP, d=8, p=2.0, k=8)

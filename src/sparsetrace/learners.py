@@ -136,17 +136,18 @@ def measure_excess_risk(
 ) -> tuple[float, float]:
     """Bayesian average excess risk over mu ~ prior, with a 95% CI half-width.
 
-    Each trial draws mu (clipped to the population box bound), a dataset of
-    size n, trains, and records the closed-form excess risk.
+    Each trial draws mu, a dataset of size n, trains, and records the
+    closed-form excess risk.
     """
     if trials < 30:
         raise ValueError("trials must be >= 30 for a meaningful CI")
     if n < 1:
         raise ValueError("n must be >= 1")
-    bound = spec.mean_bound
+    if prior.gamma > spec.mean_bound:
+        raise ValueError(f"gamma: must not exceed the mean bound {spec.mean_bound:g}")
     risks = np.empty(trials)
     for t in range(trials):
-        mu = np.clip(sample_prior(prior, rng).values, -bound, bound)
+        mu = sample_prior(prior, rng).values
         pop = data_distribution(spec, mu)
         data = Dataset(sample_matrix(pop, n, rng))
         theta = train(learner, spec, data, rng)

@@ -1,10 +1,11 @@
 """Brute-force verification of the fingerprinting identities on small instances.
 
 These checkers never sample: datasets are enumerated atom by atom with
-their exact probabilities, and the prior integral over the mean is done
-per coordinate with a Gauss rule of sufficient degree, so both sides of
-each identity are computed to floating-point accuracy.  They are the
-independent path against which the Monte Carlo machinery is validated.
+their exact probabilities.  A dataset's likelihood factors over coordinates
+and the prior is a product law, so the prior integral over the mean is a
+one-coordinate Gauss sum of sufficient degree per coordinate, and both
+sides of each identity are computed to floating-point accuracy.  They are
+the independent path against which the Monte Carlo machinery is validated.
 
 The sparse identity states that, with mu drawn from the matching prior,
 
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import BetaPrior, mean_ci, prior_quadrature, sample_prior
+from .distributions import BetaPrior, QuadratureRule, mean_ci, prior_quadrature, sample_prior
 from .problems import BOX_LP, ProblemSpec, support_argmax
 
 ENUMERATION_LIMIT = 10**7
@@ -66,26 +67,36 @@ def ternary_atoms(d: int, k: int) -> np.ndarray:
 
 
 def _enumerate(prior: BetaPrior, degree: int, atoms: np.ndarray, n: int, learner: Learner):
-    """(rule, idx, z_sets, thetas): the prior's Gauss rule exact to `degree`, and
-    every size-n dataset over the atoms as atom indices, samples and learner
-    outputs.  Raises EnumerationLimitError first if the instance is too big."""
+    """(rule, z_sets, thetas): the prior's Gauss rule exact to `degree`, every size-n
+    dataset over the atoms as an (N, n, d) stack, and the learner's outputs on them.
+    Raises EnumerationLimitError first if the instance is too big."""
     rule = prior_quadrature(prior, degree)
-    a = atoms.shape[0]
-    terms = (a**n) * (rule.nodes.size**prior.d)
+    terms = atoms.shape[0] ** n * rule.nodes.size ** prior.d
     if terms > ENUMERATION_LIMIT:
         raise EnumerationLimitError(f"instance needs {terms} weighted terms > {ENUMERATION_LIMIT}")
-    idx = np.array(list(itertools.product(range(a), repeat=n)), dtype=np.int64)
-    z_sets = atoms[idx]  # (N, n, d)
+    z_sets = np.array(list(itertools.product(atoms, repeat=n)))
     thetas = np.stack([np.asarray(learner(z.astype(np.float64)), dtype=float) for z in z_sets])
-    return rule, idx, z_sets, thetas
+    return rule, z_sets, thetas
 
 
-def _node_tuples(nodes: np.ndarray, weights: np.ndarray, d: int):
-    """Product quadrature over d coordinates: yields (mu, weight)."""
-    for combo in itertools.product(range(nodes.size), repeat=d):
-        mu = nodes[list(combo)]
-        w = float(np.prod(weights[list(combo)]))
-        yield mu, w
+def _coordinate_moments(rule: QuadratureRule, z_sets: np.ndarray, ratio: float,
+                        tilts: Sequence[np.ndarray]):
+    """(p_sets, posts): each dataset's probability up to the atoms' support factor,
+    and per tilt t, given as its values at the rule's nodes, the (N, d) posterior
+    means E[t(mu_j) | D].  Coordinate j enters the likelihood only through its
+    +1 and -1 counts, as g_j(x) = ((1 + ratio x)/2)^P_j ((1 - ratio x)/2)^Q_j.
+    The prior is a product law, so p = prod_j E[g_j] and E[t | D] = E[t g_j] / E[g_j].
+    """
+    plus = (z_sets > 0).sum(axis=1, dtype=np.int8)
+    minus = (z_sets < 0).sum(axis=1, dtype=np.int8)
+    mass = np.zeros(plus.shape)
+    tilted = np.zeros((len(tilts),) + plus.shape)
+    for i, (x, w) in enumerate(zip(rule.nodes, rule.weights)):
+        g = w * ((1.0 + ratio * x) / 2.0) ** plus * ((1.0 - ratio * x) / 2.0) ** minus
+        mass += g
+        for t, acc in zip(tilts, tilted):
+            acc += t[i] * g
+    return mass.prod(axis=1), tilted / mass
 
 
 def verify_sparse_identity(d: int, k: int, n: int, beta: float, learner: Learner,
@@ -93,11 +104,11 @@ def verify_sparse_identity(d: int, k: int, n: int, beta: float, learner: Learner
     """Exact check of the sparse fingerprinting identity.
 
     The left side enumerates every dataset of n atoms weighted by its exact
-    probability and integrates over mu with a per-coordinate Gauss rule of
-    degree n + 2 (the integrand has per-coordinate degree n + 1).  The
-    learner must be a deterministic map from the (n, d) sample matrix to a
-    parameter vector; finitely randomized learners are handled by averaging
-    their outputs over an explicit coin set before calling this.
+    probability and integrates over mu coordinate by coordinate with a Gauss
+    rule of degree n + 2 (the integrand has per-coordinate degree n + 1).
+    The learner must be a deterministic map from the (n, d) sample matrix
+    to a parameter vector; finitely randomized learners are handled by
+    averaging their outputs over an explicit coin set before calling this.
     """
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
@@ -105,25 +116,15 @@ def verify_sparse_identity(d: int, k: int, n: int, beta: float, learner: Learner
         raise ValueError("n must be >= 1")
     if beta < 1:
         raise ValueError("beta must be >= 1")
-    atoms = ternary_atoms(d, k)
-    rule, idx, z_sets, thetas = _enumerate(BetaPrior(beta=beta, gamma=k / d, d=d), n + 2,
-                                           atoms, n, learner)
-    summed = z_sets.sum(axis=1).astype(np.float64)          # (N, d)
-    support_counts = np.abs(z_sets).sum(axis=1).astype(np.float64)  # (N, d)
-    const = np.einsum("nd,nd->n", thetas, summed)
-    weighted_counts = thetas * support_counts               # (N, d)
-
+    rule, z_sets, thetas = _enumerate(BetaPrior(beta=beta, gamma=k / d, d=d), n + 2,
+                                      ternary_atoms(d, k), n, learner)
     ratio = d / k
-    inv_comb = 1.0 / math.comb(d, k)
-    nonzero = atoms != 0
-    lhs = 0.0
-    rhs = 0.0
-    for mu, w_mu in _node_tuples(rule.nodes, rule.weights, d):
-        factors = np.where(nonzero, (1.0 + ratio * atoms * mu) / 2.0, 1.0)
-        p_atom = inv_comb * factors.prod(axis=1)            # (A,)
-        w_set = p_atom[idx].prod(axis=1)                    # (N,)
-        lhs += w_mu * float(w_set @ (const - ratio * (weighted_counts @ mu)))
-        rhs += w_mu * (2.0 * beta * ratio) * float(mu @ (w_set @ thetas))
+    p_sets, (post_mu,) = _coordinate_moments(rule, z_sets, ratio, (rule.nodes,))
+    p_sets /= math.comb(d, k) ** n
+    # sum_i <theta, Z_i - ratio E[mu | D]> over each sample's support.
+    centered = z_sets.sum(axis=1) - ratio * np.count_nonzero(z_sets, axis=1) * post_mu
+    lhs = float(p_sets @ np.einsum("nd,nd->n", thetas, centered))
+    rhs = (2.0 * beta * ratio) * float(p_sets @ np.einsum("nd,nd->n", thetas, post_mu))
     return IdentityCheckResult.compare(
         lhs, rhs, f"sparse d={d} k={k} n={n} beta={beta:g} learner={name}"
     )
@@ -144,20 +145,17 @@ def verify_scaling_identity(d: int, n: int, beta: float, gamma: float, learner: 
         raise ValueError("beta must be positive")
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
-    rule, _, z_sets, thetas = _enumerate(BetaPrior(beta=beta, gamma=gamma, d=d), n + 3,
-                                         ternary_atoms(d, d), n, learner)  # the dense cube
-    z_float = z_sets.astype(np.float64)                     # (N, n, d)
-    lhs = 0.0
-    rhs = 0.0
-    for mu, w_mu in _node_tuples(rule.nodes, rule.weights, d):
-        per_factor = (1.0 + z_float * mu) / 2.0             # (N, n, d)
-        w_set = per_factor.prod(axis=(1, 2))                # (N,)
-        # Swap each sample-coordinate probability factor for the centered,
-        # scaled term; interior nodes keep every factor strictly positive.
-        swapped = (1.0 - (mu / gamma) ** 2) * z_float / 2.0
-        per_set = np.einsum("snd,sd->s", swapped / per_factor, thetas)
-        lhs += w_mu * float(w_set @ per_set)
-        rhs += w_mu * (2.0 * beta / gamma**2) * float(mu @ (w_set @ thetas))
+    rule, z_sets, thetas = _enumerate(BetaPrior(beta=beta, gamma=gamma, d=d), n + 3,
+                                      ternary_atoms(d, d), n, learner)  # the dense cube
+    # L = (1 - (mu/gamma)^2) / (1 - mu^2), finite at the interior nodes.  Summed
+    # over the samples, L (z_ij - mu_j) = L (S_j - n mu_j), S_j the column sum; its
+    # product with g_j is a polynomial, so the two moments combine exactly.
+    scale = (1.0 - (rule.nodes / gamma) ** 2) / (1.0 - rule.nodes**2)
+    p_sets, (post_mu, post_scale, post_scaled_mu) = _coordinate_moments(
+        rule, z_sets, 1.0, (rule.nodes, scale, rule.nodes * scale))
+    centered = z_sets.sum(axis=1) * post_scale - n * post_scaled_mu
+    lhs = float(p_sets @ np.einsum("nd,nd->n", thetas, centered))
+    rhs = (2.0 * beta / gamma**2) * float(p_sets @ np.einsum("nd,nd->n", thetas, post_mu))
     return IdentityCheckResult.compare(
         lhs, rhs, f"scaling d={d} n={n} beta={beta:g} gamma={gamma:g} learner={name}"
     )

@@ -231,6 +231,13 @@ class TestMeasureExcessRisk:
         with pytest.raises(ValueError):
             measure_excess_risk(ERM, spec, BetaPrior(1.0, 1.0, 4), 8, 10, substream(SEED, 18))
 
+    def test_prior_wider_than_mean_bound_rejected(self):
+        # k/d = 0.25: a gamma = 1 prior is not a law of population means here,
+        # and clipping its draws would measure some other law.
+        with pytest.raises(ValueError, match="^gamma: "):
+            measure_excess_risk(ERM, _box(16, 4), BetaPrior(1.0, 1.0, 16), 8, 30,
+                                substream(SEED, 19))
+
 
 def test_readme_lists_every_learner_kind():
     readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from sparsetrace.distributions import BetaPrior, sample_prior
+from sparsetrace.distributions import BetaPrior, prior_quadrature, sample_prior
 from sparsetrace.oracles import (
+    GRID_LEARNERS,
     EnumerationLimitError,
     IdentityCheckResult,
     check_beta_abs_moment,
@@ -137,6 +139,85 @@ class TestScalingIdentity:
                 dense = verify_scaling_identity(d, 2, 2.0, 1.0, learner, name=name)
                 agree = IdentityCheckResult.compare(sparse.lhs, dense.lhs, "agree")
                 assert agree.rel_error <= 1e-8
+
+
+def _product_rule(prior, degree, atoms, n, learner):
+    """Every size-n dataset over the atoms with its learner output, and the
+    d-fold product of the prior's Gauss rule as (mu, weight) node tuples."""
+    idx = np.array(list(itertools.product(range(atoms.shape[0]), repeat=n)), dtype=np.int64)
+    z_sets = atoms[idx]
+    thetas = np.stack([np.asarray(learner(z.astype(np.float64)), dtype=float) for z in z_sets])
+    rule = prior_quadrature(prior, degree)
+    tuples = [(rule.nodes[list(c)], float(np.prod(rule.weights[list(c)])))
+              for c in itertools.product(range(rule.nodes.size), repeat=prior.d)]
+    return idx, z_sets, thetas, tuples
+
+
+def reference_sparse(d, k, n, beta, learner):
+    """Both sides of the sparse identity by the d-fold product rule: each
+    atom's probability is recomputed at every node tuple."""
+    atoms = ternary_atoms(d, k)
+    idx, z_sets, thetas, tuples = _product_rule(BetaPrior(beta, k / d, d), n + 2, atoms, n, learner)
+    summed = z_sets.sum(axis=1).astype(np.float64)
+    weighted_counts = thetas * np.abs(z_sets).sum(axis=1)
+    const = np.einsum("nd,nd->n", thetas, summed)
+    ratio = d / k
+    lhs = rhs = 0.0
+    for mu, w_mu in tuples:
+        factors = np.where(atoms != 0, (1.0 + ratio * atoms * mu) / 2.0, 1.0)
+        w_set = (factors.prod(axis=1) / math.comb(d, k))[idx].prod(axis=1)
+        lhs += w_mu * float(w_set @ (const - ratio * (weighted_counts @ mu)))
+        rhs += w_mu * 2.0 * beta * ratio * float(mu @ (w_set @ thetas))
+    return lhs, rhs
+
+
+def reference_scaling(d, n, beta, gamma, learner):
+    """Both sides of the scaling identity by the d-fold product rule, with the
+    scaling factor divided by each sample's probability weight."""
+    _, z_sets, thetas, tuples = _product_rule(BetaPrior(beta, gamma, d), n + 3,
+                                              ternary_atoms(d, d), n, learner)
+    z = z_sets.astype(np.float64)
+    lhs = rhs = 0.0
+    for mu, w_mu in tuples:
+        per_factor = (1.0 + z * mu) / 2.0
+        w_set = per_factor.prod(axis=(1, 2))
+        swapped = (1.0 - (mu / gamma) ** 2) * z / 2.0
+        lhs += w_mu * float(w_set @ np.einsum("snd,sd->s", swapped / per_factor, thetas))
+        rhs += w_mu * 2.0 * beta / gamma**2 * float(mu @ (w_set @ thetas))
+    return lhs, rhs
+
+
+def _assert_matches(result, reference):
+    for got, want in zip((result.lhs, result.rhs), reference):
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300), (result.instance, got, want)
+
+
+class TestProductRuleReference:
+    """The per-coordinate oracles agree with the d-fold product rule."""
+
+    def test_sparse_battery_shapes(self):
+        for d in (1, 2, 3):
+            for k in range(1, d + 1):
+                for n in (1, 2):
+                    for beta in (1.0, 2.0, 5.0):
+                        for name, fn in GRID_LEARNERS:
+                            _assert_matches(verify_sparse_identity(d, k, n, beta, fn, name=name),
+                                            reference_sparse(d, k, n, beta, fn))
+
+    def test_scaling_battery_shapes_unit_gamma_and_small_beta(self):
+        for d in (1, 2):
+            for n in (1, 2):
+                for beta, gamma in ((1.0, 0.3), (1.0, 0.9), (3.0, 0.3), (3.0, 0.9),
+                                    (2.0, 1.0), (0.25, 0.7), (0.5, 1.0)):
+                    for name, fn in GRID_LEARNERS:
+                        _assert_matches(verify_scaling_identity(d, n, beta, gamma, fn, name=name),
+                                        reference_scaling(d, n, beta, gamma, fn))
+
+    def test_four_coordinates(self):
+        _assert_matches(verify_sparse_identity(4, 2, 2, 2.0, mean_cubed),
+                        reference_sparse(4, 2, 2, 2.0, mean_cubed))
+        _assert_matches(verify_scaling_identity(4, 2, 0.5, 0.9, mean_box_vertex),
+                        reference_scaling(4, 2, 0.5, 0.9, mean_box_vertex))
 
 
 class TestBetaAbsMoment:

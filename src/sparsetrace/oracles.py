@@ -1,7 +1,8 @@
 """Brute-force verification of the fingerprinting identities on small instances.
 
-These checkers never sample: datasets are enumerated atom by atom with
-their exact probabilities.  A dataset's likelihood factors over coordinates
+These checkers never sample: every multiset of n atoms is enumerated with
+its exact probability and its number of orderings, and the learner sees it
+once, in canonical order.  A dataset's likelihood factors over coordinates
 and the prior is a product law, so the prior integral over the mean is a
 one-coordinate Gauss sum of sufficient degree per coordinate, and both
 sides of each identity are computed to floating-point accuracy.  They are
@@ -66,17 +67,26 @@ def ternary_atoms(d: int, k: int) -> np.ndarray:
     return np.stack(atoms)
 
 
-def _enumerate(prior: BetaPrior, degree: int, atoms: np.ndarray, n: int, learner: Learner):
-    """(rule, z_sets, thetas): the prior's Gauss rule exact to `degree`, every size-n
-    dataset over the atoms as an (N, n, d) stack, and the learner's outputs on them.
-    Raises EnumerationLimitError first if the instance is too big."""
+def _enumerate(prior: BetaPrior, degree: int, k: int, n: int, learner: Learner):
+    """(rule, z_sets, orderings, thetas): the prior's Gauss rule exact to `degree`,
+    every multiset of n k-sparse atoms as an (N, n, d) stack in canonical order
+    (nondecreasing `ternary_atoms` index), each one's n! / prod_a c_a! orderings,
+    and the learner's outputs on them.  Both identities are symmetric sums over
+    the samples, so one term stands for all orderings.  Raises
+    EnumerationLimitError before any atom is built if the instance is too big."""
     rule = prior_quadrature(prior, degree)
-    terms = atoms.shape[0] ** n * rule.nodes.size ** prior.d
+    n_atoms = math.comb(prior.d, k) * 2**k
+    terms = n_atoms**n * rule.nodes.size**prior.d
     if terms > ENUMERATION_LIMIT:
         raise EnumerationLimitError(f"instance needs {terms} weighted terms > {ENUMERATION_LIMIT}")
-    z_sets = np.array(list(itertools.product(atoms, repeat=n)))
-    thetas = np.stack([np.asarray(learner(z.astype(np.float64)), dtype=float) for z in z_sets])
-    return rule, z_sets, thetas
+    idx = np.array(list(itertools.combinations_with_replacement(range(n_atoms), n)), dtype=np.int64)
+    # In a sorted row, sample i's rank among the equal samples up to it runs
+    # 1..c_a over atom a's run, so the ranks multiply to prod_a c_a!.
+    ranks = np.tril(idx[:, :, None] == idx[:, None, :]).sum(axis=2)
+    orderings = math.factorial(n) / ranks.prod(axis=1, dtype=np.float64)
+    z_sets = ternary_atoms(prior.d, k)[idx]
+    thetas = np.stack([np.asarray(learner(z), dtype=float) for z in z_sets.astype(np.float64)])
+    return rule, z_sets, orderings, thetas
 
 
 def _coordinate_moments(rule: QuadratureRule, z_sets: np.ndarray, ratio: float,
@@ -109,6 +119,9 @@ def verify_sparse_identity(d: int, k: int, n: int, beta: float, learner: Learner
     The learner must be a deterministic map from the (n, d) sample matrix
     to a parameter vector; finitely randomized learners are handled by
     averaging their outputs over an explicit coin set before calling this.
+    It sees each multiset of samples once, in canonical order, so for an
+    order-dependent learner the check is of "sort the samples into canonical
+    order, then learn", itself a deterministic learner.
     """
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
@@ -116,11 +129,11 @@ def verify_sparse_identity(d: int, k: int, n: int, beta: float, learner: Learner
         raise ValueError("n must be >= 1")
     if beta < 1:
         raise ValueError("beta must be >= 1")
-    rule, z_sets, thetas = _enumerate(BetaPrior(beta=beta, gamma=k / d, d=d), n + 2,
-                                      ternary_atoms(d, k), n, learner)
+    rule, z_sets, orderings, thetas = _enumerate(BetaPrior(beta=beta, gamma=k / d, d=d), n + 2,
+                                                 k, n, learner)
     ratio = d / k
     p_sets, (post_mu,) = _coordinate_moments(rule, z_sets, ratio, (rule.nodes,))
-    p_sets /= math.comb(d, k) ** n
+    p_sets *= orderings / math.comb(d, k) ** n
     # sum_i <theta, Z_i - ratio E[mu | D]> over each sample's support.
     centered = z_sets.sum(axis=1) - ratio * np.count_nonzero(z_sets, axis=1) * post_mu
     lhs = float(p_sets @ np.einsum("nd,nd->n", thetas, centered))
@@ -145,14 +158,15 @@ def verify_scaling_identity(d: int, n: int, beta: float, gamma: float, learner: 
         raise ValueError("beta must be positive")
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
-    rule, z_sets, thetas = _enumerate(BetaPrior(beta=beta, gamma=gamma, d=d), n + 3,
-                                      ternary_atoms(d, d), n, learner)  # the dense cube
+    rule, z_sets, orderings, thetas = _enumerate(BetaPrior(beta=beta, gamma=gamma, d=d), n + 3,
+                                                 d, n, learner)  # the dense cube
     # L = (1 - (mu/gamma)^2) / (1 - mu^2), finite at the interior nodes.  Summed
     # over the samples, L (z_ij - mu_j) = L (S_j - n mu_j), S_j the column sum; its
     # product with g_j is a polynomial, so the two moments combine exactly.
     scale = (1.0 - (rule.nodes / gamma) ** 2) / (1.0 - rule.nodes**2)
     p_sets, (post_mu, post_scale, post_scaled_mu) = _coordinate_moments(
         rule, z_sets, 1.0, (rule.nodes, scale, rule.nodes * scale))
+    p_sets *= orderings
     centered = z_sets.sum(axis=1) * post_scale - n * post_scaled_mu
     lhs = float(p_sets @ np.einsum("nd,nd->n", thetas, centered))
     rhs = (2.0 * beta / gamma**2) * float(p_sets @ np.einsum("nd,nd->n", thetas, post_mu))

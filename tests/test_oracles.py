@@ -1,9 +1,13 @@
+import importlib.util
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sparsetrace import oracles
 from sparsetrace.distributions import BetaPrior, prior_quadrature, sample_prior
 from sparsetrace.oracles import (
     GRID_LEARNERS,
@@ -57,6 +61,53 @@ class TestSparseIdentity:
     def test_enumeration_ceiling_enforced(self):
         with pytest.raises(EnumerationLimitError):
             verify_sparse_identity(5, 2, 3, 1.0, IDENTITY)
+
+    def test_ceiling_raises_before_any_atom_is_built(self, monkeypatch):
+        # Built first, these atom sets would take minutes and gigabytes.
+        def no_atoms(d, k):
+            raise AssertionError(f"ternary_atoms({d}, {k}) built past the limit")
+
+        monkeypatch.setattr(oracles, "ternary_atoms", no_atoms)
+        with pytest.raises(EnumerationLimitError):
+            verify_sparse_identity(20, 10, 1, 1.0, IDENTITY)
+        with pytest.raises(EnumerationLimitError):
+            verify_scaling_identity(30, 1, 1.0, 0.5, IDENTITY)
+
+    def test_one_learner_call_per_multiset(self):
+        calls = 0
+
+        def counted(z):
+            nonlocal calls
+            calls += 1
+            return mean_cubed(z)
+
+        verify_sparse_identity(5, 5, 3, 2.0, counted)
+        assert calls == math.comb(32 + 3 - 1, 3)  # 32 atoms, 3 samples
+        calls = 0
+        verify_scaling_identity(6, 2, 2.0, 0.9, counted)
+        assert calls == math.comb(64 + 2 - 1, 2)
+
+    def test_orderings_count_every_ordered_dataset(self, monkeypatch):
+        # n = 25 passes 20!, where an int64 product of the run ranks would wrap.
+        monkeypatch.setattr(oracles, "ENUMERATION_LIMIT", 10**40)
+        for d, k, n in ((3, 2, 3), (1, 1, 25)):
+            _, _, orderings, _ = oracles._enumerate(BetaPrior(2.0, k / d, d), n + 2, k, n, IDENTITY)
+            assert math.isclose(orderings.sum(), (math.comb(d, k) * 2**k) ** n, rel_tol=1e-12)
+
+    def test_order_dependent_learner_checked_in_canonical_order(self):
+        # The oracle feeds each multiset to the learner once, its samples in
+        # nondecreasing atom index; the reference sums every ordering.
+        d, k, n, beta = 2, 1, 3, 2.0
+        atoms = ternary_atoms(d, k)
+        ordered = lambda z: np.clip(z[0] - 0.5 * z[-1], -1.0, 1.0) ** 3
+
+        def canonical(z):
+            index = [int(np.flatnonzero((atoms == row).all(axis=1))[0]) for row in z]
+            return ordered(z[np.argsort(index, kind="stable")])
+
+        r = verify_sparse_identity(d, k, n, beta, ordered, name="ordered")
+        _assert_matches(r, reference_sparse(d, k, n, beta, canonical))
+        assert r.rel_error <= 1e-8
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
@@ -218,6 +269,20 @@ class TestProductRuleReference:
                         reference_sparse(4, 2, 2, 2.0, mean_cubed))
         _assert_matches(verify_scaling_identity(4, 2, 0.5, 0.9, mean_box_vertex),
                         reference_scaling(4, 2, 0.5, 0.9, mean_box_vertex))
+
+
+class TestBenchmarkHeavySet:
+    def test_every_heavy_instance_is_admitted_and_exact(self):
+        # perfbench's verify_oracles runs these; a limit or contract change
+        # that rejects one or loosens its accuracy should fail here first.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads_heavy", path)
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads
+        spec.loader.exec_module(workloads)
+        for task in workloads.VerifyOracles.heavy:
+            result = workloads.VerifyOracles._heavy_instance(task)
+            assert result.rel_error <= workloads.IDENTITY_TOL, result.instance
 
 
 class TestBetaAbsMoment:

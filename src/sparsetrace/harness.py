@@ -32,7 +32,7 @@ from .tracers import (ThresholdPolicy, TraceReport, default_prior, half_trace_va
                       run_trace_arms, run_trace_trial, score_kind, trace_value_contribution)
 
 IDENTITY_TOL = 1e-8
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 1
@@ -252,16 +252,16 @@ Outcome = tuple[tuple[str, ...], list[tuple], list[str], list[str]]  # header, r
 
 
 def _run_verify(cfg: ExperimentConfig, plan: None, threads: int) -> Outcome:
-    """The identity battery; fails on any relative error above IDENTITY_TOL."""
+    """The identity battery; fails on any relative error above IDENTITY_TOL or NaN."""
     # Serial: the instances are millisecond-sized and interpreter-bound.
     checks = verification_grid()
     rows = [(c.instance, c.lhs, c.rhs, c.rel_error) for c in checks]
-    worst = max(checks, key=lambda c: c.rel_error)
+    worst = max(checks, key=lambda c: (math.isnan(c.rel_error), c.rel_error))
     summaries = [f"#summary,max_rel_error,{_fmt(worst.rel_error)},0",
                  f"#summary,instances,{len(checks)},0"]
     failures = []
-    if worst.rel_error > IDENTITY_TOL:
-        over = sum(c.rel_error > IDENTITY_TOL for c in checks)
+    over = sum(not c.rel_error <= IDENTITY_TOL for c in checks)
+    if over:
         failures.append(f"{over} of {len(checks)} identities above rel_error {IDENTITY_TOL:g}; "
                         f"worst {worst.instance} at rel_error {worst.rel_error:.3g}")
     return ("instance", "lhs", "rhs", "rel_error"), rows, summaries, failures

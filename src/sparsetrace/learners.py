@@ -25,6 +25,8 @@ GAUSSIAN_DP = "gaussian_dp"
 SUBSAMPLE = "subsample"
 NORMALIZED_MEAN_L2 = "normalized_mean_l2"
 LEARNER_KINDS = (ERM_LINEAR, GAUSSIAN_DP, SUBSAMPLE, NORMALIZED_MEAN_L2)
+# The kinds whose output is `support_argmax` of a mean, a box vertex on box_lp.
+VERTEX_LEARNERS = (ERM_LINEAR, GAUSSIAN_DP, SUBSAMPLE)
 
 
 @dataclass(frozen=True)
@@ -107,18 +109,14 @@ def train(learner: LearnerLike, spec: ProblemSpec, data: Dataset, rng: np.random
     if not isinstance(learner, LearnerConfig):
         theta = np.asarray(learner(data.z.astype(np.float64)), dtype=float)
         return ParameterPoint(theta, is_feasible(spec, theta))
-    if learner.kind == SUBSAMPLE:
-        if learner.subsample_m > data.n:
-            raise ValueError(f"subsample_m={learner.subsample_m} exceeds dataset size n={data.n}")
-        return support_argmax(spec, empirical_mean(data.z[: learner.subsample_m]))
-
-    mu_hat = empirical_mean(data.z)
-    if learner.kind == ERM_LINEAR:
-        return support_argmax(spec, mu_hat)
+    if learner.kind == SUBSAMPLE and learner.subsample_m > data.n:
+        raise ValueError(f"subsample_m={learner.subsample_m} exceeds dataset size n={data.n}")
+    mu_hat = empirical_mean(data.z[: learner.subsample_m])  # all rows where subsample_m is None
     if learner.kind == GAUSSIAN_DP:
         sigma = gaussian_sigma(learner.epsilon, learner.delta, spec.k, data.n)
-        noisy = mu_hat + sigma * rng.standard_normal(spec.d)
-        return support_argmax(spec, noisy)
+        mu_hat = mu_hat + sigma * rng.standard_normal(spec.d)
+    if learner.kind in VERTEX_LEARNERS:
+        return support_argmax(spec, mu_hat)
 
     # normalized_mean_l2: target is the l_2 unit ball, not the spec's set.
     norm = float(np.linalg.norm(mu_hat))

@@ -10,7 +10,8 @@ accurate learners score high.  A trial draws its rows once and trains each
 learner on them from one generator state, so the arms of a noise sweep
 share the data and the Gaussian noise vector.
 
-Two score families are implemented:
+Two score families are implemented; on dense rows (every l1_capped row,
+box_lp at k = d) both are one affine map c * (z . u - u . mu), `dense_score`:
 
 * sparse score (k-sparse ternary data):
   (d^(1/p) / sqrt(k)) * sum_{j in supp(z)} theta_j (z_j - (d/k) mu_j)
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import BetaPrior, check_mean, row_blocks, sample_matrix, sample_prior
-from .learners import ERM_LINEAR, GAUSSIAN_DP, SUBSAMPLE, Dataset, LearnerConfig, LearnerLike, train
+from .learners import VERTEX_LEARNERS, Dataset, LearnerConfig, LearnerLike, train
 from .problems import BOX_LP, ProblemSpec, data_distribution, excess_risk
 
 SPARSE_SCORE = "sparse"
@@ -78,8 +79,9 @@ def sparse_tracer(mu: np.ndarray, k: int, p: float, d: int) -> TracerSpec:
 def score_batch(tr: TracerSpec, theta: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, int]:
     """Scores for the rows of Z, clamped to [-clip_bound, clip_bound].
 
-    The one implementation of both score formulas; score a single point
-    as a 1-row matrix.  Returns (scores, number of clamped entries).
+    The one implementation of both score families: the dense form of
+    `_dense` on dense rows, the sparse formula at k < d.  Score a single
+    point as a 1-row matrix.  Returns (scores, number of clamped entries).
     In-range configurations never clamp; a nonzero count signals an
     out-of-contract parameter.
 
@@ -92,43 +94,40 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z: np.ndarray) -> tuple[np.nd
     Z = np.asarray(Z)
     if Z.ndim != 2 or Z.shape[1] != spec.d or theta.shape != (spec.d,):
         raise ValueError("dimension mismatch between tracer, theta, and data")
-    lattice = _lattice(tr, theta)
-    if tr.kind == SPARSE_SCORE:
-        scale = spec.d ** (1.0 / spec.p) / math.sqrt(spec.k)
-        ratio = spec.d / spec.k
-        weights = theta * tr.mu
-    else:
-        lam = (1.0 - (tr.mu / tr.gamma) ** 2) / (1.0 - tr.mu**2)
-        weights = theta * lam
+    dense = _dense(tr, theta)
+    if dense is None:
+        scale, ratio, weights = spec.d ** (1.0 / spec.p) / math.sqrt(spec.k), spec.d / spec.k, theta * tr.mu
     raw = np.empty(Z.shape[0])
     for i, j, zf in row_blocks(*Z.shape):
         np.copyto(zf, Z[i:j])
-        if lattice is not None:
-            raw[i:j] = lattice_score(zf @ lattice[0], *lattice[1:])
-        elif tr.kind == SPARSE_SCORE:
+        if dense is not None:
+            raw[i:j] = dense_score(zf @ dense[0], *dense[1:])
+        else:
             signed = zf @ theta
             np.abs(zf, out=zf)
             raw[i:j] = scale * (signed - ratio * (zf @ weights))
-        else:
-            zf -= tr.mu
-            raw[i:j] = math.sqrt(spec.s) * (zf @ weights)
     clip = tr.clip_bound
     return np.clip(raw, -clip, clip), int(np.count_nonzero(np.abs(raw) > clip))
 
 
-def _lattice(tr: TracerSpec, theta: np.ndarray):
-    """(t, centre, scale) when theta is a box vertex r * t on dense box_lp data,
-    where the sparse score is scale * (z . t - centre); else None."""
+def _dense(tr: TracerSpec, theta: np.ndarray):
+    """(u, u . mu, c) with either score c * (z . u - u . mu) on dense rows; None at k < d.
+    u = sign(theta) at a box vertex r * sign(theta), so z . u is an exact integer; u = theta
+    elsewhere on box_lp; u = theta * L and c = sqrt(s) for the scaling-matrix score."""
     spec, r = tr.spec, abs(float(theta[0]))
-    if tr.kind != SPARSE_SCORE or spec.k != spec.d or r == 0 or not np.all(np.abs(theta) == r):
+    if tr.kind == SCALING_MATRIX_SCORE:
+        u, c = theta * ((1.0 - (tr.mu / tr.gamma) ** 2) / (1.0 - tr.mu**2)), math.sqrt(spec.s)
+    elif spec.k < spec.d:
         return None
-    t = np.sign(theta)
-    return t, float(t @ tr.mu), r * spec.d ** (1.0 / spec.p) / math.sqrt(spec.k)
+    else:
+        u, c = (np.sign(theta), r) if r > 0 and np.all(np.abs(theta) == r) else (theta, 1.0)
+        c = c * spec.d ** (1.0 / spec.p) / math.sqrt(spec.k)
+    return u, float(u @ tr.mu), c
 
 
-def lattice_score(products: np.ndarray, centre: float, scale: float) -> np.ndarray:
-    """Vertex scores from the exact integer products z . t, bit for bit equal for equal products."""
-    return scale * (products - centre)
+def dense_score(products: np.ndarray, centre: float, c: float) -> np.ndarray:
+    """c * (z . u - centre) from the products z . u; bit for bit equal for equal products."""
+    return c * (products - centre)
 
 
 def poisson_binomial_pmf(p: np.ndarray) -> np.ndarray:
@@ -146,13 +145,13 @@ def poisson_binomial_pmf(p: np.ndarray) -> np.ndarray:
 
 def _vertex_null_law(tr: TracerSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(atom scores, masses) of a fresh row's score at a box vertex on dense box_lp data:
-    z . t = 2B - d, B Poisson binomial with P(z_j = t_j) = (1 + t_j mu_j) / 2."""
-    lattice = _lattice(tr, theta)
-    if lattice is None:
+    z . u = 2B - d, B Poisson binomial with P(z_j = u_j) = (1 + u_j mu_j) / 2."""
+    dense = _dense(tr, theta)
+    if tr.kind != SPARSE_SCORE or dense is None or not np.all(np.abs(dense[0]) == 1):
         raise ValueError("the exact null law needs theta at a box vertex and k = d")
-    t, centre, scale = lattice
-    atoms = lattice_score(2.0 * np.arange(tr.spec.d + 1) - tr.spec.d, centre, scale)
-    return np.clip(atoms, -tr.clip_bound, tr.clip_bound), poisson_binomial_pmf((1.0 + t * tr.mu) / 2.0)
+    u, centre, c = dense
+    atoms = dense_score(2.0 * np.arange(tr.spec.d + 1) - tr.spec.d, centre, c)
+    return np.clip(atoms, -tr.clip_bound, tr.clip_bound), poisson_binomial_pmf((1.0 + u * tr.mu) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -270,7 +269,7 @@ def run_trace_arms(learners: tuple[LearnerLike, ...], spec: ProblemSpec, tracer_
     if n < 1 or M < 1:
         raise ValueError("n and M must be >= 1")
     exact = (policy.xi is not None and spec.variant == BOX_LP and spec.k == spec.d
-             and all(isinstance(learner, LearnerConfig) and learner.kind in (ERM_LINEAR, GAUSSIAN_DP, SUBSAMPLE)
+             and all(isinstance(learner, LearnerConfig) and learner.kind in VERTEX_LEARNERS
                      for learner in learners))
     held_out = (M,) if exact else (M, max(1000, math.ceil(10.0 / policy.xi)) if policy.xi is not None else 0)
     mu, tracer, thetas, z_train, (z_fresh, *z_null) = _draw_trial(
@@ -338,8 +337,10 @@ def default_beta(spec: ProblemSpec, alpha_target: float) -> float:
     if not alpha_target > 0:
         raise ValueError("alpha_target: must be positive")
     if spec.variant == BOX_LP:
-        ratio = (spec.k / spec.d) ** (1.0 / spec.p)
-        return max(1.0, (ratio / (6.0 * alpha_target)) ** 2)
+        root = (spec.k / spec.d) ** (1.0 / spec.p) / (6.0 * alpha_target)
+        if not math.isfinite(root * root):  # where root ** 2 would raise OverflowError
+            raise ValueError(f"alpha_target: {alpha_target:g} is too small; the derived beta is not finite")
+        return max(1.0, root ** 2)
     return max(1.0, 1.0 + 0.5 * math.log(spec.d / (16.0 * max(spec.s, 14))))
 
 

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -272,7 +273,7 @@ class TestRun:
         cfg = _small_trace(tmp_path)
         run(cfg, threads=1)
         lines = open(cfg.output_path).read().splitlines()
-        assert lines[0] == "# sparsetrace-csv schema=5 experiment=trace"
+        assert lines[0] == "# sparsetrace-csv schema=6 experiment=trace"
         header = lines[1].split(",")
         assert header == ["trial_index", "mu_norm_l1", "excess_risk",
                           "t_hat_contribution", "recall", "soundness", "lambda",
@@ -332,17 +333,22 @@ class TestRun:
         assert abs(soundness - 0.05) <= 4 * (0.05 * 0.95 * (1 / 1000 + 1 / 1000) / 10) ** 0.5
 
     def test_vertex_recall_and_soundness_do_not_depend_on_p(self, tmp_path):
-        # At k = d a vertex learner's theta is d^(-1/p) sign(mu_hat), and p only
-        # rescales every score, so the flagged counts are the same for every p.
-        columns = set()
-        for p in ("1.5", "2", "3"):
-            out = tmp_path / f"p{p}.csv"
-            assert main(["trace", "--d", "512", "--n", "64", "--p", p, "--alpha-target", "0.05",
-                         "--trials", "20", "--seed", "7", "--out", str(out)]) == EXIT_OK
-            rows = [line.split(",") for line in out.read_text().splitlines()[2:]
-                    if not line.startswith("#")]
-            columns.add(tuple((r[4], r[5]) for r in rows))
-        assert len(columns) == 1
+        # A vertex learner's theta is d^(-1/p) sign(mu_hat), and the score's scale
+        # d^(1/p) / sqrt(k) cancels p, so the flagged counts are the same for every p
+        # and p only scales each trial's excess risk, by (d/k)^((p-1)/p) against p = 1.
+        for d, k, args in ((512, 512, ["--alpha-target", "0.05"]), (1024, 32, ["--beta", "4"])):
+            columns, risks = set(), {}
+            for p in (1.0, 1.5, 2.0, 3.0, 4.0):
+                out = tmp_path / f"d{d}-p{p}.csv"
+                assert main(["trace", "--d", str(d), "--k", str(k), "--n", "64", "--p", str(p), *args,
+                             "--trials", "20", "--seed", "7", "--out", str(out)]) == EXIT_OK
+                rows = [line.split(",") for line in out.read_text().splitlines()[2:]
+                        if not line.startswith("#")]
+                columns.add(tuple((r[4], r[5]) for r in rows))
+                risks[p] = [float(r[2]) for r in rows]
+            assert len(columns) == 1
+            for p, risk in risks.items():
+                assert risk == pytest.approx([(d / k) ** ((p - 1) / p) * r for r in risks[1.0]], rel=1e-12)
 
     def test_sweep_recall_non_increasing_in_noise(self, tmp_path):
         cfg = ExperimentConfig(experiment="sweep", d=256, n=100, M=100, trials=500,
@@ -406,6 +412,19 @@ class TestAcceptanceFailurePaths:
         err = capsys.readouterr().err
         assert err.startswith("verify: 1 of 2 identities above rel_error 1e-08; ")
         assert "worst forced-violation at rel_error 0.000999" in err
+
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_verify_exits_one_on_a_nan_identity(self, tmp_path, monkeypatch, capsys, nan_first):
+        from sparsetrace.oracles import IdentityCheckResult
+
+        broken = IdentityCheckResult.compare(float("nan"), 1.0, "nan-instance")
+        fine = IdentityCheckResult.compare(1.0, 1.0, "fine")
+        grid = [broken, fine] if nan_first else [fine, broken]
+        monkeypatch.setattr(harness, "verification_grid", lambda: grid)
+        cfg = ExperimentConfig(experiment="verify", output_path=str(tmp_path / "v.csv"))
+        assert run(cfg, threads=1) == EXIT_ACCEPTANCE
+        assert "worst nan-instance at rel_error nan" in capsys.readouterr().err
+        assert "#summary,max_rel_error,nan,0" in (tmp_path / "v.csv").read_text()
 
     def test_dp_audit_exits_one_when_recall_exceeds_ceiling(self, tmp_path, monkeypatch, capsys):
         real = harness.run_trace_trial
@@ -512,6 +531,16 @@ class TestMainExitCodes:
         assert "Warning" not in proc.stderr
         assert "#summary,max_rel_error," in out.read_text()
 
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--M", "5", "--alpha-target", "1e-300"],
+        ["trace-value", "--alpha-target", "1e-300"],
+        ["trace", "--M", "5", "--p", "1", "--alpha-target", "1e-160"],
+    ])
+    def test_alpha_target_too_small_for_a_finite_beta_is_usage_error(self, tmp_path, capsys, argv):
+        assert main(argv + ["--d", "16", "--n", "4", "--trials", "3",
+                            "--out", str(tmp_path / "t.csv")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: alpha_target: ")
+
     def test_tiny_beta_trace_writes_finite_mu(self, tmp_path):
         # At beta = 1e-3 the prior's variates underflow; its means must stay finite.
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -532,3 +561,18 @@ def test_readme_lists_every_config_key():
     text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
     listed = text.split("Keys are exactly the fields of `ExperimentConfig` (", 1)[1].split(")", 1)[0]
     assert re.findall(r"`(\w+)`", listed) == [f.name for f in fields(ExperimentConfig)]
+
+
+def test_readme_commands_parse(tmp_path):
+    # Every `sparsetrace ...` command in README's fenced blocks, `\` continuations joined.
+    blocks = (ROOT / "README.md").read_text(encoding="utf-8").split("```")[1::2]
+    commands = [shlex.split(line)[1:] for block in blocks
+                for line in block.replace("\\\n", " ").splitlines() if line.startswith("sparsetrace ")]
+    assert len(commands) == 6
+    assert {argv[0] for argv in commands} == {name.replace("_", "-") for name in harness.EXPERIMENTS}
+    for argv in commands:
+        if "--config" in argv:
+            config = tmp_path / "experiment.cfg"
+            config.write_text(f"experiment = {argv[0].replace('-', '_')}\nalpha_target = 0.1\n")
+            argv = [str(config) if arg == "experiment.cfg" else arg for arg in argv]
+        assert parse_cli(argv).experiment == argv[0].replace("-", "_")

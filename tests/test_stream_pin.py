@@ -29,7 +29,7 @@ PINNED = {
     # l1_capped at s = 1, the plain l_1 ball: dense +/-1 rows, the scaling-matrix score.
     "trace_l1": (["trace", "--variant", "l1_capped", "--s", "1", "--d", "64", "--n", "16",
                   "--M", "50", "--trials", "4", "--alpha-target", "0.1", "--seed", "11"],
-                 "fe938f99db52fbd83e41d9626d9698b98dbd0ec3da68a7c239b8e57c67f8398a"),
+                 "bae23d18fa31a020f0c0c30c17a7ac4101456766ae468c7d6bf24d3d6a55e052"),
     # Two noise scales on one draw per trial: shared rows, null sample and noise vector.
     "sweep": (["sweep", "--d", "256", "--k", "8", "--n", "16", "--M", "50", "--trials", "4",
                "--learner", "gaussian_dp", "--epsilon", "1", "--alpha-target", "0.1",
@@ -41,7 +41,7 @@ PINNED = {
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_seeded_csv_bytes_are_pinned(name, threads, tmp_path):
-    assert SCHEMA_VERSION == 5
+    assert SCHEMA_VERSION == 6
     argv, digest = PINNED[name]
     out = tmp_path / f"{name}.csv"
     assert main(argv + ["--threads", str(threads), "--out", str(out)]) == EXIT_OK

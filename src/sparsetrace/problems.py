@@ -1,8 +1,8 @@
 """Hard linear-loss problem instances over two feasible-set geometries.
 
-Both instances share the linear loss shape f(theta, z) = -scale * <theta, z>,
-so population risks, optimal risks, and support-function maximizers have
-closed forms:
+Both instances share the linear loss shape f(theta, z) = -scale * <theta, z>
+and a feasible box of radius `ProblemSpec.box_radius`, so population risks
+and the optimum have closed forms:
 
 * ``box_lp``: Theta is the l-infinity ball of radius d^(-1/p) (the largest
   box inscribed in the unit l_p ball), data are k-sparse ternary vectors,
@@ -80,9 +80,9 @@ class ProblemSpec:
 
     @property
     def box_radius(self) -> float:
-        """Radius d^(-1/p) of the box_lp feasible set."""
+        """Radius of the feasible set's box: d^(-1/p) on box_lp, 1/s on l1_capped."""
         if self.variant != BOX_LP:
-            raise ValueError("box_radius only applies to box_lp")
+            return 1.0 / self.s
         return float(self.d) ** (-1.0 / self.p)
 
     @property
@@ -105,14 +105,14 @@ class ParameterPoint:
 
 
 def is_feasible(spec: ProblemSpec, theta: np.ndarray) -> bool:
-    """Membership in the feasible set, with tolerance FEASIBILITY_TOL on norm constraints."""
+    """Membership in the box of radius `box_radius`, cut on l1_capped by the
+    unit l_1 ball, with tolerance FEASIBILITY_TOL on each constraint."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (spec.d,):
         return False
-    if spec.variant == BOX_LP:
-        return bool(np.max(np.abs(theta)) <= spec.box_radius + FEASIBILITY_TOL)
-    return bool(np.sum(np.abs(theta)) <= 1.0 + FEASIBILITY_TOL
-                and np.max(np.abs(theta)) <= 1.0 / spec.s + FEASIBILITY_TOL)
+    mags = np.abs(theta)
+    return bool(np.max(mags) <= spec.box_radius + FEASIBILITY_TOL
+                and (spec.variant == BOX_LP or np.sum(mags) <= 1.0 + FEASIBILITY_TOL))
 
 
 def check_data(spec: ProblemSpec, z: np.ndarray) -> None:
@@ -137,43 +137,28 @@ def loss(spec: ProblemSpec, theta: ParameterPoint, z: np.ndarray) -> float:
     return -spec.loss_scale * float(np.dot(theta.theta, entries.astype(float)))
 
 
-def support_maximum(spec: ProblemSpec, v: np.ndarray) -> float:
-    """sup over the feasible set of <theta, v>, in closed form."""
-    v = np.asarray(v, dtype=float)
-    if spec.variant == BOX_LP:
-        return spec.box_radius * float(np.sum(np.abs(v)))
-    mags = np.sort(np.abs(v))[::-1]
-    return float(np.sum(mags[: spec.s])) / spec.s
-
-
 def support_argmax(spec: ProblemSpec, v: np.ndarray) -> ParameterPoint:
-    """Closed-form maximizer of <theta, v> over the feasible set.
-
-    Tie-breaking is deterministic: sign(0) = +1 and lowest index first, so
-    identical inputs always map to identical parameter points.
-    """
+    """Closed-form maximizer of <theta, v> over the feasible set: box_radius * sign(v),
+    zeroed on l1_capped outside the s largest |v_j|.  Ties break deterministically,
+    sign(0) = +1 and lowest index first, so identical inputs map to identical points."""
     v = np.asarray(v, dtype=float)
     if v.shape != (spec.d,):
         raise ValueError(f"direction has shape {v.shape}, expected ({spec.d},)")
-    signs = np.where(v >= 0, 1.0, -1.0)
-    if spec.variant == BOX_LP:
-        return ParameterPoint(spec.box_radius * signs, True)
-    theta = np.zeros(spec.d)
-    top = np.argsort(-np.abs(v), kind="stable")[: spec.s]
-    theta[top] = signs[top] / spec.s
+    theta = spec.box_radius * np.where(v >= 0, 1.0, -1.0)
+    if spec.variant != BOX_LP:
+        theta[np.argsort(-np.abs(v), kind="stable")[spec.s:]] = 0.0
     return ParameterPoint(theta, True)
 
 
 def excess_risk(spec: ProblemSpec, theta: ParameterPoint, mu: np.ndarray) -> float:
-    """Population risk gap scale * (sup_<theta', mu> - <theta, mu>).
-
-    Exact by linearity of the loss; clamped at zero to absorb rounding when
-    theta attains the support maximum.
-    """
+    """Population risk gap scale * <theta* - theta, mu>, theta* = support_argmax(spec, mu),
+    exact by linearity of the loss: theta*, and every coordinate agreeing with it, scores
+    exactly 0.  Clamped at zero: a theta up to FEASIBILITY_TOL outside the box can beat
+    theta* by that much, and l1_capped's mixed-sign terms can round below zero."""
     if not theta.feasible:
         raise ValueError("excess risk evaluated at an infeasible parameter point")
     values = check_mean(mu, spec.d, spec.mean_bound)
-    gap = support_maximum(spec, values) - float(np.dot(theta.theta, values))
+    gap = float(np.dot(support_argmax(spec, values).theta - theta.theta, values))
     return max(spec.loss_scale * gap, 0.0)
 
 

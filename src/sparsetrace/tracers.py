@@ -94,6 +94,8 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z: np.ndarray) -> tuple[np.nd
     Z = np.asarray(Z)
     if Z.ndim != 2 or Z.shape[1] != spec.d or theta.shape != (spec.d,):
         raise ValueError("dimension mismatch between tracer, theta, and data")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta: entries must be finite")
     dense = _dense(tr, theta)
     if dense is None:
         scale, ratio, weights = spec.d ** (1.0 / spec.p) / math.sqrt(spec.k), spec.d / spec.k, theta * tr.mu

@@ -273,7 +273,7 @@ class TestRun:
         cfg = _small_trace(tmp_path)
         run(cfg, threads=1)
         lines = open(cfg.output_path).read().splitlines()
-        assert lines[0] == "# sparsetrace-csv schema=6 experiment=trace"
+        assert lines[0] == "# sparsetrace-csv schema=7 experiment=trace"
         header = lines[1].split(",")
         assert header == ["trial_index", "mu_norm_l1", "excess_risk",
                           "t_hat_contribution", "recall", "soundness", "lambda",
@@ -561,6 +561,11 @@ def test_readme_lists_every_config_key():
     text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
     listed = text.split("Keys are exactly the fields of `ExperimentConfig` (", 1)[1].split(")", 1)[0]
     assert re.findall(r"`(\w+)`", listed) == [f.name for f in fields(ExperimentConfig)]
+
+
+def test_readme_csv_example_has_the_current_schema():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"# sparsetrace-csv schema=(\d+)", text) == [str(harness.SCHEMA_VERSION)]
 
 
 def test_readme_commands_parse(tmp_path):

@@ -15,7 +15,7 @@ from sparsetrace.learners import (
     measure_excess_risk,
     train,
 )
-from sparsetrace.problems import BOX_LP, L1_CAPPED, ProblemSpec, excess_risk, is_feasible, support_maximum
+from sparsetrace.problems import BOX_LP, L1_CAPPED, ProblemSpec, excess_risk, is_feasible, support_argmax
 from sparsetrace.rng import substream
 
 SEED = 20240903
@@ -47,12 +47,12 @@ class TestTrain:
         point = train(cfg, spec, data, substream(SEED, 2))
         assert point.feasible and is_feasible(spec, point.theta)
 
-    def test_constant_zero_risk_equals_support_maximum(self):
+    def test_constant_zero_risk_equals_optimal_value(self):
         spec = _box(4, 4)
         data = Dataset(np.ones((3, 4), dtype=np.int8))
         point = train(lambda z: np.zeros(4), spec, data, substream(SEED, 3))
         mu = np.array([0.3, -0.2, 0.0, 0.1])
-        expected = spec.loss_scale * support_maximum(spec, mu)
+        expected = spec.loss_scale * float(np.dot(support_argmax(spec, mu).theta, mu))
         assert excess_risk(spec, point, mu) == pytest.approx(expected)
 
     def test_subsample_uses_prefix(self):

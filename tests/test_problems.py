@@ -17,7 +17,6 @@ from sparsetrace.problems import (
     is_feasible,
     loss,
     support_argmax,
-    support_maximum,
 )
 from sparsetrace.rng import substream
 
@@ -143,7 +142,7 @@ class TestSupportArgmax:
         point = support_argmax(spec, np.array([0.2, 0.2, -0.2]))
         assert point.theta == pytest.approx([1.0, 0.0, 0.0])
 
-    def test_output_is_feasible_and_attains_supremum(self):
+    def test_output_is_feasible(self):
         rng = substream(SEED, 0, "argmax")
         specs = [ProblemSpec(BOX_LP, d=5, p=3.0, k=2),
                  ProblemSpec(L1_CAPPED, d=6, s=3),
@@ -151,10 +150,8 @@ class TestSupportArgmax:
         for spec in specs:
             for _ in range(50):
                 v = rng.standard_normal(spec.d)
-                point = support_argmax(spec, v)
-                assert is_feasible(spec, point.theta)
-                assert float(np.dot(point.theta, v)) == pytest.approx(
-                    support_maximum(spec, v), abs=1e-12)
+                assert is_feasible(spec, support_argmax(spec, v).theta)
+        assert specs[1].box_radius == 1 / 3  # l1_capped keeps a box too, of radius 1/s
 
     def test_matches_brute_force_vertex_enumeration(self):
         rng = substream(SEED, 1, "argmax")
@@ -164,7 +161,7 @@ class TestSupportArgmax:
                      ProblemSpec(L1_CAPPED, d=7, s=1)):
             for _ in range(20):
                 v = rng.standard_normal(spec.d)
-                assert support_maximum(spec, v) == pytest.approx(
+                assert float(np.dot(support_argmax(spec, v).theta, v)) == pytest.approx(
                     _brute_force_sup(spec, v), abs=1e-12)
 
 
@@ -176,14 +173,17 @@ class TestExcessRisk:
         assert excess_risk(spec, theta, mu) == pytest.approx(0.125)
 
     def test_optimizer_has_zero_risk(self):
+        # Exactly 0, not 0 up to rounding: the optimum is scored against itself.
         rng = substream(SEED, 2, "risk")
         for spec in (ProblemSpec(BOX_LP, d=5, p=2.0, k=3),
+                     ProblemSpec(BOX_LP, d=64, p=2.0, k=64),
+                     ProblemSpec(BOX_LP, d=300, p=3.0, k=7),
                      ProblemSpec(L1_CAPPED, d=5, s=2),
+                     ProblemSpec(L1_CAPPED, d=64, s=5),
                      ProblemSpec(L1_CAPPED, d=5, s=1)):
-            bound = spec.k / spec.d
-            mu = rng.uniform(-bound, bound, size=spec.d)
-            point = support_argmax(spec, mu)
-            assert excess_risk(spec, point, mu) == pytest.approx(0.0, abs=1e-12)
+            for _ in range(200):
+                mu = rng.uniform(-spec.mean_bound, spec.mean_bound, size=spec.d)
+                assert excess_risk(spec, support_argmax(spec, mu), mu) == 0.0
 
     def test_capped_perturbation_example(self):
         spec = ProblemSpec(L1_CAPPED, d=4, s=2)

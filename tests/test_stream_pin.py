@@ -20,12 +20,12 @@ PINNED = {
     # k = d with ERM: the dense sign path and the exact null law.
     "trace": (["trace", "--d", "64", "--n", "16", "--M", "50", "--trials", "4",
                "--alpha-target", "0.1", "--seed", "11"],
-              "6d2d7d10bad4aebb5838d58474eefb0359708146a81c77510888dda42cef3c77"),
+              "88e6c3501cd4f0fc8b22b8d5b07564464f23d5e60dc8fec20be13feec3196a01"),
     # k < d: Floyd supports, then signs on them, and a sampled null law.
     "dp_audit": (["dp-audit", "--d", "256", "--k", "8", "--n", "16", "--M", "50", "--trials", "4",
                   "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
                   "--seed", "11"],
-                 "dfbec633d4d73137af38c0d08190f77e17a770f9d5d52d3ef090ea56119d6242"),
+                 "23dd18e712ed9deb97bc0995a0e20a303056c115d4fada7defc66637696af1ae"),
     # l1_capped at s = 1, the plain l_1 ball: dense +/-1 rows, the scaling-matrix score.
     "trace_l1": (["trace", "--variant", "l1_capped", "--s", "1", "--d", "64", "--n", "16",
                   "--M", "50", "--trials", "4", "--alpha-target", "0.1", "--seed", "11"],
@@ -34,14 +34,14 @@ PINNED = {
     "sweep": (["sweep", "--d", "256", "--k", "8", "--n", "16", "--M", "50", "--trials", "4",
                "--learner", "gaussian_dp", "--epsilon", "1", "--alpha-target", "0.1",
                "--noise-scales", "0.5,2", "--seed", "11"],
-              "34b21aa95a27842fe7bc623ef6bf74f2688965a504896065085ca8f181751e19"),
+              "cdc4cd946e0e8edc0b971c3e6a43c040bab806058e62156a25e278adc9ff1faa"),
 }
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_seeded_csv_bytes_are_pinned(name, threads, tmp_path):
-    assert SCHEMA_VERSION == 6
+    assert SCHEMA_VERSION == 7
     argv, digest = PINNED[name]
     out = tmp_path / f"{name}.csv"
     assert main(argv + ["--threads", str(threads), "--out", str(out)]) == EXIT_OK

@@ -112,6 +112,9 @@ class TestSparseScore:
         tr = sparse_tracer(np.zeros(4), 2, 2.0, 4)
         with pytest.raises(ValueError):
             score_batch(tr, np.zeros(3), np.zeros((1, 4), dtype=np.int8))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="theta: entries must be finite"):
+                score_batch(tr, np.array([0.0, bad, 0.0, 0.0]), np.zeros((1, 4), dtype=np.int8))
 
 
 class TestScalingScore:
@@ -382,6 +385,13 @@ class TestRunTraceTrial:
         a, b = run_trace_arms((dp, dp), spec, "sparse", prior, 16, 50, null_quantile(0.1), substream(SEED, 61))
         for f in fields(TraceReport):
             np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
+
+    def test_trial_rejects_a_non_finite_parameter(self):
+        # A NaN theta must not score as an untraceable learner (recall 0, lambda NaN).
+        spec = ProblemSpec(BOX_LP, d=16)
+        with pytest.raises(ValueError, match="theta: entries must be finite"):
+            run_trace_trial(lambda z: np.full(16, np.nan), spec, "sparse", BetaPrior(2.0, 1.0, 16),
+                            n=8, M=50, policy=null_quantile(0.05), rng=substream(SEED, 1))
 
     def test_trial_rejects_a_score_the_variant_does_not_take(self):
         spec = ProblemSpec(BOX_LP, d=8, p=2.0, k=8)

@@ -6,6 +6,7 @@ from .distributions import (
     MeanVector,
     QuadratureRule,
     SparsePopulation,
+    SparseRows,
     pmf,
     prior_quadrature,
     sample_matrix,

@@ -47,6 +47,78 @@ def ternary_int8(values) -> np.ndarray:
     return np.array(arr, dtype=np.int8)
 
 
+@dataclass(frozen=True, eq=False)
+class SparseRows:
+    """n k-sparse ternary rows of dimension d, 0 < k < d, stored as (support, signs).
+
+    Row i is signs[i, j] in {-1, +1} at column support[i, j] and 0 elsewhere,
+    with each row's columns strictly increasing: one form per dense row, so
+    any formula over the rows gives the same bits as over their dense
+    matrix read back by `sparse_rows`.  n rows take O(n k) memory where the
+    dense matrix takes n d bytes.  The rows report that matrix's shape,
+    ndim, size and dtype (int8), and np.asarray(rows) builds it.  Indexing
+    selects rows (a slice or an index array) and gives a SparseRows.
+    """
+
+    signs: np.ndarray
+    support: np.ndarray
+    d: int
+
+    def __post_init__(self):
+        signs, support = np.asarray(self.signs).view(), np.asarray(self.support).view()
+        if signs.dtype != np.int8 or signs.ndim != 2 or support.shape != signs.shape:
+            raise ValueError("sparse rows take (n, k) int8 signs and (n, k) support indices")
+        if support.dtype.kind not in "iu" or not 0 < signs.shape[1] < self.d:
+            raise ValueError(f"sparse rows take integer support indices and 0 < k < d={self.d}")
+        if signs.size and not (signs.min() >= -1 and signs.max() <= 1 and np.all(signs != 0)):
+            raise ValueError("signs must take values in {-1, +1}")
+        if support.size and not (support[:, 0].min() >= 0 and support[:, -1].max() < self.d
+                                 and np.all(support[:, 1:] > support[:, :-1])):
+            raise ValueError(f"each row's support must increase strictly within [0, {self.d})")
+        for name, arr in (("signs", signs), ("support", support)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def k(self) -> int:
+        return self.signs.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.signs.shape[0], self.d
+
+    ndim = 2
+    dtype = np.dtype(np.int8)
+
+    @property
+    def size(self) -> int:
+        return self.signs.shape[0] * self.d
+
+    def __getitem__(self, rows) -> SparseRows:
+        return SparseRows(self.signs[rows], self.support[rows], self.d)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("the dense matrix of sparse rows is always a new array")
+        out = np.zeros(self.shape, dtype=np.int8)
+        out[np.arange(self.shape[0])[:, None], self.support] = self.signs
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def sparse_rows(z, k: int) -> SparseRows:
+    """z as SparseRows: z itself, or the rows of a ternary (n, d) array with
+    exactly k < d nonzeros each, read off in column order."""
+    if isinstance(z, SparseRows):
+        if z.k != k:
+            raise ValueError(f"every data point must have exactly {k} nonzeros")
+        return z
+    arr = ternary_int8(z)
+    if arr.ndim != 2 or np.any(np.count_nonzero(arr, axis=1) != k):
+        raise ValueError(f"every data point must have exactly {k} nonzeros")
+    rows, cols = np.nonzero(arr)
+    return SparseRows(arr[rows, cols].reshape(-1, k), cols.reshape(-1, k), arr.shape[1])
+
+
 def row_blocks(n: int, width: int):
     """Yield (start, stop, buf) for the row blocks covering n rows of `width` entries.
 
@@ -165,42 +237,89 @@ def _uniform_blocks(rng: np.random.Generator, n: int, width: int):
         yield i, j, u
 
 
-def sample_matrix(pop: SparsePopulation, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent draws as an (n, d) int8 matrix.
+def _floyd_supports(rng: np.random.Generator, n: int, d: int, k: int) -> np.ndarray:
+    """(n, k) column indices, each row an exactly uniform k-subset of range(d), 0 < k < d.
 
-    For k < d each row's support is an exactly uniform k-subset from Floyd's
-    algorithm, vectorized over rows: one rng.integers draw gives every row its
-    k candidates, the i-th from [0, d - k + i], and round i keeps the i-th
-    candidate unless the row already holds it, in which case it takes
-    d - k + i.  The output matrix is the membership set, so no (n, d)
-    working array is built.  One rng.random((n, k)) draw then gives the signs.
-    The dense case k = d skips support selection and draws rng.random((n, d)).
+    Floyd's algorithm draws m = min(k, d - k) picks per row: one rng.integers
+    draw gives every row its m candidates, the i-th t_i from [0, d - m + i],
+    and round i keeps t_i unless the row already holds it, in which case it
+    takes d - m + i.  For k <= d/2 the picks are the support, in pick order;
+    for k > d/2 they are the d - k columns left out, and the support is the
+    rest in increasing order, so only the top half's stream differs from
+    drawing k picks.  Working memory is O(n k) whatever d is.
 
-    Uniforms are drawn row block by row block (see `row_blocks`), so the
-    float64 working memory beyond the output is about BLOCK_ENTRIES entries;
-    blocking changes no draw and no output.
+    The rounds are resolved by whole-array passes, not one at a time.  Every
+    replacement is at least d - m, so a row holds t_i < d - m exactly when
+    an earlier candidate equals it; it holds t_i = d - m + c, c < i, also
+    when round c replaced.
+    """
+    m = min(k, d - k)
+    picks = rng.integers(0, np.arange(d - m + 1, d + 1), size=(n, m))
+    rounds, at = np.arange(m), np.arange(0, n * m, m)[:, None]
+    # Sorting (value, round) pairs packed into one integer lists equal
+    # candidates in round order, so all but the first of them are repeats.
+    bits = (m - 1).bit_length()
+    keys = np.sort(picks << bits | rounds, axis=1)
+    values = keys >> bits
+    repeat = np.zeros(n * m, dtype=np.bool_)
+    repeat[at + (keys[:, 1:] & ((1 << bits) - 1))] = values[:, 1:] == values[:, :-1]
+    source = picks - (d - m)
+    linked = np.flatnonzero((source >= 0) & (source < rounds))
+    target = (source + at).ravel()[linked]
+    # Round c comes before every round linked to it, so the links form chains
+    # back to unlinked rounds, and each pass settles the rounds whose link
+    # was settled before it.
+    held, pending = repeat.copy(), np.zeros(n * m, dtype=np.bool_)
+    pending[linked] = True
+    while linked.size:
+        held[linked] = repeat[linked] | held[target]
+        pending[linked] = pending[target]
+        still = pending[linked]
+        linked, target = linked[still], target[still]
+    picks = np.where(held.reshape(n, m), d - m + rounds, picks)
+    if m == k:
+        return picks
+    left = np.ones((n, d), dtype=np.bool_)
+    left[np.arange(n)[:, None], picks] = False
+    support = np.flatnonzero(left)
+    return np.remainder(support, d, out=support).reshape(n, k)
+
+
+def sample_matrix(pop: SparsePopulation, n: int, rng: np.random.Generator) -> np.ndarray | SparseRows:
+    """n independent draws: an (n, d) int8 matrix at k = d, a `SparseRows` at k < d.
+
+    The dense case draws rng.random((n, d)) and keeps +1 where a uniform is
+    below (1 + mu_j) / 2.  For k < d the supports come from Floyd's
+    algorithm (`_floyd_supports`), and one rng.random((n, k)) draw then gives
+    the signs, +1 where a uniform is below (1 + (d/k) mu_j) / 2 on the
+    support.  The rows and the sampler's working memory are O(n k): no
+    d-long array is built.
+
+    Uniforms are drawn row block by row block (see `row_blocks`), so about
+    BLOCK_ENTRIES of them are held at a time; blocking changes no draw and
+    no output.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     d, k = pop.d, pop.k
-    p_plus = (1.0 + (d / k) * pop.mu) / 2.0
     if k == d:
+        p_plus = (1.0 + pop.mu) / 2.0
         out = np.empty((n, d), dtype=np.int8)
         for i, j, u in _uniform_blocks(rng, n, d):
             _signs_into(u, p_plus, out[i:j])
         return out
-    sel = rng.integers(0, np.arange(d - k + 1, d + 1), size=(n, k))
-    out = np.zeros((n, d), dtype=np.int8)
-    rows = np.arange(n)
-    for i in range(k):
-        t = sel[:, i]
-        t[out[rows, t] != 0] = d - k + i
-        out[rows, t] = 1
+    support = _floyd_supports(rng, n, d, k)
     signs = np.empty((n, k), dtype=np.int8)
     for i, j, u in _uniform_blocks(rng, n, k):
-        _signs_into(u, p_plus[sel[i:j]], signs[i:j])
-    np.put_along_axis(out, sel, signs, axis=1)
-    return out
+        _signs_into(u, (1.0 + (d / k) * pop.mu[support[i:j]]) / 2.0, signs[i:j])
+    if 2 * k > d:
+        return SparseRows(signs, support, d)
+    # Picks come in pick order: pack each (column, sign) pair into one
+    # integer and sort, which lists a row's columns in increasing order.
+    pairs = support << 1
+    pairs += signs > 0
+    pairs.sort(axis=1)
+    return SparseRows(((pairs & 1) * 2 - 1).astype(np.int8), pairs >> 1, d)
 
 
 def pmf(pop: SparsePopulation, z) -> float:

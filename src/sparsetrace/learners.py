@@ -17,7 +17,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .distributions import BetaPrior, mean_ci, sample_matrix, sample_prior, ternary_int8
+from .distributions import BetaPrior, SparseRows, mean_ci, sample_matrix, sample_prior, ternary_int8
 from .problems import ParameterPoint, ProblemSpec, check_data, data_distribution, excess_risk, is_feasible, support_argmax
 
 ERM_LINEAR = "erm"
@@ -31,11 +31,15 @@ VERTEX_LEARNERS = (ERM_LINEAR, GAUSSIAN_DP, SUBSAMPLE)
 
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered sample of n ternary points, stored as an (n, d) int8 matrix."""
+    """An ordered sample of n ternary points: a read-only (n, d) int8 matrix,
+    or the `SparseRows` that `sample_matrix` gives at k < d, kept as they are
+    in O(n k) memory (they are immutable)."""
 
-    z: np.ndarray
+    z: np.ndarray | SparseRows
 
     def __post_init__(self):
+        if isinstance(self.z, SparseRows):
+            return
         arr = ternary_int8(self.z)
         arr.setflags(write=False)
         if arr.ndim != 2:
@@ -74,12 +78,16 @@ class LearnerConfig:
 
 
 # A learner is either a config for the zoo or a deterministic map from the
-# (n, d) sample matrix to a parameter vector.
+# (n, d) float64 sample matrix to a parameter vector.
 LearnerLike = Union[LearnerConfig, Callable[[np.ndarray], np.ndarray]]
 
 
-def empirical_mean(z: np.ndarray) -> np.ndarray:
-    # Accumulates in float64 without a float64 copy of the (n, d) int8 matrix.
+def empirical_mean(z: np.ndarray | SparseRows) -> np.ndarray:
+    """Column means of the rows, accumulated in float64 without a float64
+    copy of a dense matrix; sparse rows are summed by a bincount over their
+    support.  Both sums are exact integers, so both forms give equal bits."""
+    if isinstance(z, SparseRows):
+        return np.bincount(z.support.ravel(), weights=z.signs.ravel(), minlength=z.d) / z.shape[0]
     return z.mean(axis=0, dtype=np.float64)
 
 
@@ -102,12 +110,12 @@ def train(learner: LearnerLike, spec: ProblemSpec, data: Dataset, rng: np.random
 
     A config's kind picks the learner; only gaussian_dp consumes randomness,
     and every kind but normalized_mean_l2 returns a feasible point.  A map
-    is called on the float64 sample matrix.  Either output is tagged with
-    its feasibility.
+    is called on the dense float64 sample matrix, built on demand from
+    sparse rows.  Either output is tagged with its feasibility.
     """
     check_data(spec, data.z)
     if not isinstance(learner, LearnerConfig):
-        theta = np.asarray(learner(data.z.astype(np.float64)), dtype=float)
+        theta = np.asarray(learner(np.asarray(data.z, dtype=np.float64)), dtype=float)
         return ParameterPoint(theta, is_feasible(spec, theta))
     if learner.kind == SUBSAMPLE and learner.subsample_m > data.n:
         raise ValueError(f"subsample_m={learner.subsample_m} exceeds dataset size n={data.n}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SparsePopulation, check_mean, ternary_int8
+from .distributions import SparsePopulation, SparseRows, check_mean, ternary_int8
 
 BOX_LP = "box_lp"
 L1_CAPPED = "l1_capped"
@@ -115,16 +115,18 @@ def is_feasible(spec: ProblemSpec, theta: np.ndarray) -> bool:
                 and (spec.variant == BOX_LP or np.sum(mags) <= 1.0 + FEASIBILITY_TOL))
 
 
-def check_data(spec: ProblemSpec, z: np.ndarray) -> None:
+def check_data(spec: ProblemSpec, z: np.ndarray | SparseRows) -> None:
     """Require z to be n >= 1 rows of the spec's data space: d ternary entries
     with exactly `spec.k` nonzeros each.
 
     Entry values are checked when the rows are cast to int8 (see
-    `distributions.ternary_int8`), before this check runs.
+    `distributions.ternary_int8`) or built as `SparseRows`, whose rows hold
+    their k nonzeros at distinct columns, before this check runs.
     """
     if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] != spec.d:
         raise ValueError(f"data has shape {z.shape}, expected (n >= 1, {spec.d})")
-    if np.any(np.count_nonzero(z, axis=1) != spec.k):
+    nonzeros = z.k if isinstance(z, SparseRows) else np.count_nonzero(z, axis=1)
+    if np.any(nonzeros != spec.k):
         raise ValueError(f"every data point must have exactly {spec.k} nonzeros")
 
 

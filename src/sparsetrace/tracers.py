@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BetaPrior, check_mean, row_blocks, sample_matrix, sample_prior
+from .distributions import BetaPrior, SparseRows, check_mean, row_blocks, sample_matrix, sample_prior, sparse_rows
 from .learners import VERTEX_LEARNERS, Dataset, LearnerConfig, LearnerLike, train
 from .problems import BOX_LP, ProblemSpec, data_distribution, excess_risk
 
@@ -76,7 +76,7 @@ def sparse_tracer(mu: np.ndarray, k: int, p: float, d: int) -> TracerSpec:
     return TracerSpec(ProblemSpec(BOX_LP, d=d, p=p, k=k), mu)
 
 
-def score_batch(tr: TracerSpec, theta: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, int]:
+def score_batch(tr: TracerSpec, theta: np.ndarray, Z) -> tuple[np.ndarray, int]:
     """Scores for the rows of Z, clamped to [-clip_bound, clip_bound].
 
     The one implementation of both score families: the dense form of
@@ -85,29 +85,33 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z: np.ndarray) -> tuple[np.nd
     In-range configurations never clamp; a nonzero count signals an
     out-of-contract parameter.
 
-    Rows are cast to float64 and scored one row block at a time (see
+    Dense rows are cast to float64 and scored one row block at a time (see
     `distributions.row_blocks`) in a reused buffer, so float64 working
-    memory is O(block rows * d) whatever the number of rows.
+    memory is O(block rows * d) whatever the number of rows.  At k < d the
+    rows are read as `SparseRows` (a dense array is converted) and scored
+    by gathers, theta[support] . signs and (theta * mu)[support], so the
+    work and working memory are O(n k) plus two d-long vectors.
     """
     spec = tr.spec
     theta = np.asarray(theta, dtype=float)
-    Z = np.asarray(Z)
+    Z = Z if isinstance(Z, SparseRows) else np.asarray(Z)
     if Z.ndim != 2 or Z.shape[1] != spec.d or theta.shape != (spec.d,):
         raise ValueError("dimension mismatch between tracer, theta, and data")
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta: entries must be finite")
     dense = _dense(tr, theta)
     if dense is None:
-        scale, ratio, weights = spec.d ** (1.0 / spec.p) / math.sqrt(spec.k), spec.d / spec.k, theta * tr.mu
-    raw = np.empty(Z.shape[0])
-    for i, j, zf in row_blocks(*Z.shape):
-        np.copyto(zf, Z[i:j])
-        if dense is not None:
+        rows = sparse_rows(Z, spec.k)
+        signed = theta[rows.support]
+        signed *= rows.signs
+        centre = (theta * tr.mu)[rows.support]
+        raw = spec.d ** (1.0 / spec.p) / math.sqrt(spec.k) * (
+            signed.sum(axis=1) - spec.d / spec.k * centre.sum(axis=1))
+    else:
+        raw = np.empty(Z.shape[0])
+        for i, j, zf in row_blocks(*Z.shape):
+            np.copyto(zf, Z[i:j])
             raw[i:j] = dense_score(zf @ dense[0], *dense[1:])
-        else:
-            signed = zf @ theta
-            np.abs(zf, out=zf)
-            raw[i:j] = scale * (signed - ratio * (zf @ weights))
     clip = tr.clip_bound
     return np.clip(raw, -clip, clip), int(np.count_nonzero(np.abs(raw) > clip))
 

@@ -10,11 +10,13 @@ from sparsetrace.distributions import (
     BetaPrior,
     MeanVector,
     SparsePopulation,
+    SparseRows,
     pmf,
     prior_quadrature,
     row_blocks,
     sample_matrix,
     sample_prior,
+    sparse_rows,
 )
 from sparsetrace.problems import BOX_LP, ParameterPoint, ProblemSpec, loss
 from sparsetrace.rng import substream
@@ -40,14 +42,14 @@ class TestSampleSupport:
         assert np.all(z != 0)
 
     def test_two_choose_one_is_fair(self):
-        z = sample_matrix(SparsePopulation(np.zeros(2), 1, 2), 10**5, substream(SEED, 1, "support"))
+        z = np.asarray(sample_matrix(SparsePopulation(np.zeros(2), 1, 2), 10**5, substream(SEED, 1, "support")))
         n = z.shape[0]
         ones = int(np.count_nonzero(z[:, 1]))
         sigma = math.sqrt(0.25 / n)
         assert abs(ones / n - 0.5) < 3 * sigma
 
     def test_five_choose_two_uniform_chisquare(self):
-        z = sample_matrix(SparsePopulation(np.zeros(5), 2, 5), 10**5, substream(SEED, 2, "support"))
+        z = np.asarray(sample_matrix(SparsePopulation(np.zeros(5), 2, 5), 10**5, substream(SEED, 2, "support")))
         n = z.shape[0]
         subsets = {frozenset(c): 0 for c in itertools.combinations(range(5), 2)}
         for row in z:
@@ -55,6 +57,14 @@ class TestSampleSupport:
         counts = np.array(list(subsets.values()))
         sigma = math.sqrt(0.1 * 0.9 / n)
         assert np.all(np.abs(counts / n - 0.1) < 3 * sigma)
+        assert chisquare(counts).pvalue > 1e-3
+
+    def test_five_choose_four_uniform_chisquare(self):
+        # k > d/2: Floyd picks the one column left out, and the support is the rest.
+        z = sample_matrix(SparsePopulation(np.zeros(5), 4, 5), 10**5, substream(SEED, 3, "support"))
+        left_out = np.flatnonzero(np.asarray(z) == 0) % 5
+        counts = np.bincount(left_out, minlength=5)
+        assert counts.sum() == 10**5
         assert chisquare(counts).pvalue > 1e-3
 
     def test_rejects_bad_k(self):
@@ -74,14 +84,14 @@ class TestSampleSparse:
 
     def test_saturated_probability_is_deterministic(self):
         pop = SparsePopulation([0.5, -0.5], 1, 2)
-        z = sample_matrix(pop, 200, substream(SEED, 5, "sparse"))
+        z = np.asarray(sample_matrix(pop, 200, substream(SEED, 5, "sparse")))
         assert set(map(tuple, z)) == {(1, 0), (0, -1)}
 
     def test_sample_mean_matches_population_mean(self):
         mu = np.array([1 / 3, 0.0, -1 / 3])
         pop = SparsePopulation(mu, 2, 3)
         n = 10**5
-        z = sample_matrix(pop, n, substream(SEED, 6, "sparse"))
+        z = np.asarray(sample_matrix(pop, n, substream(SEED, 6, "sparse")))
         sigma = np.sqrt((pop.k / pop.d - mu**2) / n)
         assert np.all(np.abs(z.mean(axis=0) - mu) < 3 * sigma)
 
@@ -108,7 +118,7 @@ class TestSampleMatrix:
         pop = SparsePopulation(mu, 3, 4)
         rng = substream(SEED, 8, "matrix")
         n = 2 * 10**5
-        z = sample_matrix(pop, n, rng)
+        z = np.asarray(sample_matrix(pop, n, rng))
         assert np.all(np.count_nonzero(z, axis=1) == 3)
         sigma = np.sqrt((pop.k / pop.d - mu**2) / n)
         assert np.all(np.abs(z.mean(axis=0) - mu) < 4 * sigma)
@@ -118,7 +128,7 @@ class TestSampleMatrix:
         pop = SparsePopulation(np.zeros(5), 2, 5)
         rng = substream(SEED, 16, "matrix")
         n = 10**5
-        z = sample_matrix(pop, n, rng)
+        z = np.asarray(sample_matrix(pop, n, rng))
         masks = (z != 0) @ (1 << np.arange(5))
         counts = np.bincount(masks, minlength=32)
         observed = counts[counts > 0]
@@ -139,17 +149,23 @@ class TestSampleMatrix:
 
 def _sample_matrix_reference(pop, n, rng):
     """The unblocked sampler: whole-matrix draws, np.where signs, and Floyd's
-    algorithm run row by row with a Python set on the same candidate draws."""
+    algorithm run row by row with a Python set on the same candidate draws.
+    Past k = d/2 Floyd picks the d - k columns left out, and the support is
+    the rest in increasing order."""
     d, k = pop.d, pop.k
     p_plus = (1.0 + (d / k) * pop.mu) / 2.0
     if k == d:
         return np.where(rng.random((n, d)) < p_plus, 1, -1).astype(np.int8)
-    sel = rng.integers(0, np.arange(d - k + 1, d + 1), size=(n, k))
+    m = min(k, d - k)
+    sel = rng.integers(0, np.arange(d - m + 1, d + 1), size=(n, m))
     for row in sel:
         held = set()
         for i, t in enumerate(row):
-            row[i] = d - k + i if t in held else t
+            row[i] = d - m + i if t in held else t
             held.add(int(row[i]))
+    if m < k:
+        sel = np.array([sorted(set(range(d)) - set(row.tolist())) for row in sel],
+                       dtype=np.int64).reshape(n, k)
     signs = np.where(rng.random((n, k)) < p_plus[sel], 1, -1).astype(np.int8)
     out = np.zeros((n, d), dtype=np.int8)
     np.put_along_axis(out, sel, signs, axis=1)
@@ -162,9 +178,11 @@ def _block_rows(width):
 
 # (d, k): dense and sparse at a power-of-two width (k = 3000 makes the (n, k)
 # sign draws span several blocks too), a width whose block rows are rounded
-# down, and widths above BLOCK_ENTRIES where a block is one row.
+# down, widths above BLOCK_ENTRIES where a block is one row, and small d on
+# both sides of d/2, where most rows replace candidates that earlier
+# replacements hold.
 BLOCKED_SHAPES = [(4096, 4096), (4096, 3000), (1000, 1000), (1000, 37),
-                  (BLOCK_ENTRIES + 3, BLOCK_ENTRIES + 3), (BLOCK_ENTRIES + 3, 700)]
+                  (BLOCK_ENTRIES + 3, BLOCK_ENTRIES + 3), (BLOCK_ENTRIES + 3, 700), (8, 4), (9, 7)]
 
 
 class TestBlockedSampleMatrix:
@@ -187,6 +205,38 @@ class TestBlockedSampleMatrix:
             rows = _block_rows(width)
             assert rows == 1 or rows * width <= BLOCK_ENTRIES
             assert rows < 4 or rows % 4 == 0
+
+
+class TestSparseRows:
+    def test_rows_report_and_build_their_dense_matrix(self):
+        pop = SparsePopulation(np.zeros(50), 6, 50)
+        rows = sample_matrix(pop, 30, substream(SEED, 30, "rows"))
+        assert isinstance(rows, SparseRows) and rows.k == 6
+        assert (rows.shape, rows.ndim, rows.size, rows.dtype) == ((30, 50), 2, 1500, np.int8)
+        dense = np.asarray(rows)
+        assert dense.dtype == np.int8 and dense.shape == (30, 50)
+        assert np.all(np.count_nonzero(dense, axis=1) == 6)
+        assert np.array_equal(np.take_along_axis(dense, rows.support, axis=1), rows.signs)
+        assert np.array_equal(np.asarray(rows, dtype=np.float64), dense)
+        assert np.array_equal(np.asarray(rows[3:7]), dense[3:7])
+        assert np.array_equal(np.asarray(sparse_rows(dense, 6)), dense)
+        with pytest.raises(ValueError, match="always a new array"):
+            np.asarray(rows, copy=False)
+        with pytest.raises(ValueError, match="exactly 5 nonzeros"):
+            sparse_rows(dense, 5)
+
+    @pytest.mark.parametrize("signs,support,d", [
+        ([[1, 0]], [[0, 1]], 4),          # a zero sign
+        ([[1, 2]], [[0, 1]], 4),
+        ([[1, -1]], [[0, 4]], 4),         # a column past d
+        ([[1, -1]], [[-1, 0]], 4),        # a negative column would wrap in a gather
+        ([[1, -1]], [[3, 3]], 4),         # a repeated column
+        ([[1, -1]], [[3, 1]], 4),         # columns out of order
+        ([[1, -1]], [[0, 1]], 2),         # k = d rows are dense matrices
+    ])
+    def test_bad_rows_rejected(self, signs, support, d):
+        with pytest.raises(ValueError):
+            SparseRows(np.array(signs, dtype=np.int8), np.array(support), d)
 
 
 class TestPmf:

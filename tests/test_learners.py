@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsetrace.distributions import BetaPrior, SparsePopulation, sample_matrix
+from sparsetrace.distributions import BetaPrior, SparsePopulation, SparseRows, sample_matrix
 from sparsetrace.learners import (
     LEARNER_KINDS,
     Dataset,
@@ -111,6 +111,29 @@ class TestTrain:
             train(ERM, spec, data, substream(SEED, 9))
 
 
+class TestSparseRows:
+    def test_rows_train_as_their_dense_matrix(self):
+        # Every kind, on the rows and on their dense matrix, from one generator state.
+        spec = _box(64, 8)
+        rows = sample_matrix(SparsePopulation(np.zeros(64), 8, 64), 40, substream(SEED, 40))
+        dense = np.asarray(rows)
+        assert np.array_equal(empirical_mean(rows), empirical_mean(dense))
+        seen = []
+        configs = [LearnerConfig(kind, epsilon=1.0, delta=1e-5) if kind == "gaussian_dp"
+                   else LearnerConfig(kind, subsample_m=7) if kind == "subsample"
+                   else LearnerConfig(kind) for kind in LEARNER_KINDS]
+        for learner in configs + [lambda z: seen.append(z) or z.mean(axis=0)]:
+            a = train(learner, spec, Dataset(rows), substream(SEED, 41))
+            b = train(learner, spec, Dataset(dense), substream(SEED, 41))
+            assert np.array_equal(a.theta, b.theta) and a.feasible == b.feasible
+        assert seen[0].dtype == np.float64 and np.array_equal(seen[0], seen[1])
+
+    def test_wrong_sparsity_rejected(self):
+        rows = SparseRows(np.ones((2, 3), dtype=np.int8), np.array([[0, 3, 5], [1, 3, 7]]), 8)
+        with pytest.raises(ValueError, match="exactly 2 nonzeros"):
+            train(ERM, _box(8, 2), Dataset(rows), substream(SEED, 42))
+
+
 class TestDpSensitivity:
     def test_neighboring_means_within_sensitivity_bound(self):
         rng = substream(SEED, 10)
@@ -118,9 +141,9 @@ class TestDpSensitivity:
         pop = SparsePopulation(np.zeros(d), k, d)
         bound = 2 * math.sqrt(k) / n
         for _ in range(1000):
-            z = sample_matrix(pop, n, rng)
+            z = np.asarray(sample_matrix(pop, n, rng))
             z_prime = z.copy()
-            z_prime[int(rng.integers(n))] = sample_matrix(pop, 1, rng)[0]
+            z_prime[int(rng.integers(n))] = np.asarray(sample_matrix(pop, 1, rng))[0]
             gap = np.linalg.norm(empirical_mean(z) - empirical_mean(z_prime))
             assert gap <= bound + 1e-12
 

@@ -43,7 +43,7 @@ def validate_lipschitz(spec: ProblemSpec, trials: int, rng: np.random.Generator)
     for _ in range(trials):
         t1 = random_feasible_point(spec, rng)
         t2 = random_feasible_point(spec, rng)
-        z = sample_matrix(uniform, 1, rng)[0]
+        z = np.asarray(sample_matrix(uniform, 1, rng))[0]
         gap = abs(loss(spec, t1, z) - loss(spec, t2, z))
         norm = float(np.sum(np.abs(t1.theta - t2.theta) ** p) ** (1.0 / p))
         if gap > norm + FEASIBILITY_TOL:

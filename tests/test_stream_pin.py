@@ -25,7 +25,7 @@ PINNED = {
     "dp_audit": (["dp-audit", "--d", "256", "--k", "8", "--n", "16", "--M", "50", "--trials", "4",
                   "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
                   "--seed", "11"],
-                 "23dd18e712ed9deb97bc0995a0e20a303056c115d4fada7defc66637696af1ae"),
+                 "9eec8de8d8c6fd10bae7544c82fd7f034a13bff07c1bffb5fa37ab04cd1581d7"),
     # l1_capped at s = 1, the plain l_1 ball: dense +/-1 rows, the scaling-matrix score.
     "trace_l1": (["trace", "--variant", "l1_capped", "--s", "1", "--d", "64", "--n", "16",
                   "--M", "50", "--trials", "4", "--alpha-target", "0.1", "--seed", "11"],
@@ -34,14 +34,14 @@ PINNED = {
     "sweep": (["sweep", "--d", "256", "--k", "8", "--n", "16", "--M", "50", "--trials", "4",
                "--learner", "gaussian_dp", "--epsilon", "1", "--alpha-target", "0.1",
                "--noise-scales", "0.5,2", "--seed", "11"],
-              "cdc4cd946e0e8edc0b971c3e6a43c040bab806058e62156a25e278adc9ff1faa"),
+              "04be8ed4cc747e24fc6c38a9df94932a651150e366d28537f90096cf38d832c3"),
 }
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_seeded_csv_bytes_are_pinned(name, threads, tmp_path):
-    assert SCHEMA_VERSION == 7
+    assert SCHEMA_VERSION == 8
     argv, digest = PINNED[name]
     out = tmp_path / f"{name}.csv"
     assert main(argv + ["--threads", str(threads), "--out", str(out)]) == EXIT_OK

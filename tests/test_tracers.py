@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -84,7 +85,7 @@ class TestSparseScore:
         spec = ProblemSpec(BOX_LP, d=d, p=p, k=k)
         for _ in range(50):
             theta = rng.uniform(-spec.box_radius, spec.box_radius, size=d)
-            z = sample_matrix(pop, 1, rng)[0]
+            z = np.asarray(sample_matrix(pop, 1, rng))[0]
             expected = _score_sparse_reference(theta, z, mu, k, p, d)
             assert _score_one(tr, theta, z) == pytest.approx(expected, abs=1e-12)
 
@@ -145,7 +146,7 @@ class TestScalingScore:
 
 def _score_batch_reference(tr, theta, Z, clip=None):
     """The unblocked formula: one float64 cast of all of Z, then both products."""
-    Zf = Z.astype(np.float64)
+    Zf = np.asarray(Z, dtype=np.float64)
     spec = tr.spec
     if tr.kind == "sparse":
         scale = spec.d ** (1.0 / spec.p) / math.sqrt(spec.k)
@@ -181,6 +182,36 @@ class TestBlockedScoreBatch:
         expected, expected_clipped = _score_batch_reference(tr, theta, z)
         np.testing.assert_allclose(scores, expected, rtol=1e-12)
         assert clipped == expected_clipped and clipped > 0
+
+
+class TestSparseRowScores:
+    def test_rows_and_their_dense_matrix_score_identically(self):
+        # One k < d formula: a dense matrix is read as the same rows.
+        for d, k in ((64, 8), (1000, 37), (4096, 3000)):
+            rng = substream(SEED, d + k, "one-formula")
+            mu = rng.uniform(-k / d, k / d, size=d)
+            tr = sparse_tracer(mu, k, 2.0, d)
+            rows = sample_matrix(SparsePopulation(mu, k, d), 50, rng)
+            theta = rng.uniform(-1.0, 1.0, size=d) / math.sqrt(d)
+            scores, clipped = score_batch(tr, theta, rows)
+            dense_scores, dense_clipped = score_batch(tr, theta, np.asarray(rows))
+            assert np.array_equal(scores, dense_scores) and clipped == dense_clipped
+
+    def test_sampling_and_scoring_memory_stays_below_a_tenth_of_dense(self):
+        # 200 rows at d = 2^18, k = 64: a dense int8 matrix of them alone takes n * d bytes.
+        n, d, k = 200, 2**18, 64
+        rng = substream(SEED, 61, "memory")
+        mu = rng.uniform(-k / d, k / d, size=d)
+        pop, tr = SparsePopulation(mu, k, d), sparse_tracer(mu, k, 2.0, d)
+        theta = np.where(rng.random(d) < 0.5, 1.0, -1.0) / math.sqrt(d)
+        tracemalloc.start()
+        try:
+            scores, clipped = score_batch(tr, theta, sample_matrix(pop, n, rng))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (n,) and clipped == 0
+        assert peak < n * d / 10
 
 
 class TestCalibrateThreshold:

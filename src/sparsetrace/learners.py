@@ -83,12 +83,16 @@ LearnerLike = Union[LearnerConfig, Callable[[np.ndarray], np.ndarray]]
 
 
 def empirical_mean(z: np.ndarray | SparseRows) -> np.ndarray:
-    """Column means of the rows, accumulated in float64 without a float64
-    copy of a dense matrix; sparse rows are summed by a bincount over their
-    support.  Both sums are exact integers, so both forms give equal bits."""
+    """Column means of the ternary rows: each column's integer sum over n.
+    A dense matrix is summed in the narrowest integer type that |sum| <= n
+    fits, through numpy's reduction buffers rather than a whole-matrix copy;
+    sparse rows are summed by a bincount over their support.  Both sums are
+    exact integers, so both forms give equal bits, and the bits of
+    z.mean(axis=0, dtype=float64)."""
+    n = z.shape[0]
     if isinstance(z, SparseRows):
-        return np.bincount(z.support.ravel(), weights=z.signs.ravel(), minlength=z.d) / z.shape[0]
-    return z.mean(axis=0, dtype=np.float64)
+        return np.bincount(z.support.ravel(), weights=z.signs.ravel(), minlength=z.d) / n
+    return z.sum(axis=0, dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int64) / n
 
 
 def gaussian_sigma(epsilon: float, delta: float, k_max: int, n: int) -> float:

@@ -6,9 +6,11 @@ parameter after centering.  Fresh points score zero in expectation, so a
 threshold at the (1 - xi)-quantile of their null law (exact at a box vertex
 on dense box_lp data, sampled elsewhere, with a tie weight on the atom at
 the threshold) controls the false positive rate while training points of
-accurate learners score high.  A trial draws its rows once and trains each
-learner on them from one generator state, so the arms of a noise sweep
-share the data and the Gaussian noise vector.
+accurate learners score high.  Where the law is exact, the fresh points
+that measure that rate are drawn from it as agreement counts, not rows.
+A trial draws its rows once and trains each learner on them from one
+generator state, so the arms of a noise sweep share the data and the
+Gaussian noise vector.
 
 Two score families are implemented; on dense rows (every l1_capped row,
 box_lp at k = d) both are one affine map c * (z . u - u . mu), `dense_score`:
@@ -238,14 +240,16 @@ class TraceReport:
 
 
 def _draw_trial(learners: tuple[LearnerLike, ...], spec: ProblemSpec, tracer_kind: str,
-                prior: BetaPrior, n: int, rng: np.random.Generator, held_out: tuple[int, ...] = ()):
+                prior: BetaPrior, n: int, rng: np.random.Generator, held_out: tuple[int, ...] = (),
+                uniforms: int = 0):
     """The random part of a trial, shared by every trial kind.
 
     Draws mu from the prior (whose gamma must not pass the spec's mean
-    bound), builds the tracer from that true mean, samples n training rows
-    and then one matrix per held_out size, and trains each learner last,
-    each from the generator state the data draws left.  `tracer_kind` must
-    be the spec's `score_kind`.  Returns (mu, tracer, thetas, z_train, held).
+    bound), builds the tracer from that true mean, samples n training rows,
+    then one matrix per held_out size, then `uniforms` uniforms if any, and
+    trains each learner last, each from the generator state the data draws
+    left.  `tracer_kind` must be the spec's `score_kind`.  Returns (mu,
+    tracer, thetas, z_train, held), held ending in the uniforms if any.
     """
     if tracer_kind != score_kind(spec):
         raise ValueError(f"the {spec.variant} variant takes the {score_kind(spec)!r} score, "
@@ -254,7 +258,7 @@ def _draw_trial(learners: tuple[LearnerLike, ...], spec: ProblemSpec, tracer_kin
     tracer = TracerSpec(spec, mu, prior.gamma)
     pop = data_distribution(spec, mu)
     z_train = sample_matrix(pop, n, rng)
-    held = [sample_matrix(pop, m, rng) for m in held_out]
+    held = [sample_matrix(pop, m, rng) for m in held_out] + ([rng.random(uniforms)] if uniforms else [])
     data, state = Dataset(z_train), rng.bit_generator.state
     thetas = []
     for learner in learners:
@@ -263,31 +267,53 @@ def _draw_trial(learners: tuple[LearnerLike, ...], spec: ProblemSpec, tracer_kin
     return mu, tracer, thetas, z_train, held
 
 
+def _law_draws(masses: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Atom indices drawn from the law `masses` by the inverse CDF of uniforms u in [0, 1).
+
+    The CDF is scaled by its last value, so u * total < total: no index
+    passes masses.size - 1, and an atom of zero mass, whose CDF step is
+    empty, is never drawn.
+    """
+    cdf = np.cumsum(masses)
+    return np.searchsorted(cdf, u * cdf[-1], side="right")
+
+
 def run_trace_arms(learners: tuple[LearnerLike, ...], spec: ProblemSpec, tracer_kind: str, prior: BetaPrior,
                    n: int, M: int, policy: ThresholdPolicy, rng: np.random.Generator) -> list[TraceReport]:
     """One full attack trial per learner, all on one draw (see `_draw_trial`) with M fresh points.
 
     Under null_quantile, when every learner is a vertex learner on dense
-    box_lp data, each arm takes its exact null law; any other run draws one
-    null sample that every arm scores.  Recall and soundness count scores
-    above the threshold, plus the tie weight times those at it.
+    box_lp data (the exact path), each arm takes its exact null law, and
+    its M fresh scores are drawn from that law: a fresh row scores through
+    its agreement count B alone, so M uniforms, drawn where fresh rows
+    would be and shared by the arms, map to counts by `_law_draws`, and no
+    fresh row is sampled.  Any other run samples M fresh rows and one null
+    sample that every arm scores.  Recall and soundness count scores above
+    the threshold, plus the tie weight times those at it.
     """
     if n < 1 or M < 1:
         raise ValueError("n and M must be >= 1")
     exact = (policy.xi is not None and spec.variant == BOX_LP and spec.k == spec.d
              and all(isinstance(learner, LearnerConfig) and learner.kind in VERTEX_LEARNERS
                      for learner in learners))
-    held_out = (M,) if exact else (M, max(1000, math.ceil(10.0 / policy.xi)) if policy.xi is not None else 0)
-    mu, tracer, thetas, z_train, (z_fresh, *z_null) = _draw_trial(
-        learners, spec, tracer_kind, prior, n, rng, held_out)
+    if exact:
+        mu, tracer, thetas, z_train, (u_fresh,) = _draw_trial(
+            learners, spec, tracer_kind, prior, n, rng, uniforms=M)
+    else:
+        held_out = (M, max(1000, math.ceil(10.0 / policy.xi)) if policy.xi is not None else 0)
+        mu, tracer, thetas, z_train, (z_fresh, *z_null) = _draw_trial(
+            learners, spec, tracer_kind, prior, n, rng, held_out)
 
     reports = []
     for theta in thetas:
         scores_train, clip_tr = score_batch(tracer, theta.theta, z_train)
-        scores_fresh, clip_fr = score_batch(tracer, theta.theta, z_fresh)
         if exact:
             (scores_null, masses), clip_nu = _vertex_null_law(tracer, theta.theta), 0
+            # At a box vertex c = 1 / sqrt(d), so |c (2B - d - u . mu)| <= 2 d / sqrt(d),
+            # the clip bound: no atom, hence no fresh score, is ever clamped.
+            scores_fresh, clip_fr = scores_null[_law_draws(masses, u_fresh)], 0
         else:
+            scores_fresh, clip_fr = score_batch(tracer, theta.theta, z_fresh)
             (scores_null, clip_nu), masses = score_batch(tracer, theta.theta, z_null[0]), None
         lam = calibrate_threshold(policy, scores_null, masses)
         q = tie_weight(policy, scores_null, lam, masses)

@@ -147,6 +147,14 @@ class TestDpSensitivity:
             gap = np.linalg.norm(empirical_mean(z) - empirical_mean(z_prime))
             assert gap <= bound + 1e-12
 
+    @pytest.mark.parametrize("n, d", [(1, 7), (2, 1), (400, 4096), (32767, 5), (40000, 3)])
+    def test_empirical_mean_is_the_float64_mean_bit_for_bit(self, n, d):
+        # Integer column sums over n, in int16 up to n = 32767 and int64 past it.
+        z = substream(SEED, n, "ternary").integers(-1, 2, size=(n, d)).astype(np.int8)
+        z[:, 0] = 1  # a column whose sum is n, the widest the accumulator must hold
+        mean = empirical_mean(z)
+        assert mean.dtype == np.float64 and np.array_equal(mean, z.mean(axis=0, dtype=np.float64))
+
     def test_empirical_mean_makes_no_float64_copy(self):
         n, d = 400, 4096
         z = np.ones((n, d), dtype=np.int8)

@@ -1,4 +1,4 @@
-"""Pin the random stream: the exact bytes of four small seeded CSVs.
+"""Pin the random stream: the exact bytes of five small seeded CSVs.
 
 Each digest covers the bytes after the schema line, which is checked on
 its own, so a digest that survives a schema bump shows that its run's
@@ -17,10 +17,15 @@ import pytest
 from sparsetrace.harness import EXIT_OK, SCHEMA_VERSION, main
 
 PINNED = {
-    # k = d with ERM: the dense sign path and the exact null law.
+    # k = d with ERM: the dense sign path, the exact null law and fresh agreement counts.
     "trace": (["trace", "--d", "64", "--n", "16", "--M", "50", "--trials", "4",
                "--alpha-target", "0.1", "--seed", "11"],
-              "88e6c3501cd4f0fc8b22b8d5b07564464f23d5e60dc8fec20be13feec3196a01"),
+              "d371dac66666ab6f35538782a7614ac1ad07d5f02c49643010197aebe3077ab5"),
+    # k = d with gaussian_dp: the noise vector drawn after the M fresh uniforms.
+    "dp_audit_dense": (["dp-audit", "--d", "64", "--n", "16", "--M", "50", "--trials", "4",
+                        "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
+                        "--seed", "11"],
+                       "a30bd00ce5cb0a75105a18bc7dc33563d5f027a1666e09b9c86be47b584cd712"),
     # k < d: Floyd supports, then signs on them, and a sampled null law.
     "dp_audit": (["dp-audit", "--d", "256", "--k", "8", "--n", "16", "--M", "50", "--trials", "4",
                   "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
@@ -41,7 +46,7 @@ PINNED = {
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_seeded_csv_bytes_are_pinned(name, threads, tmp_path):
-    assert SCHEMA_VERSION == 8
+    assert SCHEMA_VERSION == 9
     argv, digest = PINNED[name]
     out = tmp_path / f"{name}.csv"
     assert main(argv + ["--threads", str(threads), "--out", str(out)]) == EXIT_OK

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from sparsetrace.distributions import (
     BLOCK_ENTRIES,
@@ -26,6 +27,7 @@ from sparsetrace.tracers import (
     TraceReport,
     TracerSpec,
     _draw_trial,
+    _law_draws,
     _vertex_null_law,
     calibrate_threshold,
     default_beta,
@@ -324,6 +326,66 @@ class TestExactNullLaw:
         assert lam_mc == lam
         assert abs(tie_weight(policy, scores, lam_mc) - q) <= 5 * se
 
+    def test_sampled_agreement_counts_match_the_pmf_chisquare(self):
+        # Exact-path soundness draws agreement counts from poisson_binomial_pmf, not
+        # from sample_matrix, so this checks the sampler against the pmf end to end.
+        d, rows, block, cut = 2048, 10**5, 2500, 1e-4
+        spec = ProblemSpec(BOX_LP, d=d)
+        rng = substream(SEED, d, "agreement-chisquare")
+        mu = sample_prior(default_prior(spec, alpha_target=0.1), rng).values
+        pop = SparsePopulation(mu, d, d)
+        u = np.sign(support_argmax(spec, sample_matrix(pop, 8, rng).mean(axis=0)).theta).astype(np.int8)
+        observed = np.zeros(d + 1)
+        for _ in range(rows // block):  # about 5 MB of rows and 5 MB of agreements at a time
+            observed += np.bincount(np.count_nonzero(sample_matrix(pop, block, rng) == u, axis=1),
+                                    minlength=d + 1)
+
+        def pvalue(p_agree):
+            expected = rows * poisson_binomial_pmf(p_agree)
+            expected *= rows / expected.sum()
+            # The bins expected to hold >= 5 rows are one run (the pmf is log-concave);
+            # each tail pools into the run's end bin.
+            keep = np.flatnonzero(expected >= 5.0)
+            lo, hi = keep[0], keep[-1]
+            assert keep.size == hi - lo + 1
+            pool = lambda x: np.concatenate([[x[:lo + 1].sum()], x[lo + 1:hi], [x[hi:].sum()]])
+            return chisquare(pool(observed), pool(expected)).pvalue
+
+        p_agree = (1.0 + u * mu) / 2.0
+        assert pvalue(p_agree) > cut
+        # Power: the law of mu moved by 1e-3 towards u (a shift of B's mean by about
+        # one, a twentieth of its standard deviation) is rejected.
+        assert pvalue(np.minimum(p_agree + 0.5e-3, 1.0)) < cut
+
+    def test_count_draws_at_a_box_corner_are_the_one_atom(self):
+        # A tiny beta puts every mu_j at +/-1, so every row is sign(mu) and each arm's
+        # law of B is a point mass: every fresh score is the training rows' one score.
+        d = 64
+        spec = ProblemSpec(BOX_LP, d=d)
+        prior = BetaPrior(1e-4, 1.0, d)
+        assert np.all(np.abs(sample_prior(prior, substream(SEED, 70)).values) == 1.0)
+        learners = (ERM, LearnerConfig("gaussian_dp", epsilon=0.1, delta=1e-5))
+        for report in run_trace_arms(learners, spec, "sparse", prior, 8, 500, null_quantile(0.1),
+                                     substream(SEED, 70)):
+            assert np.all(report.scores_train == report.scores_train[0])
+            assert np.all(report.scores_fresh == report.scores_train[0])
+            assert report.clip_events == 0
+
+    def test_count_draws_avoid_atoms_of_zero_mass(self):
+        # Certain coordinates (p_j in {0, 1}) leave atoms that the pmf clips to exactly 0.
+        d = 40
+        p = substream(SEED, d, "zero-mass").random(d)
+        p[:6], p[6:10] = 1.0, 0.0
+        masses = poisson_binomial_pmf(p)
+        assert np.count_nonzero(masses == 0.0) > 0
+        u = np.concatenate([substream(SEED, d, "zero-mass-u").random(10**5),
+                            [0.0, np.nextafter(1.0, 0.0)]])
+        B = _law_draws(masses, u)
+        assert B.min() >= 0 and B.max() <= d and np.all(masses[B] > 0.0)
+        # Hand-made law: the zero atoms at the ends and in the middle are never drawn.
+        law = np.array([0.0, 0.25, 0.0, 0.75, 0.0])
+        assert set(_law_draws(law, np.array([0.0, 0.2499, 0.25, 0.5, np.nextafter(1.0, 0.0)]))) == {1, 3}
+
     def test_law_requires_a_vertex_at_k_equal_d(self):
         spec = ProblemSpec(BOX_LP, d=8)
         theta = np.full(8, spec.box_radius)
@@ -431,20 +493,26 @@ class TestRunTraceTrial:
                             policy=null_quantile(0.5), rng=substream(SEED, 15))
 
     def test_report_invariants_hold(self):
-        spec = ProblemSpec(BOX_LP, d=128, p=2.0, k=32)
-        prior = default_prior(spec, alpha_target=0.1)
-        report = run_trace_trial(ERM, spec, "sparse", prior, n=40, M=80,
-                                 policy=null_quantile(0.1), rng=substream(SEED, 14))
-        assert report.soundness_estimate == pytest.approx(
-            np.count_nonzero(report.scores_fresh >= report.threshold) / 80)
-        lam = report.threshold
-        assert (np.count_nonzero(report.scores_train > lam) <= report.recall_estimate
-                <= np.count_nonzero(report.scores_train >= lam) <= 40)
-        assert report.clip_events == 0
+        for k in (32, 128):  # k = d = 128 is the exact path
+            spec = ProblemSpec(BOX_LP, d=128, p=2.0, k=k)
+            prior = default_prior(spec, alpha_target=0.1)
+            report = run_trace_trial(ERM, spec, "sparse", prior, n=40, M=80,
+                                     policy=null_quantile(0.1), rng=substream(SEED, 14))
+            lam, fresh = report.threshold, report.scores_fresh
+            # Fresh scores at lambda count by the tie weight; sampled k < d scores never tie.
+            assert (np.count_nonzero(fresh > lam) / 80 - 1e-12 <= report.soundness_estimate
+                    <= np.count_nonzero(fresh >= lam) / 80 + 1e-12)
+            if k < spec.d:
+                assert report.soundness_estimate == pytest.approx(np.count_nonzero(fresh >= lam) / 80)
+            assert (np.count_nonzero(report.scores_train > lam) <= report.recall_estimate
+                    <= np.count_nonzero(report.scores_train >= lam) <= 40)
+            assert report.clip_events == 0
 
     def test_fresh_scores_have_zero_mean(self):
         # For Z independent of theta the score is exactly centered.
+        # box_lp at k = d with erm is the exact path, whose fresh scores are count draws.
         for kind, spec in (("sparse", ProblemSpec(BOX_LP, d=256, p=2.0, k=64)),
+                           ("sparse", ProblemSpec(BOX_LP, d=256, p=2.0)),
                            ("scaling_matrix", ProblemSpec(L1_CAPPED, d=256, s=16))):
             prior = default_prior(spec, alpha_target=0.1)
             report = run_trace_trial(ERM, spec, kind, prior, n=32, M=20000,

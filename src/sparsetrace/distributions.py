@@ -218,15 +218,49 @@ class QuadratureRule:
             raise ValueError("weights must be positive and sum to 1")
 
 
-def _signs_into(u: np.ndarray, p_plus: np.ndarray, out: np.ndarray) -> None:
-    """Write +1 where u < p_plus and -1 elsewhere into the int8 array `out`.
-
-    The comparison lands in `out` through a bool view, and {0, 1} becomes
-    {-1, +1} in place, so no wider integer temporary is built.
+def _plus_minus(out: np.ndarray) -> None:
+    """Map the int8 array `out` from {0, 1} to {-1, +1} in place, with no wider
+    temporary.  out + out rather than out << 1: numpy's int8 add has a SIMD
+    loop and its left shift does not.
     """
-    np.less(u, p_plus, out=out.view(np.bool_))
-    out <<= 1
+    np.add(out, out, out=out)
     out -= 1
+
+
+def _dense_signs(rng: np.random.Generator, p_plus: np.ndarray, n: int) -> np.ndarray:
+    """(n, d) int8 rows with independent entries, +1 in column j with probability p_plus[j].
+
+    Each entry spends one random byte b: with scaled = 256 p_j, hi_j =
+    min(floor(scaled), 255) and frac_j = scaled - hi_j, it is +1 where b < hi_j,
+    and where b == hi_j (one entry in 256) exactly when a uniform is below
+    frac_j.  So P(+1) = (hi_j + ceil(frac_j 2^53) 2^-53) / 256, within 2^-61 of
+    p_j, and p_j = 0 and p_j = 1 come out exactly.  The bytes are the
+    little-endian bytes of ceil(n d / 8) raw generator words, in row-major
+    entry order; the tie uniforms come after all of them, one per tie in
+    row-major order.  Flat blocks of a multiple of 8 entries consume whole
+    words, so the stream is the same for any block size, and working memory
+    is one block plus the tie indices.
+    """
+    d = p_plus.size
+    scaled = 256.0 * p_plus
+    hi = np.minimum(scaled, 255.0).astype(np.uint8)  # the cast floors, as scaled >= 0
+    out = np.empty((n, d), dtype=np.int8)
+    flat, total = out.reshape(-1), n * d
+    step = max(8, BLOCK_ENTRIES - BLOCK_ENTRIES % 8)
+    # hi repeated over enough rows to cover any step entries from any column.
+    hi_rows = np.repeat(hi[None, :], -(-(d - 1 + min(step, total)) // d), axis=0).ravel()
+    ties = [np.empty(0, dtype=np.intp)]
+    for start in range(0, total, step):
+        stop = min(total, start + step)
+        words = rng.bit_generator.random_raw(-(-(stop - start) // 8))
+        b = words.astype("<u8", copy=False).view(np.uint8)[: stop - start]
+        h = hi_rows[start % d: start % d + stop - start]
+        np.less(b, h, out=flat[start:stop].view(np.bool_))
+        ties.append(np.flatnonzero(b == h) + start)
+    ties = np.concatenate(ties)
+    flat[ties] = rng.random(ties.size) < (scaled - hi)[ties % d]
+    _plus_minus(out)
+    return out
 
 
 def _uniform_blocks(rng: np.random.Generator, n: int, width: int):
@@ -288,30 +322,33 @@ def _floyd_supports(rng: np.random.Generator, n: int, d: int, k: int) -> np.ndar
 def sample_matrix(pop: SparsePopulation, n: int, rng: np.random.Generator) -> np.ndarray | SparseRows:
     """n independent draws: an (n, d) int8 matrix at k = d, a `SparseRows` at k < d.
 
-    The dense case draws rng.random((n, d)) and keeps +1 where a uniform is
-    below (1 + mu_j) / 2.  For k < d the supports come from Floyd's
-    algorithm (`_floyd_supports`), and one rng.random((n, k)) draw then gives
-    the signs, +1 where a uniform is below (1 + (d/k) mu_j) / 2 on the
-    support.  The rows and the sampler's working memory are O(n k): no
-    d-long array is built.
+    The dense case spends one random byte per entry (`_dense_signs`): +1
+    where the byte is below min(floor(256 p_j), 255), p_j = (1 + mu_j) / 2,
+    and a float64 uniform settles the one entry in 256 whose byte equals it.  For
+    k < d the supports come from Floyd's algorithm (`_floyd_supports`), and
+    one rng.random((n, k)) draw then gives the signs, +1 where a uniform is
+    below (1 + (d/k) mu_j) / 2 on the support.  The rows and the sampler's
+    working memory are O(n k): no d-long array is built.
 
-    Uniforms are drawn row block by row block (see `row_blocks`), so about
-    BLOCK_ENTRIES of them are held at a time; blocking changes no draw and
-    no output.
+    The k < d signs keep their float uniforms.  The byte rule would save
+    about 1 ms per `audit_sparse` benchmark trial, but it would re-roll the
+    k < d stream, and with it which of that workload's runs fail its
+    soundness band, which some round seeds fail as it stands.
+
+    Draws are made in blocks of about BLOCK_ENTRIES entries (uniforms by
+    `row_blocks`), so that many are held at a time; blocking changes no draw
+    and no output.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     d, k = pop.d, pop.k
     if k == d:
-        p_plus = (1.0 + pop.mu) / 2.0
-        out = np.empty((n, d), dtype=np.int8)
-        for i, j, u in _uniform_blocks(rng, n, d):
-            _signs_into(u, p_plus, out[i:j])
-        return out
+        return _dense_signs(rng, (1.0 + pop.mu) / 2.0, n)
     support = _floyd_supports(rng, n, d, k)
     signs = np.empty((n, k), dtype=np.int8)
     for i, j, u in _uniform_blocks(rng, n, k):
-        _signs_into(u, (1.0 + (d / k) * pop.mu[support[i:j]]) / 2.0, signs[i:j])
+        np.less(u, (1.0 + (d / k) * pop.mu[support[i:j]]) / 2.0, out=signs[i:j].view(np.bool_))
+    _plus_minus(signs)
     if 2 * k > d:
         return SparseRows(signs, support, d)
     # Picks come in pick order: pack each (column, sign) pair into one

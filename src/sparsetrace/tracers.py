@@ -140,15 +140,21 @@ def dense_score(products: np.ndarray, centre: float, c: float) -> np.ndarray:
 
 def poisson_binomial_pmf(p: np.ndarray) -> np.ndarray:
     """P(B = b), b = 0..len(p), for B the successes of independent Bernoulli(p_j): the product
-    of the polynomials (1 - p_j) + p_j x, taken in pairs a level at a time by batched real FFTs."""
-    polys = np.stack([1.0 - p, p], axis=1)
+    of the polynomials (1 - p_j) + p_j x, taken in pairs a level at a time by batched real FFTs.
+
+    Each p_j = 1 shifts B by one and each p_j = 0 drops out before the FFTs, which see only
+    the interior p_j, so every b outside [#ones, #ones + #interior] has mass exactly 0."""
+    ones, interior = int(np.count_nonzero(p == 1.0)), p[(p > 0.0) & (p < 1.0)]
+    polys = np.stack([1.0 - interior, interior], axis=1) if interior.size else np.ones((1, 1))
     while polys.shape[0] > 1:
         if polys.shape[0] % 2:
             polys = np.vstack([polys, np.eye(1, polys.shape[1])])
         width, size = 2 * polys.shape[1] - 1, 1 << (2 * polys.shape[1] - 2).bit_length()
         spectra = np.fft.rfft(polys[0::2], size) * np.fft.rfft(polys[1::2], size)
         polys = np.fft.irfft(spectra, size)[:, :width]
-    return np.maximum(polys[0, :p.size + 1], 0.0)
+    out = np.zeros(p.size + 1)
+    out[ones:ones + interior.size + 1] = np.maximum(polys[0, :interior.size + 1], 0.0)
+    return out
 
 
 def _vertex_null_law(tr: TracerSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chi2, chisquare
 
+from sparsetrace import distributions
 from sparsetrace.distributions import (
     BLOCK_ENTRIES,
     BetaPrior,
@@ -147,15 +148,52 @@ class TestSampleMatrix:
         assert 0.5 * np.abs(empirical - exact).sum() <= 0.01
 
 
+class TestDenseSignLaw:
+    # P(+1) in each column: the ends, byte boundaries j/256, j/256 -/+ 2^-40 (where
+    # the byte settles all but a 2^-32 share and the tie uniform decides the rest:
+    # ties always -1 or always +1 would be off by 1/256), and random values.
+    SPECIAL = ([0.0, 1.0] + [j / 256 for j in (1, 2, 64, 128, 255)]
+               + [j / 256 + s * 2.0**-40 for j in (1, 100, 255) for s in (-1, 1)])
+
+    @pytest.mark.parametrize("d,n", [(61, 10**5), (4099, 2000)])
+    def test_each_column_has_its_bernoulli_law_chisquare(self, d, n):
+        rng = substream(SEED, d, "sign-law")
+        p = np.concatenate([self.SPECIAL, rng.random(d - len(self.SPECIAL))])
+        pop = SparsePopulation(2.0 * p - 1.0, d, d)
+        p_plus = (1.0 + pop.mu) / 2.0
+        plus = np.count_nonzero(sample_matrix(pop, n, rng) > 0, axis=0)
+        ends = (p_plus == 0.0) | (p_plus == 1.0)
+        assert np.array_equal(plus[ends], n * p_plus[ends])
+        # One term per column with at least 5 expected on each side, and one more
+        # for the other interior columns pooled.
+        var = n * p_plus * (1.0 - p_plus)
+        tested = np.minimum(n * p_plus, n * (1.0 - p_plus)) >= 5.0
+        pooled = ~ends & ~tested
+        terms = list((plus[tested] - n * p_plus[tested]) ** 2 / var[tested])
+        if pooled.any():
+            terms.append((plus[pooled].sum() - n * p_plus[pooled].sum()) ** 2 / var[pooled].sum())
+        assert chi2.sf(sum(terms), len(terms)) > 1e-4
+
+
 def _sample_matrix_reference(pop, n, rng):
-    """The unblocked sampler: whole-matrix draws, np.where signs, and Floyd's
-    algorithm run row by row with a Python set on the same candidate draws.
-    Past k = d/2 Floyd picks the d - k columns left out, and the support is
-    the rest in increasing order."""
+    """The unblocked sampler.  At k = d: all ceil(n d / 8) raw words at once,
+    read as little-endian bytes in row-major entry order, +1 below
+    hi = min(floor(128 (1 + mu)), 255), and one uniform per tie (byte == hi)
+    in row-major order after all the words.  At k < d: Floyd's algorithm run
+    row by row with a Python set on the same candidate draws, then
+    whole-matrix sign uniforms.  Past k = d/2 Floyd picks the d - k columns
+    left out, and the support is the rest in increasing order."""
     d, k = pop.d, pop.k
     p_plus = (1.0 + (d / k) * pop.mu) / 2.0
     if k == d:
-        return np.where(rng.random((n, d)) < p_plus, 1, -1).astype(np.int8)
+        words = rng.bit_generator.random_raw(-(-n * d // 8))
+        b = words.astype("<u8").view(np.uint8)[: n * d].reshape(n, d)
+        scaled = 128.0 * (1.0 + pop.mu)
+        hi = np.minimum(np.floor(scaled), 255.0)
+        plus = b < hi
+        rows, cols = np.nonzero(b == hi)
+        plus[rows, cols] = rng.random(rows.size) < (scaled - hi)[cols]
+        return np.where(plus, 1, -1).astype(np.int8)
     m = min(k, d - k)
     sel = rng.integers(0, np.arange(d - m + 1, d + 1), size=(n, m))
     for row in sel:
@@ -180,9 +218,11 @@ def _block_rows(width):
 # sign draws span several blocks too), a width whose block rows are rounded
 # down, widths above BLOCK_ENTRIES where a block is one row, and small d on
 # both sides of d/2, where most rows replace candidates that earlier
-# replacements hold.
+# replacements hold.  The odd dense widths give n d not a multiple of 8, so
+# rows start inside a raw word and the last word is only partly used.
 BLOCKED_SHAPES = [(4096, 4096), (4096, 3000), (1000, 1000), (1000, 37),
-                  (BLOCK_ENTRIES + 3, BLOCK_ENTRIES + 3), (BLOCK_ENTRIES + 3, 700), (8, 4), (9, 7)]
+                  (BLOCK_ENTRIES + 3, BLOCK_ENTRIES + 3), (BLOCK_ENTRIES + 3, 700), (8, 4), (9, 7),
+                  (37, 37), (3, 3), (1, 1)]
 
 
 class TestBlockedSampleMatrix:
@@ -199,6 +239,16 @@ class TestBlockedSampleMatrix:
             assert z.dtype == np.int8 and z.shape == (n, d)
             assert np.array_equal(z, expected), (d, k, n)
             assert ours.random() == ref.random(), (d, k, n)
+
+    @pytest.mark.parametrize("block", [1, 8, 12, 4096, 10**6])
+    def test_dense_stream_does_not_depend_on_the_block_size(self, block, monkeypatch):
+        d, n = 37, 301
+        mu = substream(SEED, 18, "mu").uniform(-1.0, 1.0, size=d)
+        pop = SparsePopulation(mu, d, d)
+        expected = _sample_matrix_reference(pop, n, substream(SEED, 18, "block-size"))
+        monkeypatch.setattr(distributions, "BLOCK_ENTRIES", block)
+        rng = substream(SEED, 18, "block-size")
+        assert np.array_equal(sample_matrix(pop, n, rng), expected)
 
     def test_block_rows_stay_within_budget(self):
         for width in (1, 3, 100, 1000, 4096, BLOCK_ENTRIES, BLOCK_ENTRIES + 3):

@@ -20,12 +20,12 @@ PINNED = {
     # k = d with ERM: the dense sign path, the exact null law and fresh agreement counts.
     "trace": (["trace", "--d", "64", "--n", "16", "--M", "50", "--trials", "4",
                "--alpha-target", "0.1", "--seed", "11"],
-              "d371dac66666ab6f35538782a7614ac1ad07d5f02c49643010197aebe3077ab5"),
+              "11f91588150388db7d098d4853353c20f7373593a6a82afc9909c47f057d37a1"),
     # k = d with gaussian_dp: the noise vector drawn after the M fresh uniforms.
     "dp_audit_dense": (["dp-audit", "--d", "64", "--n", "16", "--M", "50", "--trials", "4",
                         "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
                         "--seed", "11"],
-                       "a30bd00ce5cb0a75105a18bc7dc33563d5f027a1666e09b9c86be47b584cd712"),
+                       "dcbd936cddb034363833d0d440ed7123ed59ab986664386b6343e683906288a8"),
     # k < d: Floyd supports, then signs on them, and a sampled null law.
     "dp_audit": (["dp-audit", "--d", "256", "--k", "8", "--n", "16", "--M", "50", "--trials", "4",
                   "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
@@ -34,7 +34,7 @@ PINNED = {
     # l1_capped at s = 1, the plain l_1 ball: dense +/-1 rows, the scaling-matrix score.
     "trace_l1": (["trace", "--variant", "l1_capped", "--s", "1", "--d", "64", "--n", "16",
                   "--M", "50", "--trials", "4", "--alpha-target", "0.1", "--seed", "11"],
-                 "bae23d18fa31a020f0c0c30c17a7ac4101456766ae468c7d6bf24d3d6a55e052"),
+                 "1bcaf29ef2d1554441a83d15371d750fc7442afa6847ee2b815281f649d002ec"),
     # Two noise scales on one draw per trial: shared rows, null sample and noise vector.
     "sweep": (["sweep", "--d", "256", "--k", "8", "--n", "16", "--M", "50", "--trials", "4",
                "--learner", "gaussian_dp", "--epsilon", "1", "--alpha-target", "0.1",
@@ -46,7 +46,7 @@ PINNED = {
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_seeded_csv_bytes_are_pinned(name, threads, tmp_path):
-    assert SCHEMA_VERSION == 9
+    assert SCHEMA_VERSION == 10
     argv, digest = PINNED[name]
     out = tmp_path / f"{name}.csv"
     assert main(argv + ["--threads", str(threads), "--out", str(out)]) == EXIT_OK

@@ -303,24 +303,42 @@ class TestExactNullLaw:
         p = substream(SEED, d, "pmf").random(d)
         np.testing.assert_allclose(poisson_binomial_pmf(p), _pmf_recurrence(p), rtol=0, atol=1e-12)
 
+    def test_pmf_is_exactly_zero_on_impossible_counts(self):
+        d = 24
+        rng = substream(SEED, d, "pmf-ends")
+        p = (rng.random(d) < 0.6).astype(float)
+        masses = poisson_binomial_pmf(p)
+        assert np.array_equal(masses, np.eye(1, d + 1, int(p.sum()))[0])
+        p[rng.permutation(d)[:7]] = rng.random(7)
+        ones, masses = int(np.count_nonzero(p == 1.0)), poisson_binomial_pmf(p)
+        assert np.all(masses[:ones] == 0.0) and np.all(masses[ones + 8:] == 0.0)
+        assert np.all(masses[ones:ones + 8] > 0.0) and abs(masses.sum() - 1.0) < 1e-12
+        np.testing.assert_allclose(masses, _pmf_recurrence(p), rtol=0, atol=1e-15)
+
     def test_exact_threshold_matches_a_monte_carlo_null(self):
         d, m, xi = 16, 10**5, 0.05
         spec = ProblemSpec(BOX_LP, d=d)
-        rng = substream(SEED, 16, "exact-vs-mc")
-        mu = sample_prior(BetaPrior(1.0, 1.0, d), rng).values
-        pop = SparsePopulation(mu, d, d)
-        theta = support_argmax(spec, sample_matrix(pop, 8, rng).mean(axis=0)).theta
-        tr = TracerSpec(spec, mu)
         policy = null_quantile(xi)
-        atoms, masses = _vertex_null_law(tr, theta)
-        lam = calibrate_threshold(policy, atoms, masses)
+        # The comparison needs an instance whose lam lies well inside its atom, so
+        # that the sampled tail masses cannot move it: take the first trial index
+        # from 16 whose instance (mu and theta from 8 rows) meets that: 17.
+        for trial in range(16, 36):
+            rng = substream(SEED, trial, "exact-vs-mc")
+            mu = sample_prior(BetaPrior(1.0, 1.0, d), rng).values
+            pop = SparsePopulation(mu, d, d)
+            theta = support_argmax(spec, sample_matrix(pop, 8, rng).mean(axis=0)).theta
+            tr = TracerSpec(spec, mu)
+            atoms, masses = _vertex_null_law(tr, theta)
+            lam = calibrate_threshold(policy, atoms, masses)
+            above, at = masses[atoms > lam].sum(), masses[atoms == lam].sum()
+            if above < xi - 5 * math.sqrt(above / m) and above + at > xi + 5 * math.sqrt(xi / m):
+                break
+        else:
+            pytest.fail("no instance from trial 16 to 35 has lam well inside its atom")
         q = tie_weight(policy, atoms, lam, masses)
-        above, at = masses[atoms > lam].sum(), masses[atoms == lam].sum()
         # The flagged indicator (1 above lam, q at it) has variance above + q^2 at - xi^2,
         # so q's Monte Carlo error is about its standard error over m rows, divided by at.
         se = math.sqrt((above + q * q * at - xi * xi) / m) / at
-        # lam is well inside its atom: the sampled tail masses cannot move it.
-        assert above < xi - 5 * math.sqrt(above / m) and above + at > xi + 5 * math.sqrt(xi / m)
         scores, _ = score_batch(tr, theta, sample_matrix(pop, m, rng))
         lam_mc = calibrate_threshold(policy, scores)
         assert lam_mc == lam

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 # Batch kernels work through row blocks of about this many entries, so their
 # float64 working buffer stays cache-sized whatever n is.  A row longer than
@@ -227,136 +226,117 @@ def _plus_minus(out: np.ndarray) -> None:
     out -= 1
 
 
-def _dense_signs(rng: np.random.Generator, p_plus: np.ndarray, n: int) -> np.ndarray:
-    """(n, d) int8 rows with independent entries, +1 in column j with probability p_plus[j].
+def _byte_signs(rng: np.random.Generator, scaled: np.ndarray, n: int,
+                support: np.ndarray | None = None) -> np.ndarray:
+    """Independent int8 signs, +1 at column c with probability p_c = scaled[c] / 256:
+    an (n, d) matrix whose entry (i, j) sits at column j, or, given an (n, k)
+    `support`, an (n, k) matrix whose entry (i, j) sits at column support[i, j].
 
-    Each entry spends one random byte b: with scaled = 256 p_j, hi_j =
-    min(floor(scaled), 255) and frac_j = scaled - hi_j, it is +1 where b < hi_j,
-    and where b == hi_j (one entry in 256) exactly when a uniform is below
-    frac_j.  So P(+1) = (hi_j + ceil(frac_j 2^53) 2^-53) / 256, within 2^-61 of
-    p_j, and p_j = 0 and p_j = 1 come out exactly.  The bytes are the
-    little-endian bytes of ceil(n d / 8) raw generator words, in row-major
-    entry order; the tie uniforms come after all of them, one per tie in
-    row-major order.  Flat blocks of a multiple of 8 entries consume whole
-    words, so the stream is the same for any block size, and working memory
-    is one block plus the tie indices.
+    Each entry spends one random byte b: with hi_c = min(floor(scaled_c), 255)
+    and frac_c = scaled_c - hi_c, it is +1 where b < hi_c, and where b == hi_c
+    (one entry in 256) exactly when a uniform is below frac_c.  So P(+1) =
+    (hi_c + ceil(frac_c 2^53) 2^-53) / 256, within 2^-61 of p_c, and p_c = 0
+    and p_c = 1 come out exactly.  The bytes are the little-endian bytes of
+    ceil(size / 8) raw generator words, in row-major entry order; the tie
+    uniforms come after all of them, one per tie in row-major order.  Flat
+    blocks of a multiple of 8 entries consume whole words, so the stream is
+    the same for any block size, and working memory is one block plus the
+    tie indices (and, given a support, hi gathered through it).
     """
-    d = p_plus.size
-    scaled = 256.0 * p_plus
-    hi = np.minimum(scaled, 255.0).astype(np.uint8)  # the cast floors, as scaled >= 0
-    out = np.empty((n, d), dtype=np.int8)
-    flat, total = out.reshape(-1), n * d
+    d = scaled.size
+    hi = np.empty(d, dtype=np.uint8)
+    np.minimum(scaled, 255.0, out=hi, casting="unsafe")  # the cast floors, as scaled >= 0
+    out = np.empty((n, d) if support is None else support.shape, dtype=np.int8)
+    flat, total = out.reshape(-1), out.size
     step = max(8, BLOCK_ENTRIES - BLOCK_ENTRIES % 8)
-    # hi repeated over enough rows to cover any step entries from any column.
-    hi_rows = np.repeat(hi[None, :], -(-(d - 1 + min(step, total)) // d), axis=0).ravel()
+    if support is None:
+        # hi repeated over enough rows to cover any step entries from any
+        # column; the block from entry `start` reads it from start % d.
+        columns, hi_flat = None, np.tile(hi, -(-(d - 1 + min(step, total)) // d))
+    else:
+        columns = support.reshape(-1)
+        hi_flat = hi[columns]
     ties = [np.empty(0, dtype=np.intp)]
     for start in range(0, total, step):
         stop = min(total, start + step)
         words = rng.bit_generator.random_raw(-(-(stop - start) // 8))
         b = words.astype("<u8", copy=False).view(np.uint8)[: stop - start]
-        h = hi_rows[start % d: start % d + stop - start]
+        at = start % d if columns is None else start
+        h = hi_flat[at: at + stop - start]
         np.less(b, h, out=flat[start:stop].view(np.bool_))
         ties.append(np.flatnonzero(b == h) + start)
     ties = np.concatenate(ties)
-    flat[ties] = rng.random(ties.size) < (scaled - hi)[ties % d]
+    tied = ties % d if columns is None else columns[ties]
+    flat[ties] = rng.random(ties.size) < scaled[tied] - hi[tied]
     _plus_minus(out)
     return out
 
 
-def _uniform_blocks(rng: np.random.Generator, n: int, width: int):
-    """`row_blocks` filled with uniforms, drawn in row order: together the
-    blocks consume the stream exactly as rng.random((n, width)) would."""
-    for i, j, u in row_blocks(n, width):
-        rng.random(out=u)
-        yield i, j, u
+def _distinct_columns(rng: np.random.Generator, n: int, d: int, m: int) -> np.ndarray:
+    """(n, m) column indices, each row an exactly uniform m-subset of range(d)
+    in increasing order, 0 < m <= d.
 
+    One rng.integers call draws m iid columns per row, and each row is
+    sorted.  Then, round after round, every row short of m distinct columns
+    redraws its repeated entries: one rng.integers call draws the deficits
+    of all rows, in row order, and the rows it touched are sorted again.
 
-def _floyd_supports(rng: np.random.Generator, n: int, d: int, k: int) -> np.ndarray:
-    """(n, k) column indices, each row an exactly uniform k-subset of range(d), 0 < k < d.
-
-    Floyd's algorithm draws m = min(k, d - k) picks per row: one rng.integers
-    draw gives every row its m candidates, the i-th t_i from [0, d - m + i],
-    and round i keeps t_i unless the row already holds it, in which case it
-    takes d - m + i.  For k <= d/2 the picks are the support, in pick order;
-    for k > d/2 they are the d - k columns left out, and the support is the
-    rest in increasing order, so only the top half's stream differs from
-    drawing k picks.  Working memory is O(n k) whatever d is.
-
-    The rounds are resolved by whole-array passes, not one at a time.  Every
-    replacement is at least d - m, so a row holds t_i < d - m exactly when
-    an earlier candidate equals it; it holds t_i = d - m + c, c < i, also
-    when round c replaced.
+    The law is uniform.  A row's state is its set S of distinct columns;
+    the first draw and each round (keep S, add m - |S| iid uniform columns)
+    commute with every relabelling sigma of range(d): S -> T has the
+    probability of sigma(S) -> sigma(T), and the start has a
+    relabelling-invariant law.  So the final m-set, reached with probability
+    1, has a law invariant under every permutation of range(d), and the
+    permutations act transitively on m-subsets: every m-subset has the same
+    probability.  A redrawn entry repeats again with probability below m / d,
+    so at m << d the rounds shrink fast.  Working memory is O(n m) whatever d
+    is.
     """
-    m = min(k, d - k)
-    picks = rng.integers(0, np.arange(d - m + 1, d + 1), size=(n, m))
-    rounds, at = np.arange(m), np.arange(0, n * m, m)[:, None]
-    # Sorting (value, round) pairs packed into one integer lists equal
-    # candidates in round order, so all but the first of them are repeats.
-    bits = (m - 1).bit_length()
-    keys = np.sort(picks << bits | rounds, axis=1)
-    values = keys >> bits
-    repeat = np.zeros(n * m, dtype=np.bool_)
-    repeat[at + (keys[:, 1:] & ((1 << bits) - 1))] = values[:, 1:] == values[:, :-1]
-    source = picks - (d - m)
-    linked = np.flatnonzero((source >= 0) & (source < rounds))
-    target = (source + at).ravel()[linked]
-    # Round c comes before every round linked to it, so the links form chains
-    # back to unlinked rounds, and each pass settles the rounds whose link
-    # was settled before it.
-    held, pending = repeat.copy(), np.zeros(n * m, dtype=np.bool_)
-    pending[linked] = True
-    while linked.size:
-        held[linked] = repeat[linked] | held[target]
-        pending[linked] = pending[target]
-        still = pending[linked]
-        linked, target = linked[still], target[still]
-    picks = np.where(held.reshape(n, m), d - m + rounds, picks)
-    if m == k:
-        return picks
-    left = np.ones((n, d), dtype=np.bool_)
-    left[np.arange(n)[:, None], picks] = False
-    support = np.flatnonzero(left)
-    return np.remainder(support, d, out=support).reshape(n, k)
+    cols = rng.integers(0, d, size=(n, m))
+    cols.sort(axis=1)
+    rows, block = None, cols
+    while True:
+        repeat = block[:, 1:] == block[:, :-1]
+        short = repeat.any(axis=1)
+        if not short.any():
+            return cols
+        rows = np.flatnonzero(short) if rows is None else rows[short]
+        block = cols[rows]
+        block[:, 1:][repeat[short]] = rng.integers(0, d, size=np.count_nonzero(repeat))
+        block.sort(axis=1)
+        cols[rows] = block
 
 
 def sample_matrix(pop: SparsePopulation, n: int, rng: np.random.Generator) -> np.ndarray | SparseRows:
     """n independent draws: an (n, d) int8 matrix at k = d, a `SparseRows` at k < d.
 
-    The dense case spends one random byte per entry (`_dense_signs`): +1
-    where the byte is below min(floor(256 p_j), 255), p_j = (1 + mu_j) / 2,
-    and a float64 uniform settles the one entry in 256 whose byte equals it.  For
-    k < d the supports come from Floyd's algorithm (`_floyd_supports`), and
-    one rng.random((n, k)) draw then gives the signs, +1 where a uniform is
-    below (1 + (d/k) mu_j) / 2 on the support.  The rows and the sampler's
-    working memory are O(n k): no d-long array is built.
+    Each sign spends one random byte (`_byte_signs`): +1 where the byte is
+    below min(floor(256 p_j), 255), p_j = (1 + (d/k) mu_j) / 2 for its column
+    j, and a float64 uniform, drawn after all the bytes, settles the one sign
+    in 256 whose byte equals it.  For k < d the supports come first, from
+    `_distinct_columns`: at k <= d/2 its m = k columns are the support; past
+    d/2 its m = d - k columns are the ones left out, and the support is the
+    rest.  The rows and the sampler's working memory are O(n k + d): no
+    (n, d) array is built below d/2.
 
-    The k < d signs keep their float uniforms.  The byte rule would save
-    about 1 ms per `audit_sparse` benchmark trial, but it would re-roll the
-    k < d stream, and with it which of that workload's runs fail its
-    soundness band, which some round seeds fail as it stands.
-
-    Draws are made in blocks of about BLOCK_ENTRIES entries (uniforms by
-    `row_blocks`), so that many are held at a time; blocking changes no draw
-    and no output.
+    Sign draws are made in blocks of about BLOCK_ENTRIES entries, so that
+    many are held at a time; blocking changes no draw and no output.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     d, k = pop.d, pop.k
+    scaled = (d / k) * pop.mu  # 256 p_j, built in place: d may be large
+    scaled += 1.0
+    scaled *= 128.0
     if k == d:
-        return _dense_signs(rng, (1.0 + pop.mu) / 2.0, n)
-    support = _floyd_supports(rng, n, d, k)
-    signs = np.empty((n, k), dtype=np.int8)
-    for i, j, u in _uniform_blocks(rng, n, k):
-        np.less(u, (1.0 + (d / k) * pop.mu[support[i:j]]) / 2.0, out=signs[i:j].view(np.bool_))
-    _plus_minus(signs)
+        return _byte_signs(rng, scaled, n)
+    support = _distinct_columns(rng, n, d, min(k, d - k))
     if 2 * k > d:
-        return SparseRows(signs, support, d)
-    # Picks come in pick order: pack each (column, sign) pair into one
-    # integer and sort, which lists a row's columns in increasing order.
-    pairs = support << 1
-    pairs += signs > 0
-    pairs.sort(axis=1)
-    return SparseRows(((pairs & 1) * 2 - 1).astype(np.int8), pairs >> 1, d)
+        left = np.ones((n, d), dtype=np.bool_)
+        left[np.arange(n)[:, None], support] = False
+        support = np.flatnonzero(left)
+        support = np.remainder(support, d, out=support).reshape(n, k)
+    return SparseRows(_byte_signs(rng, scaled, n, support), support, d)
 
 
 def pmf(pop: SparsePopulation, z) -> float:
@@ -395,6 +375,10 @@ def prior_quadrature(prior: BetaPrior, max_degree: int) -> QuadratureRule:
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
+    # Imported here, not at module level: scipy is the package's slowest
+    # import, and only the identity oracles and `verify` need this rule.
+    from scipy.special import roots_jacobi
+
     m = max(1, math.ceil((max_degree + 1) / 2))
     nodes, weights = roots_jacobi(m, prior.beta - 1.0, prior.beta - 1.0)
     weights = weights / weights.sum()

@@ -32,7 +32,7 @@ from .tracers import (ThresholdPolicy, TraceReport, default_prior, half_trace_va
                       run_trace_arms, run_trace_trial, score_kind, trace_value_contribution)
 
 IDENTITY_TOL = 1e-8
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 1

@@ -125,8 +125,15 @@ def check_data(spec: ProblemSpec, z: np.ndarray | SparseRows) -> None:
     """
     if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] != spec.d:
         raise ValueError(f"data has shape {z.shape}, expected (n >= 1, {spec.d})")
-    nonzeros = z.k if isinstance(z, SparseRows) else np.count_nonzero(z, axis=1)
-    if np.any(nonzeros != spec.k):
+    if isinstance(z, SparseRows):
+        ok = z.k == spec.k
+    elif spec.k == spec.d:
+        # Rows are full exactly when no entry is 0, and one count over the
+        # whole array costs several times less than a count per row.
+        ok = np.count_nonzero(z) == z.size
+    else:
+        ok = np.all(np.count_nonzero(z, axis=1) == spec.k)
+    if not ok:
         raise ValueError(f"every data point must have exactly {spec.k} nonzeros")
 
 

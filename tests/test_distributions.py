@@ -61,7 +61,7 @@ class TestSampleSupport:
         assert chisquare(counts).pvalue > 1e-3
 
     def test_five_choose_four_uniform_chisquare(self):
-        # k > d/2: Floyd picks the one column left out, and the support is the rest.
+        # k > d/2: the sampler draws the one column left out, and the support is the rest.
         z = sample_matrix(SparsePopulation(np.zeros(5), 4, 5), 10**5, substream(SEED, 3, "support"))
         left_out = np.flatnonzero(np.asarray(z) == 0) % 5
         counts = np.bincount(left_out, minlength=5)
@@ -124,16 +124,17 @@ class TestSampleMatrix:
         sigma = np.sqrt((pop.k / pop.d - mu**2) / n)
         assert np.all(np.abs(z.mean(axis=0) - mu) < 4 * sigma)
 
-    def test_batch_supports_are_uniform(self):
-        # The Floyd supports must be exactly uniform k-subsets.
-        pop = SparsePopulation(np.zeros(5), 2, 5)
-        rng = substream(SEED, 16, "matrix")
+    # The supports must be exactly uniform k-subsets.  At k = d/2 most rows
+    # redraw a repeated column at least once.
+    @pytest.mark.parametrize("d,k", [(5, 2), (8, 4), (12, 6)])
+    def test_batch_supports_are_uniform(self, d, k):
+        pop = SparsePopulation(np.zeros(d), k, d)
+        rng = substream(SEED, 16, f"matrix-{d}-{k}")
         n = 10**5
-        z = np.asarray(sample_matrix(pop, n, rng))
-        masks = (z != 0) @ (1 << np.arange(5))
-        counts = np.bincount(masks, minlength=32)
+        support = sample_matrix(pop, n, rng).support
+        counts = np.bincount((1 << support).sum(axis=1), minlength=1 << d)
         observed = counts[counts > 0]
-        assert observed.size == 10
+        assert observed.size == math.comb(d, k)
         assert chisquare(observed).pvalue > 1e-3
 
     def test_dense_case_recovers_product_law_in_tv(self):
@@ -155,58 +156,69 @@ class TestDenseSignLaw:
     SPECIAL = ([0.0, 1.0] + [j / 256 for j in (1, 2, 64, 128, 255)]
                + [j / 256 + s * 2.0**-40 for j in (1, 100, 255) for s in (-1, 1)])
 
-    @pytest.mark.parametrize("d,n", [(61, 10**5), (4099, 2000)])
-    def test_each_column_has_its_bernoulli_law_chisquare(self, d, n):
+    # At k < d, d / k is a power of two, so the sign probabilities
+    # (1 + (d/k) mu) / 2 are the k = d ones exactly; each column's count is
+    # taken over the rows whose support holds it.
+    @pytest.mark.parametrize("d,k,n", [(61, 61, 10**5), (4099, 4099, 2000), (64, 16, 2 * 10**5)])
+    def test_each_column_has_its_bernoulli_law_chisquare(self, d, k, n):
         rng = substream(SEED, d, "sign-law")
         p = np.concatenate([self.SPECIAL, rng.random(d - len(self.SPECIAL))])
-        pop = SparsePopulation(2.0 * p - 1.0, d, d)
-        p_plus = (1.0 + pop.mu) / 2.0
-        plus = np.count_nonzero(sample_matrix(pop, n, rng) > 0, axis=0)
+        pop = SparsePopulation((k / d) * (2.0 * p - 1.0), k, d)
+        p_plus = (1.0 + (d / k) * pop.mu) / 2.0
+        z = np.asarray(sample_matrix(pop, n, rng))
+        plus, seen = np.count_nonzero(z > 0, axis=0), np.count_nonzero(z, axis=0)
+        expected = seen * p_plus
         ends = (p_plus == 0.0) | (p_plus == 1.0)
-        assert np.array_equal(plus[ends], n * p_plus[ends])
+        assert np.array_equal(plus[ends], expected[ends])
         # One term per column with at least 5 expected on each side, and one more
         # for the other interior columns pooled.
-        var = n * p_plus * (1.0 - p_plus)
-        tested = np.minimum(n * p_plus, n * (1.0 - p_plus)) >= 5.0
+        var = expected * (1.0 - p_plus)
+        tested = np.minimum(expected, seen - expected) >= 5.0
         pooled = ~ends & ~tested
-        terms = list((plus[tested] - n * p_plus[tested]) ** 2 / var[tested])
+        terms = list((plus[tested] - expected[tested]) ** 2 / var[tested])
         if pooled.any():
-            terms.append((plus[pooled].sum() - n * p_plus[pooled].sum()) ** 2 / var[pooled].sum())
+            terms.append((plus[pooled].sum() - expected[pooled].sum()) ** 2 / var[pooled].sum())
         assert chi2.sf(sum(terms), len(terms)) > 1e-4
 
 
-def _sample_matrix_reference(pop, n, rng):
-    """The unblocked sampler.  At k = d: all ceil(n d / 8) raw words at once,
+def _reference_signs(rng, p_plus, columns):
+    """Signs at the (n, w) array `columns`: all ceil(n w / 8) raw words at once,
     read as little-endian bytes in row-major entry order, +1 below
-    hi = min(floor(128 (1 + mu)), 255), and one uniform per tie (byte == hi)
-    in row-major order after all the words.  At k < d: Floyd's algorithm run
-    row by row with a Python set on the same candidate draws, then
-    whole-matrix sign uniforms.  Past k = d/2 Floyd picks the d - k columns
-    left out, and the support is the rest in increasing order."""
+    hi = min(floor(256 p), 255), and one uniform per tie (byte == hi) in
+    row-major order after all the words."""
+    n, w = columns.shape
+    words = rng.bit_generator.random_raw(-(-n * w // 8))
+    b = words.astype("<u8").view(np.uint8)[: n * w].reshape(n, w)
+    scaled = 256.0 * p_plus[columns]
+    hi = np.minimum(np.floor(scaled), 255.0)
+    plus = b < hi
+    rows, cols = np.nonzero(b == hi)
+    plus[rows, cols] = rng.random(rows.size) < (scaled - hi)[rows, cols]
+    return np.where(plus, 1, -1).astype(np.int8)
+
+
+def _sample_matrix_reference(pop, n, rng):
+    """The unblocked sampler.  At k = d: the byte signs of every column.  At
+    k < d: m = min(k, d - k) columns per row kept as Python sets, first m iid
+    draws per row in one call, then one call per round for every row's
+    deficit, in row order, until each row holds m; then the byte signs on
+    the support.  Past k = d/2 the sets are the columns left out, and the
+    support is the rest."""
     d, k = pop.d, pop.k
     p_plus = (1.0 + (d / k) * pop.mu) / 2.0
     if k == d:
-        words = rng.bit_generator.random_raw(-(-n * d // 8))
-        b = words.astype("<u8").view(np.uint8)[: n * d].reshape(n, d)
-        scaled = 128.0 * (1.0 + pop.mu)
-        hi = np.minimum(np.floor(scaled), 255.0)
-        plus = b < hi
-        rows, cols = np.nonzero(b == hi)
-        plus[rows, cols] = rng.random(rows.size) < (scaled - hi)[cols]
-        return np.where(plus, 1, -1).astype(np.int8)
+        return _reference_signs(rng, p_plus, np.tile(np.arange(d), (n, 1)))
     m = min(k, d - k)
-    sel = rng.integers(0, np.arange(d - m + 1, d + 1), size=(n, m))
-    for row in sel:
-        held = set()
-        for i, t in enumerate(row):
-            row[i] = d - m + i if t in held else t
-            held.add(int(row[i]))
+    held = [set(row) for row in rng.integers(0, d, size=(n, m)).tolist()]
+    while deficits := [m - len(row) for row in held if len(row) < m]:
+        draws = iter(rng.integers(0, d, size=sum(deficits)).tolist())
+        for row in held:
+            row.update([next(draws) for _ in range(m - len(row))])
     if m < k:
-        sel = np.array([sorted(set(range(d)) - set(row.tolist())) for row in sel],
-                       dtype=np.int64).reshape(n, k)
-    signs = np.where(rng.random((n, k)) < p_plus[sel], 1, -1).astype(np.int8)
+        held = [set(range(d)) - row for row in held]
+    support = np.array([sorted(row) for row in held], dtype=np.int64).reshape(n, k)
     out = np.zeros((n, d), dtype=np.int8)
-    np.put_along_axis(out, sel, signs, axis=1)
+    np.put_along_axis(out, support, _reference_signs(rng, p_plus, support), axis=1)
     return out
 
 
@@ -215,10 +227,9 @@ def _block_rows(width):
 
 
 # (d, k): dense and sparse at a power-of-two width (k = 3000 makes the (n, k)
-# sign draws span several blocks too), a width whose block rows are rounded
-# down, widths above BLOCK_ENTRIES where a block is one row, and small d on
-# both sides of d/2, where most rows replace candidates that earlier
-# replacements hold.  The odd dense widths give n d not a multiple of 8, so
+# sign bytes span several blocks too), a width whose block rows are rounded
+# down, widths above BLOCK_ENTRIES where a block is one row, and small d at
+# and past d/2, where most rows redraw over several rounds.  The odd dense widths give n d not a multiple of 8, so
 # rows start inside a raw word and the last word is only partly used.
 BLOCKED_SHAPES = [(4096, 4096), (4096, 3000), (1000, 1000), (1000, 37),
                   (BLOCK_ENTRIES + 3, BLOCK_ENTRIES + 3), (BLOCK_ENTRIES + 3, 700), (8, 4), (9, 7),
@@ -248,6 +259,16 @@ class TestBlockedSampleMatrix:
         expected = _sample_matrix_reference(pop, n, substream(SEED, 18, "block-size"))
         monkeypatch.setattr(distributions, "BLOCK_ENTRIES", block)
         rng = substream(SEED, 18, "block-size")
+        assert np.array_equal(sample_matrix(pop, n, rng), expected)
+
+    @pytest.mark.parametrize("block", [1, 8, 12, 4096, 10**6])
+    def test_sparse_stream_does_not_depend_on_the_block_size(self, block, monkeypatch):
+        d, k, n = 37, 5, 301
+        mu = substream(SEED, 19, "mu").uniform(-k / d, k / d, size=d)
+        pop = SparsePopulation(mu, k, d)
+        expected = _sample_matrix_reference(pop, n, substream(SEED, 19, "block-size"))
+        monkeypatch.setattr(distributions, "BLOCK_ENTRIES", block)
+        rng = substream(SEED, 19, "block-size")
         assert np.array_equal(sample_matrix(pop, n, rng), expected)
 
     def test_block_rows_stay_within_budget(self):

@@ -273,7 +273,7 @@ class TestRun:
         cfg = _small_trace(tmp_path)
         run(cfg, threads=1)
         lines = open(cfg.output_path).read().splitlines()
-        assert lines[0] == "# sparsetrace-csv schema=10 experiment=trace"
+        assert lines[0] == "# sparsetrace-csv schema=11 experiment=trace"
         header = lines[1].split(",")
         assert header == ["trial_index", "mu_norm_l1", "excess_risk",
                           "t_hat_contribution", "recall", "soundness", "lambda",
@@ -555,6 +555,17 @@ class TestMainExitCodes:
         mu_l1 = [float(line.split(",")[1]) for line in lines[2:] if not line.startswith("#")]
         assert len(mu_l1) == 3 and all(0.0 <= v <= 16.0 for v in mu_l1)
 
+    def test_cli_start_up_does_not_import_scipy(self):
+        # scipy is needed only for the quadrature rules of the identity oracles.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys\nimport sparsetrace.harness as h\n"
+                "h.parse_cli(['trace', '--d', '64', '--alpha-target', '0.1'])\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 def test_readme_lists_every_config_key():

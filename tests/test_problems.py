@@ -12,6 +12,7 @@ from sparsetrace.problems import (
     L1_CAPPED,
     ParameterPoint,
     ProblemSpec,
+    check_data,
     data_distribution,
     excess_risk,
     is_feasible,
@@ -113,6 +114,14 @@ class TestLoss:
         theta = ParameterPoint(np.zeros(3), True)
         with pytest.raises(ValueError):
             loss(spec, theta, np.array([1, 0, 0], dtype=np.int8))
+
+    @pytest.mark.parametrize("spec", [ProblemSpec(BOX_LP, d=6, p=2.0, k=6), ProblemSpec(L1_CAPPED, d=6, s=2)])
+    def test_full_rows_reject_a_single_zero(self, spec):
+        z = np.where(substream(SEED, 3).random((5, 6)) < 0.5, 1, -1).astype(np.int8)
+        check_data(spec, z)
+        z[3, 4] = 0
+        with pytest.raises(ValueError, match="exactly 6 nonzeros"):
+            check_data(spec, z)
 
 
 class TestSupportArgmax:

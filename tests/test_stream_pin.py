@@ -3,10 +3,10 @@
 Each digest covers the bytes after the schema line, which is checked on
 its own, so a digest that survives a schema bump shows that its run's
 draws and values did not move.  A change that moves any draw (the
-generator, the substream seeding, the order of draws, the Floyd support
-sampler for k < d, the prior) or any formula on the way to the CSV fails
-here; if the move is meant, bump SCHEMA_VERSION and record the new
-digests.  They were taken with numpy 2.4.6, whose Generator samplers numpy
+generator, the substream seeding, the order of draws, the k < d support
+sampler's redraw rounds, the one-byte sign rule, the prior) or any
+formula on the way to the CSV fails here; if the move is meant, bump
+SCHEMA_VERSION and record the new digests.  They were taken with numpy 2.4.6, whose Generator samplers numpy
 itself may change between feature releases.
 """
 
@@ -26,11 +26,11 @@ PINNED = {
                         "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
                         "--seed", "11"],
                        "dcbd936cddb034363833d0d440ed7123ed59ab986664386b6343e683906288a8"),
-    # k < d: Floyd supports, then signs on them, and a sampled null law.
+    # k < d: redraw-until-distinct supports, then one byte per sign on them, and a sampled null law.
     "dp_audit": (["dp-audit", "--d", "256", "--k", "8", "--n", "16", "--M", "50", "--trials", "4",
                   "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
                   "--seed", "11"],
-                 "9eec8de8d8c6fd10bae7544c82fd7f034a13bff07c1bffb5fa37ab04cd1581d7"),
+                 "b634134a91ecc26c9d46151b00e54fe7ba86b34a393b4ff214b84890b6700dfc"),
     # l1_capped at s = 1, the plain l_1 ball: dense +/-1 rows, the scaling-matrix score.
     "trace_l1": (["trace", "--variant", "l1_capped", "--s", "1", "--d", "64", "--n", "16",
                   "--M", "50", "--trials", "4", "--alpha-target", "0.1", "--seed", "11"],
@@ -39,14 +39,14 @@ PINNED = {
     "sweep": (["sweep", "--d", "256", "--k", "8", "--n", "16", "--M", "50", "--trials", "4",
                "--learner", "gaussian_dp", "--epsilon", "1", "--alpha-target", "0.1",
                "--noise-scales", "0.5,2", "--seed", "11"],
-              "04be8ed4cc747e24fc6c38a9df94932a651150e366d28537f90096cf38d832c3"),
+              "5a6e42f46e4de07c8450530530ca279a317811eb3d250e0113180fc92ee64d66"),
 }
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_seeded_csv_bytes_are_pinned(name, threads, tmp_path):
-    assert SCHEMA_VERSION == 10
+    assert SCHEMA_VERSION == 11
     argv, digest = PINNED[name]
     out = tmp_path / f"{name}.csv"
     assert main(argv + ["--threads", str(threads), "--out", str(out)]) == EXIT_OK

@@ -32,7 +32,7 @@ from .tracers import (ThresholdPolicy, TraceReport, default_prior, half_trace_va
                       run_trace_arms, run_trace_trial, score_kind, trace_value_contribution)
 
 IDENTITY_TOL = 1e-8
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 1
@@ -361,7 +361,7 @@ _FIELD_HELP = {
     "beta": "prior shape override, beta > 0",
     "alpha_target": "target excess risk used to derive beta, > 0",
     "n": "training set size, n >= 1",
-    "M": "fresh evaluation points, M >= 1",
+    "M": "fresh evaluation points, M >= 1 (unused where the null law is exact)",
     "trials": "independent trials, >= 1",
     "noise_scales": "comma-separated positive noise multipliers",
 }

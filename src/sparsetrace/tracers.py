@@ -6,8 +6,8 @@ parameter after centering.  Fresh points score zero in expectation, so a
 threshold at the (1 - xi)-quantile of their null law (exact at a box vertex
 on dense box_lp data, sampled elsewhere, with a tie weight on the atom at
 the threshold) controls the false positive rate while training points of
-accurate learners score high.  Where the law is exact, the fresh points
-that measure that rate are drawn from it as agreement counts, not rows.
+accurate learners score high.  Where the law is exact, that rate is the
+law's flagged mass itself, xi, and no fresh row is drawn to measure it.
 A trial draws its rows once and trains each learner on them from one
 generator state, so the arms of a noise sweep share the data and the
 Gaussian noise vector.
@@ -214,15 +214,28 @@ def calibrate_threshold(policy: ThresholdPolicy, null_scores, masses=None) -> fl
     return float(scores[order][np.argmax(above < policy.xi * weights.sum() * (1.0 - 1e-12))])
 
 
+def _split_mass(scores, lam: float, masses=None) -> tuple[float, float, float]:
+    """(mass above lam, mass at lam, total mass) of the law `masses` on `scores`, or of a
+    sample with unit masses."""
+    scores = np.asarray(scores, dtype=float)
+    weights = np.ones(scores.size) if masses is None else np.asarray(masses, dtype=float)
+    return weights[scores > lam].sum(), weights[scores == lam].sum(), weights.sum()
+
+
 def tie_weight(policy: ThresholdPolicy, null_scores, lam: float, masses=None) -> float:
     """q = (xi - P(null > lam)) / P(null = lam), clipped to [0, 1], for the
     law and lambda of `calibrate_threshold`; 1 for a t_hat policy."""
     if policy.t_hat is not None:
         return 1.0
-    scores = np.asarray(null_scores, dtype=float)
-    weights = np.ones(scores.size) if masses is None else np.asarray(masses, dtype=float)
-    above, at = weights[scores > lam].sum(), weights[scores == lam].sum()
-    return float(np.clip((policy.xi * weights.sum() - above) / at, 0.0, 1.0))
+    above, at, total = _split_mass(null_scores, lam, masses)
+    return float(np.clip((policy.xi * total - above) / at, 0.0, 1.0))
+
+
+def _flagged(scores, lam: float, q: float, masses=None) -> tuple[float, float]:
+    """(flagged mass, total mass) of a law, or of a sample with unit masses: the
+    flagged mass is the mass above lam plus a share q, the tie weight, of the mass at lam."""
+    above, at, total = _split_mass(scores, lam, masses)
+    return above + q * at, total
 
 
 @dataclass(frozen=True)
@@ -230,9 +243,11 @@ class TraceReport:
     """Per-trial attack outcome.
 
     ``recall_estimate`` is the expected number of flagged training points
-    under the tie weight (so it lies in [0, n]); ``soundness_estimate`` is
-    the same expectation over the fresh sample, as a fraction of it.  The
-    mean, realized risk, and clip counter ride along for experiment records.
+    under the tie weight (so it lies in [0, n]).  ``soundness_estimate`` is
+    the flagged share of the null: of the M fresh points where the null law
+    is sampled, and of the exact law's mass, xi up to rounding, where it is
+    exact; there ``scores_fresh`` is empty.  The mean, realized risk, and
+    clip counter ride along for experiment records.
     """
 
     scores_train: np.ndarray
@@ -246,16 +261,14 @@ class TraceReport:
 
 
 def _draw_trial(learners: tuple[LearnerLike, ...], spec: ProblemSpec, tracer_kind: str,
-                prior: BetaPrior, n: int, rng: np.random.Generator, held_out: tuple[int, ...] = (),
-                uniforms: int = 0):
+                prior: BetaPrior, n: int, rng: np.random.Generator, held_out: tuple[int, ...] = ()):
     """The random part of a trial, shared by every trial kind.
 
     Draws mu from the prior (whose gamma must not pass the spec's mean
     bound), builds the tracer from that true mean, samples n training rows,
-    then one matrix per held_out size, then `uniforms` uniforms if any, and
-    trains each learner last, each from the generator state the data draws
-    left.  `tracer_kind` must be the spec's `score_kind`.  Returns (mu,
-    tracer, thetas, z_train, held), held ending in the uniforms if any.
+    then one matrix per held_out size, and trains each learner last, each
+    from the generator state the data draws left.  `tracer_kind` must be
+    the spec's `score_kind`.  Returns (mu, tracer, thetas, z_train, held).
     """
     if tracer_kind != score_kind(spec):
         raise ValueError(f"the {spec.variant} variant takes the {score_kind(spec)!r} score, "
@@ -264,7 +277,7 @@ def _draw_trial(learners: tuple[LearnerLike, ...], spec: ProblemSpec, tracer_kin
     tracer = TracerSpec(spec, mu, prior.gamma)
     pop = data_distribution(spec, mu)
     z_train = sample_matrix(pop, n, rng)
-    held = [sample_matrix(pop, m, rng) for m in held_out] + ([rng.random(uniforms)] if uniforms else [])
+    held = [sample_matrix(pop, m, rng) for m in held_out]
     data, state = Dataset(z_train), rng.bit_generator.state
     thetas = []
     for learner in learners:
@@ -273,68 +286,50 @@ def _draw_trial(learners: tuple[LearnerLike, ...], spec: ProblemSpec, tracer_kin
     return mu, tracer, thetas, z_train, held
 
 
-def _law_draws(masses: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Atom indices drawn from the law `masses` by the inverse CDF of uniforms u in [0, 1).
-
-    The CDF is scaled by its last value, so u * total < total: no index
-    passes masses.size - 1, and an atom of zero mass, whose CDF step is
-    empty, is never drawn.
-    """
-    cdf = np.cumsum(masses)
-    return np.searchsorted(cdf, u * cdf[-1], side="right")
-
-
 def run_trace_arms(learners: tuple[LearnerLike, ...], spec: ProblemSpec, tracer_kind: str, prior: BetaPrior,
                    n: int, M: int, policy: ThresholdPolicy, rng: np.random.Generator) -> list[TraceReport]:
-    """One full attack trial per learner, all on one draw (see `_draw_trial`) with M fresh points.
+    """One full attack trial per learner, all on one draw (see `_draw_trial`).
 
     Under null_quantile, when every learner is a vertex learner on dense
     box_lp data (the exact path), each arm takes its exact null law, and
-    its M fresh scores are drawn from that law: a fresh row scores through
-    its agreement count B alone, so M uniforms, drawn where fresh rows
-    would be and shared by the arms, map to counts by `_law_draws`, and no
-    fresh row is sampled.  Any other run samples M fresh rows and one null
-    sample that every arm scores.  Recall and soundness count scores above
-    the threshold, plus the tie weight times those at it.
+    the flagged mass of that law is its soundness: no fresh or null row is
+    drawn and M is unused.  Any other run samples M fresh rows and one null
+    sample that every arm scores, and soundness is the flagged share of the
+    fresh rows.  Flags count scores above the threshold, plus the tie
+    weight times those at it.
     """
     if n < 1 or M < 1:
         raise ValueError("n and M must be >= 1")
     exact = (policy.xi is not None and spec.variant == BOX_LP and spec.k == spec.d
              and all(isinstance(learner, LearnerConfig) and learner.kind in VERTEX_LEARNERS
                      for learner in learners))
-    if exact:
-        mu, tracer, thetas, z_train, (u_fresh,) = _draw_trial(
-            learners, spec, tracer_kind, prior, n, rng, uniforms=M)
-    else:
-        held_out = (M, max(1000, math.ceil(10.0 / policy.xi)) if policy.xi is not None else 0)
-        mu, tracer, thetas, z_train, (z_fresh, *z_null) = _draw_trial(
-            learners, spec, tracer_kind, prior, n, rng, held_out)
+    # The sampled path's fresh and null rows are drawn before training, so the path is chosen here.
+    held_out = () if exact else (M, max(1000, math.ceil(10.0 / policy.xi)) if policy.xi is not None else 0)
+    mu, tracer, thetas, z_train, held = _draw_trial(learners, spec, tracer_kind, prior, n, rng, held_out)
 
     reports = []
     for theta in thetas:
-        scores_train, clip_tr = score_batch(tracer, theta.theta, z_train)
+        scores_train, clips = score_batch(tracer, theta.theta, z_train)
         if exact:
-            (scores_null, masses), clip_nu = _vertex_null_law(tracer, theta.theta), 0
             # At a box vertex c = 1 / sqrt(d), so |c (2B - d - u . mu)| <= 2 d / sqrt(d),
-            # the clip bound: no atom, hence no fresh score, is ever clamped.
-            scores_fresh, clip_fr = scores_null[_law_draws(masses, u_fresh)], 0
+            # the clip bound: no atom is ever clamped.
+            (scores_null, masses), scores_fresh = _vertex_null_law(tracer, theta.theta), np.empty(0)
         else:
-            scores_fresh, clip_fr = score_batch(tracer, theta.theta, z_fresh)
-            (scores_null, clip_nu), masses = score_batch(tracer, theta.theta, z_null[0]), None
+            (scores_fresh, clip_fr), (scores_null, clip_nu) = (score_batch(tracer, theta.theta, z)
+                                                               for z in held)
+            masses, clips = None, clips + clip_fr + clip_nu
         lam = calibrate_threshold(policy, scores_null, masses)
         q = tie_weight(policy, scores_null, lam, masses)
-        # The expected flags: every score above lambda, and a share q of those at it.
-        recall, fresh = (np.count_nonzero(s > lam) + q * np.count_nonzero(s == lam)
-                         for s in (scores_train, scores_fresh))
+        flagged, total = _flagged(scores_null, lam, q, masses) if exact else _flagged(scores_fresh, lam, q)
         reports.append(TraceReport(
             scores_train=scores_train,
             scores_fresh=scores_fresh,
             threshold=lam,
-            recall_estimate=recall,
-            soundness_estimate=fresh / M,
+            recall_estimate=_flagged(scores_train, lam, q)[0],
+            soundness_estimate=flagged / total,
             mu_l1=float(np.sum(np.abs(mu))),
             excess_risk=excess_risk(spec, theta, mu) if theta.feasible else float("nan"),
-            clip_events=clip_tr + clip_fr + clip_nu,
+            clip_events=clips,
         ))
     return reports
 

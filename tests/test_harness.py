@@ -273,7 +273,7 @@ class TestRun:
         cfg = _small_trace(tmp_path)
         run(cfg, threads=1)
         lines = open(cfg.output_path).read().splitlines()
-        assert lines[0] == "# sparsetrace-csv schema=11 experiment=trace"
+        assert lines[0] == "# sparsetrace-csv schema=12 experiment=trace"
         header = lines[1].split(",")
         assert header == ["trial_index", "mu_norm_l1", "excess_risk",
                           "t_hat_contribution", "recall", "soundness", "lambda",
@@ -311,8 +311,9 @@ class TestRun:
     def test_small_d_dp_audit_is_sound_on_the_lattice(self, tmp_path, d):
         # gaussian_dp at k = d scores on a lattice, whose atom at lambda once
         # lifted soundness to 0.129, 0.102 and 0.070.  Under the exact null law
-        # each trial's mean soundness is xi, and its variance over M fresh rows is
-        # at most xi (1 - xi) / M; the band is 4 standard errors over the trials.
+        # each trial's soundness is the law's flagged mass, xi up to rounding; the
+        # band, 4 standard errors of M fresh rows over the trials, is the one the
+        # sampled estimate it replaced had to meet.
         out = tmp_path / "small.csv"
         assert main(["dp-audit", "--d", str(d), "--n", "64", "--learner", "gaussian_dp",
                      "--epsilon", "0.1", "--delta", "1e-5", "--xi", "0.05", "--beta", "1",

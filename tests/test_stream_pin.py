@@ -17,15 +17,15 @@ import pytest
 from sparsetrace.harness import EXIT_OK, SCHEMA_VERSION, main
 
 PINNED = {
-    # k = d with ERM: the dense sign path, the exact null law and fresh agreement counts.
+    # k = d with ERM: the dense sign path and the exact null law, whose flagged mass is the soundness.
     "trace": (["trace", "--d", "64", "--n", "16", "--M", "50", "--trials", "4",
                "--alpha-target", "0.1", "--seed", "11"],
-              "11f91588150388db7d098d4853353c20f7373593a6a82afc9909c47f057d37a1"),
-    # k = d with gaussian_dp: the noise vector drawn after the M fresh uniforms.
+              "61a09d819568e6ad4a9f0deba26fa1080409837319a8b2f2694a9a5893d00caa"),
+    # k = d with gaussian_dp: no fresh rows, so the noise vector follows the training rows.
     "dp_audit_dense": (["dp-audit", "--d", "64", "--n", "16", "--M", "50", "--trials", "4",
                         "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
                         "--seed", "11"],
-                       "dcbd936cddb034363833d0d440ed7123ed59ab986664386b6343e683906288a8"),
+                       "af8196463ca9a20be1b37190160b5a5c9ef3069ebe7cd7cb762728f302382733"),
     # k < d: redraw-until-distinct supports, then one byte per sign on them, and a sampled null law.
     "dp_audit": (["dp-audit", "--d", "256", "--k", "8", "--n", "16", "--M", "50", "--trials", "4",
                   "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
@@ -46,7 +46,7 @@ PINNED = {
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_seeded_csv_bytes_are_pinned(name, threads, tmp_path):
-    assert SCHEMA_VERSION == 11
+    assert SCHEMA_VERSION == 12
     argv, digest = PINNED[name]
     out = tmp_path / f"{name}.csv"
     assert main(argv + ["--threads", str(threads), "--out", str(out)]) == EXIT_OK

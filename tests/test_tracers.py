@@ -27,7 +27,6 @@ from sparsetrace.tracers import (
     TraceReport,
     TracerSpec,
     _draw_trial,
-    _law_draws,
     _vertex_null_law,
     calibrate_threshold,
     default_beta,
@@ -345,8 +344,8 @@ class TestExactNullLaw:
         assert abs(tie_weight(policy, scores, lam_mc) - q) <= 5 * se
 
     def test_sampled_agreement_counts_match_the_pmf_chisquare(self):
-        # Exact-path soundness draws agreement counts from poisson_binomial_pmf, not
-        # from sample_matrix, so this checks the sampler against the pmf end to end.
+        # Exact-path soundness is read from poisson_binomial_pmf, not from rows
+        # sampled by sample_matrix, so this checks the sampler against the pmf end to end.
         d, rows, block, cut = 2048, 10**5, 2500, 1e-4
         spec = ProblemSpec(BOX_LP, d=d)
         rng = substream(SEED, d, "agreement-chisquare")
@@ -375,34 +374,46 @@ class TestExactNullLaw:
         # one, a twentieth of its standard deviation) is rejected.
         assert pvalue(np.minimum(p_agree + 0.5e-3, 1.0)) < cut
 
-    def test_count_draws_at_a_box_corner_are_the_one_atom(self):
+    def test_a_box_corner_law_is_one_atom_flagged_at_xi(self):
         # A tiny beta puts every mu_j at +/-1, so every row is sign(mu) and each arm's
-        # law of B is a point mass: every fresh score is the training rows' one score.
-        d = 64
+        # law of B is a point mass at the training rows' one score: lambda is that atom,
+        # and the tie weight flags exactly xi of its mass.
+        d, xi = 64, 0.1
         spec = ProblemSpec(BOX_LP, d=d)
         prior = BetaPrior(1e-4, 1.0, d)
         assert np.all(np.abs(sample_prior(prior, substream(SEED, 70)).values) == 1.0)
         learners = (ERM, LearnerConfig("gaussian_dp", epsilon=0.1, delta=1e-5))
-        for report in run_trace_arms(learners, spec, "sparse", prior, 8, 500, null_quantile(0.1),
-                                     substream(SEED, 70)):
-            assert np.all(report.scores_train == report.scores_train[0])
-            assert np.all(report.scores_fresh == report.scores_train[0])
+        _, tracer, thetas, _, _ = _draw_trial(learners, spec, "sparse", prior, 8, substream(SEED, 70))
+        reports = run_trace_arms(learners, spec, "sparse", prior, 8, 500, null_quantile(xi),
+                                 substream(SEED, 70))
+        for theta, report in zip(thetas, reports):
+            atoms, masses = _vertex_null_law(tracer, theta.theta)
+            (atom,) = atoms[masses > 0.0]
+            assert np.all(report.scores_train == atom) and report.threshold == atom
+            assert report.soundness_estimate == xi
+            assert report.recall_estimate == pytest.approx(8 * xi, rel=1e-12)
             assert report.clip_events == 0
 
-    def test_count_draws_avoid_atoms_of_zero_mass(self):
-        # Certain coordinates (p_j in {0, 1}) leave atoms that the pmf clips to exactly 0.
-        d = 40
-        p = substream(SEED, d, "zero-mass").random(d)
-        p[:6], p[6:10] = 1.0, 0.0
-        masses = poisson_binomial_pmf(p)
-        assert np.count_nonzero(masses == 0.0) > 0
-        u = np.concatenate([substream(SEED, d, "zero-mass-u").random(10**5),
-                            [0.0, np.nextafter(1.0, 0.0)]])
-        B = _law_draws(masses, u)
-        assert B.min() >= 0 and B.max() <= d and np.all(masses[B] > 0.0)
-        # Hand-made law: the zero atoms at the ends and in the middle are never drawn.
-        law = np.array([0.0, 0.25, 0.0, 0.75, 0.0])
-        assert set(_law_draws(law, np.array([0.0, 0.2499, 0.25, 0.5, np.nextafter(1.0, 0.0)]))) == {1, 3}
+    @pytest.mark.parametrize("d", [8, 64, 2048])
+    @pytest.mark.parametrize("prior_kind", ["default", "box-corner"])
+    def test_exact_soundness_is_xi_and_draws_no_fresh_rows(self, d, prior_kind, monkeypatch):
+        spec = ProblemSpec(BOX_LP, d=d)
+        # The box-corner prior puts every mu_j at +/-1, so each arm's law is one atom.
+        prior = default_prior(spec, alpha_target=0.1) if prior_kind == "default" else BetaPrior(1e-4, 1.0, d)
+        learners = (ERM, LearnerConfig("gaussian_dp", epsilon=0.5, delta=1e-5),
+                    LearnerConfig("subsample", subsample_m=4))
+        drawn = []
+        monkeypatch.setattr("sparsetrace.tracers.sample_matrix",
+                            lambda pop, m, rng: drawn.append(m) or sample_matrix(pop, m, rng))
+        for trial in range(4):
+            for xi in (0.01, 0.05, 0.3):
+                drawn.clear()
+                arms = run_trace_arms(learners, spec, "sparse", prior, 8, 50, null_quantile(xi),
+                                      substream(SEED, 80 + trial))
+                assert drawn == [8]  # the training rows alone
+                for arm in arms:
+                    assert arm.scores_fresh.size == 0
+                    assert arm.soundness_estimate == pytest.approx(xi, rel=1e-12, abs=0.0)
 
     def test_law_requires_a_vertex_at_k_equal_d(self):
         spec = ProblemSpec(BOX_LP, d=8)
@@ -517,22 +528,34 @@ class TestRunTraceTrial:
             report = run_trace_trial(ERM, spec, "sparse", prior, n=40, M=80,
                                      policy=null_quantile(0.1), rng=substream(SEED, 14))
             lam, fresh = report.threshold, report.scores_fresh
-            # Fresh scores at lambda count by the tie weight; sampled k < d scores never tie.
-            assert (np.count_nonzero(fresh > lam) / 80 - 1e-12 <= report.soundness_estimate
-                    <= np.count_nonzero(fresh >= lam) / 80 + 1e-12)
             if k < spec.d:
+                # Sampled k < d scores never tie, so none counts by the tie weight.
                 assert report.soundness_estimate == pytest.approx(np.count_nonzero(fresh >= lam) / 80)
+            else:
+                # Exact soundness is the law's flagged share: its mass above lambda and q of that at it.
+                _, tracer, (theta,), _, _ = _draw_trial((ERM,), spec, "sparse", prior, 40,
+                                                        substream(SEED, 14))
+                atoms, masses = _vertex_null_law(tracer, theta.theta)
+                q = tie_weight(null_quantile(0.1), atoms, lam, masses)
+                flagged = masses[atoms > lam].sum() + q * masses[atoms == lam].sum()
+                assert fresh.size == 0 and lam == calibrate_threshold(null_quantile(0.1), atoms, masses)
+                assert report.soundness_estimate == flagged / masses.sum()
             assert (np.count_nonzero(report.scores_train > lam) <= report.recall_estimate
                     <= np.count_nonzero(report.scores_train >= lam) <= 40)
             assert report.clip_events == 0
 
     def test_fresh_scores_have_zero_mean(self):
         # For Z independent of theta the score is exactly centered.
-        # box_lp at k = d with erm is the exact path, whose fresh scores are count draws.
         for kind, spec in (("sparse", ProblemSpec(BOX_LP, d=256, p=2.0, k=64)),
                            ("sparse", ProblemSpec(BOX_LP, d=256, p=2.0)),
                            ("scaling_matrix", ProblemSpec(L1_CAPPED, d=256, s=16))):
             prior = default_prior(spec, alpha_target=0.1)
+            if kind == "sparse" and spec.k == spec.d:
+                # box_lp at k = d with erm is the exact path, which draws no fresh rows: its law's mean is 0.
+                _, tracer, (theta,), _, _ = _draw_trial((ERM,), spec, kind, prior, 32, substream(SEED, 7))
+                atoms, masses = _vertex_null_law(tracer, theta.theta)
+                assert abs(float(masses @ atoms)) < 1e-12
+                continue
             report = run_trace_trial(ERM, spec, kind, prior, n=32, M=20000,
                                      policy=null_quantile(0.05), rng=substream(SEED, 7))
             fresh = report.scores_fresh

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Batch kernels work through row blocks of about this many entries, so their
-# float64 working buffer stays cache-sized whatever n is.  A row longer than
-# this is a block on its own.
+# The sign sampler and the dense scorer walk their rows in whole-row blocks of
+# about this many entries (`block_rows`), so their working memory stays
+# cache-sized whatever n is.
 BLOCK_ENTRIES = 2**16
 
 
@@ -29,12 +29,12 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
-def ternary_int8(values) -> np.ndarray:
-    """A new int8 array of `values`, which must all lie in {-1, 0, +1}.
+def check_ternary(values) -> np.ndarray:
+    """`values` as an array, not copied, once every entry is checked to lie in {-1, 0, +1}.
 
-    The check runs on the input's own dtype, before the cast, so values that
-    an int8 cast would wrap or truncate into range (255, 0.5, NaN) are
-    rejected.  int8 input takes a min/max bound check instead of a set test.
+    The check runs on the input's own dtype, so values that an int8 cast
+    would wrap or truncate into range (255, 0.5, NaN) are rejected.  int8
+    input takes a min/max bound check instead of a set test.
     """
     arr = np.asarray(values)
     if arr.dtype == np.int8:
@@ -43,7 +43,12 @@ def ternary_int8(values) -> np.ndarray:
         ok = bool(np.isin(arr, (-1, 0, 1)).all())
     if not ok:
         raise ValueError("entries must take values in {-1, 0, +1}")
-    return np.array(arr, dtype=np.int8)
+    return arr
+
+
+def ternary_int8(values) -> np.ndarray:
+    """A new int8 array of `values`, which must all lie in {-1, 0, +1} (`check_ternary`)."""
+    return np.array(check_ternary(values), dtype=np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,21 +123,12 @@ def sparse_rows(z, k: int) -> SparseRows:
     return SparseRows(arr[rows, cols].reshape(-1, k), cols.reshape(-1, k), arr.shape[1])
 
 
-def row_blocks(n: int, width: int):
-    """Yield (start, stop, buf) for the row blocks covering n rows of `width` entries.
-
-    `buf` is a (stop - start, width) float64 view of one working buffer that
-    every block reuses, so a caller's working memory is one block.
-    """
-    # Whole groups of four rows where a block has room for them: the gemv
-    # kernels of numpy's bundled OpenBLAS take rows four at a time, so a
-    # blocked product then matches the unblocked one bit for bit.
+def block_rows(width: int) -> int:
+    """Rows per block for rows of `width` entries: about BLOCK_ENTRIES entries, in whole groups
+    of four rows where there is room, else the one or few rows that fit.  numpy's bundled
+    OpenBLAS gemv takes rows four at a time, so a blocked product matches the unblocked one bit for bit."""
     rows = BLOCK_ENTRIES // width
-    rows = rows - rows % 4 if rows >= 4 else max(1, rows)
-    buf = np.empty(min(n, rows) * width)
-    for start in range(0, n, rows):
-        stop = min(n, start + rows)
-        yield start, stop, buf[: (stop - start) * width].reshape(stop - start, width)
+    return rows - rows % 4 if rows >= 4 else max(1, rows)
 
 
 def check_mean(mu, d: int, bound: float) -> np.ndarray:
@@ -217,15 +213,6 @@ class QuadratureRule:
             raise ValueError("weights must be positive and sum to 1")
 
 
-def _plus_minus(out: np.ndarray) -> None:
-    """Map the int8 array `out` from {0, 1} to {-1, +1} in place, with no wider
-    temporary.  out + out rather than out << 1: numpy's int8 add has a SIMD
-    loop and its left shift does not.
-    """
-    np.add(out, out, out=out)
-    out -= 1
-
-
 def _byte_signs(rng: np.random.Generator, scaled: np.ndarray, n: int,
                 support: np.ndarray | None = None) -> np.ndarray:
     """Independent int8 signs, +1 at column c with probability p_c = scaled[c] / 256:
@@ -238,37 +225,33 @@ def _byte_signs(rng: np.random.Generator, scaled: np.ndarray, n: int,
     (hi_c + ceil(frac_c 2^53) 2^-53) / 256, within 2^-61 of p_c, and p_c = 0
     and p_c = 1 come out exactly.  The bytes are the little-endian bytes of
     ceil(size / 8) raw generator words, in row-major entry order; the tie
-    uniforms come after all of them, one per tie in row-major order.  Flat
-    blocks of a multiple of 8 entries consume whole words, so the stream is
-    the same for any block size, and working memory is one block plus the
-    tie indices (and, given a support, hi gathered through it).
+    uniforms come after all of them, one per tie in row-major order.  Rows
+    are drawn in blocks of `block_rows` rows, rounded up to a multiple of
+    8 // gcd(width, 8) so that each block but the last fills whole words: the
+    stream is the same for any block size, and working memory is one block
+    (at an odd width, 8 rows at least) plus the tie indices.
     """
     d = scaled.size
-    hi = np.empty(d, dtype=np.uint8)
-    np.minimum(scaled, 255.0, out=hi, casting="unsafe")  # the cast floors, as scaled >= 0
+    hi = np.minimum(scaled, 255.0).astype(np.uint8)  # the cast floors, as scaled >= 0
     out = np.empty((n, d) if support is None else support.shape, dtype=np.int8)
-    flat, total = out.reshape(-1), out.size
-    step = max(8, BLOCK_ENTRIES - BLOCK_ENTRIES % 8)
-    if support is None:
-        # hi repeated over enough rows to cover any step entries from any
-        # column; the block from entry `start` reads it from start % d.
-        columns, hi_flat = None, np.tile(hi, -(-(d - 1 + min(step, total)) // d))
-    else:
-        columns = support.reshape(-1)
-        hi_flat = hi[columns]
+    width = out.shape[1]
+    step = block_rows(width)
+    step += -step % (8 // math.gcd(width, 8))
     ties = [np.empty(0, dtype=np.intp)]
-    for start in range(0, total, step):
-        stop = min(total, start + step)
-        words = rng.bit_generator.random_raw(-(-(stop - start) // 8))
-        b = words.astype("<u8", copy=False).view(np.uint8)[: stop - start]
-        at = start % d if columns is None else start
-        h = hi_flat[at: at + stop - start]
-        np.less(b, h, out=flat[start:stop].view(np.bool_))
-        ties.append(np.flatnonzero(b == h) + start)
+    for i in range(0, n, step):
+        j = min(n, i + step)
+        words = rng.bit_generator.random_raw(-(-(j - i) * width // 8))
+        b = words.astype("<u8", copy=False).view(np.uint8)[: (j - i) * width].reshape(j - i, width)
+        h = hi if support is None else hi[support[i:j]]
+        np.less(b, h, out=out[i:j].view(np.bool_))
+        ties.append(np.flatnonzero(b == h) + i * width)
     ties = np.concatenate(ties)
-    tied = ties % d if columns is None else columns[ties]
-    flat[ties] = rng.random(ties.size) < scaled[tied] - hi[tied]
-    _plus_minus(out)
+    tied = ties % d if support is None else support.reshape(-1)[ties]
+    out.reshape(-1)[ties] = rng.random(ties.size) < scaled[tied] - hi[tied]
+    # {0, 1} to {-1, +1} in place as out + out - 1, not (out << 1) - 1: numpy's
+    # int8 add has a SIMD loop and its left shift does not.
+    np.add(out, out, out=out)
+    out -= 1
     return out
 
 
@@ -319,8 +302,9 @@ def sample_matrix(pop: SparsePopulation, n: int, rng: np.random.Generator) -> np
     rest.  The rows and the sampler's working memory are O(n k + d): no
     (n, d) array is built below d/2.
 
-    Sign draws are made in blocks of about BLOCK_ENTRIES entries, so that
-    many are held at a time; blocking changes no draw and no output.
+    Signs are drawn in whole-row blocks of about BLOCK_ENTRIES entries (at
+    an odd width, 8 rows at least), so that many are held at a time;
+    blocking changes no draw and no output.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BetaPrior, SparseRows, check_mean, row_blocks, sample_matrix, sample_prior, sparse_rows
+from .distributions import (BetaPrior, SparseRows, block_rows, check_mean, check_ternary, sample_matrix,
+                            sample_prior, sparse_rows)
 from .learners import VERTEX_LEARNERS, Dataset, LearnerConfig, LearnerLike, train
 from .problems import BOX_LP, ProblemSpec, data_distribution, excess_risk
 
@@ -87,10 +88,10 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z) -> tuple[np.ndarray, int]:
     In-range configurations never clamp; a nonzero count signals an
     out-of-contract parameter.
 
-    Dense rows are cast to float64 and scored one row block at a time (see
-    `distributions.row_blocks`) in a reused buffer, so float64 working
-    memory is O(block rows * d) whatever the number of rows.  At k < d the
-    rows are read as `SparseRows` (a dense array is converted) and scored
+    Dense rows must hold only -1 and +1 (checked with no copy); they are cast
+    to float64 and scored one whole-row block (`distributions.block_rows`) at
+    a time, so float64 working memory is one block whatever n is.  At k < d
+    the rows are read as `SparseRows` (a dense array is converted) and scored
     by gathers, theta[support] . signs and (theta * mu)[support], so the
     work and working memory are O(n k) plus two d-long vectors.
     """
@@ -110,10 +111,11 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z) -> tuple[np.ndarray, int]:
         raw = spec.d ** (1.0 / spec.p) / math.sqrt(spec.k) * (
             signed.sum(axis=1) - spec.d / spec.k * centre.sum(axis=1))
     else:
-        raw = np.empty(Z.shape[0])
-        for i, j, zf in row_blocks(*Z.shape):
-            np.copyto(zf, Z[i:j])
-            raw[i:j] = dense_score(zf @ dense[0], *dense[1:])
+        if np.count_nonzero(check_ternary(Z)) != Z.size:
+            raise ValueError("dense rows must take values in {-1, +1}")
+        raw, step = np.empty(Z.shape[0]), block_rows(spec.d)
+        for i in range(0, Z.shape[0], step):
+            raw[i:i + step] = dense_score(Z[i:i + step].astype(np.float64, order="C") @ dense[0], *dense[1:])
     clip = tr.clip_bound
     return np.clip(raw, -clip, clip), int(np.count_nonzero(np.abs(raw) > clip))
 
@@ -193,6 +195,18 @@ def null_quantile(xi: float) -> ThresholdPolicy:
     return ThresholdPolicy(xi=xi)
 
 
+def _law(null_scores, masses=None) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, masses) of the law `masses` on `null_scores`, or of a sample with unit masses."""
+    scores = np.asarray(null_scores, dtype=float)
+    weights = np.ones_like(scores) if masses is None else np.asarray(masses, dtype=float)
+    if np.isnan(scores).any():
+        raise ValueError("null_scores: entries must not be NaN")
+    if masses is not None and not (weights.shape == scores.shape and np.isfinite(weights).all()
+                                   and np.all(weights >= 0) and weights.sum() > 0):
+        raise ValueError("masses: need one finite, nonnegative mass per score, with a positive sum")
+    return scores, weights
+
+
 def calibrate_threshold(policy: ThresholdPolicy, null_scores, masses=None) -> float:
     """Threshold lambda from a policy and, for null_quantile, a discrete null law.
 
@@ -200,12 +214,12 @@ def calibrate_threshold(policy: ThresholdPolicy, null_scores, masses=None) -> fl
     null sample of at least 1/xi values.  lambda is the smallest value with
     null mass below xi above it.  Flagging every score above lambda and a
     share `tie_weight` of those at it flags null mass xi exactly: 90 zeros
-    and 10 ones at xi = 0.05 give lambda = 1 and q = 0.5.
+    and 10 ones at xi = 0.05 give lambda = 1 and q = 0.5.  A NaN score, or masses
+    of another shape, not finite, negative or summing to 0, raise ValueError.
     """
     if policy.t_hat is not None:
         return policy.t_hat / 2.0
-    scores = np.asarray(null_scores, dtype=float)
-    weights = np.ones(scores.size) if masses is None else np.asarray(masses, dtype=float)
+    scores, weights = _law(null_scores, masses)
     if masses is None and scores.size * policy.xi < 1.0:
         raise ValueError(f"null sample of size {scores.size} is insufficient; need >= {math.ceil(1.0 / policy.xi)}")
     order = np.argsort(scores, kind="stable")
@@ -217,17 +231,18 @@ def calibrate_threshold(policy: ThresholdPolicy, null_scores, masses=None) -> fl
 def _split_mass(scores, lam: float, masses=None) -> tuple[float, float, float]:
     """(mass above lam, mass at lam, total mass) of the law `masses` on `scores`, or of a
     sample with unit masses."""
-    scores = np.asarray(scores, dtype=float)
-    weights = np.ones(scores.size) if masses is None else np.asarray(masses, dtype=float)
+    scores, weights = _law(scores, masses)
     return weights[scores > lam].sum(), weights[scores == lam].sum(), weights.sum()
 
 
 def tie_weight(policy: ThresholdPolicy, null_scores, lam: float, masses=None) -> float:
-    """q = (xi - P(null > lam)) / P(null = lam), clipped to [0, 1], for the
-    law and lambda of `calibrate_threshold`; 1 for a t_hat policy."""
+    """q = (xi - P(null > lam)) / P(null = lam), clipped to [0, 1], for the law and
+    lambda of `calibrate_threshold`, where the law has mass; 1 for a t_hat policy."""
     if policy.t_hat is not None:
         return 1.0
     above, at, total = _split_mass(null_scores, lam, masses)
+    if not at > 0:
+        raise ValueError(f"lam: {lam} carries none of the law's mass")
     return float(np.clip((policy.xi * total - above) / at, 0.0, 1.0))
 
 

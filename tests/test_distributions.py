@@ -12,9 +12,9 @@ from sparsetrace.distributions import (
     MeanVector,
     SparsePopulation,
     SparseRows,
+    block_rows,
     pmf,
     prior_quadrature,
-    row_blocks,
     sample_matrix,
     sample_prior,
     sparse_rows,
@@ -223,7 +223,10 @@ def _sample_matrix_reference(pop, n, rng):
 
 
 def _block_rows(width):
-    return next(row_blocks(10**9, width))[1]
+    """Rows per sign-sampler block for a sign matrix `width` entries wide: the
+    block rule, rounded up so that each block fills whole raw 8-byte words."""
+    rows = block_rows(width)
+    return rows + -rows % (8 // math.gcd(width, 8))
 
 
 # (d, k): dense and sparse at a power-of-two width (k = 3000 makes the (n, k)
@@ -239,7 +242,7 @@ BLOCKED_SHAPES = [(4096, 4096), (4096, 3000), (1000, 1000), (1000, 37),
 class TestBlockedSampleMatrix:
     @pytest.mark.parametrize("d,k", BLOCKED_SHAPES)
     def test_matches_unblocked_reference_and_stream(self, d, k):
-        rows = _block_rows(d)
+        rows = _block_rows(k)
         rng = substream(SEED, 17, "mu")
         mu = rng.uniform(-k / d, k / d, size=d)
         pop = SparsePopulation(mu, k, d)
@@ -273,9 +276,11 @@ class TestBlockedSampleMatrix:
 
     def test_block_rows_stay_within_budget(self):
         for width in (1, 3, 100, 1000, 4096, BLOCK_ENTRIES, BLOCK_ENTRIES + 3):
-            rows = _block_rows(width)
+            rows = block_rows(width)
             assert rows == 1 or rows * width <= BLOCK_ENTRIES
             assert rows < 4 or rows % 4 == 0
+            sampler = _block_rows(width)
+            assert sampler * width % 8 == 0 and rows <= sampler < rows + 8
 
 
 class TestSparseRows:

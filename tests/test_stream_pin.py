@@ -1,4 +1,4 @@
-"""Pin the random stream: the exact bytes of five small seeded CSVs.
+"""Pin the random stream: the exact bytes of eight small seeded CSVs.
 
 Each digest covers the bytes after the schema line, which is checked on
 its own, so a digest that survives a schema bump shows that its run's
@@ -40,6 +40,19 @@ PINNED = {
                "--learner", "gaussian_dp", "--epsilon", "1", "--alpha-target", "0.1",
                "--noise-scales", "0.5,2", "--seed", "11"],
               "5a6e42f46e4de07c8450530530ca279a317811eb3d250e0113180fc92ee64d66"),
+    # Odd widths: at d = 37 (and k = 5) most rows start partway through a raw 8-byte word.
+    "trace_odd": (["trace", "--d", "37", "--n", "16", "--M", "50", "--trials", "4",
+                   "--alpha-target", "0.1", "--seed", "11"],
+                  "067976ec84993f030efc7b9f5a97e9ddebc1e867f40675f5dc66928b8aecd42f"),
+    "dp_audit_odd": (["dp-audit", "--d", "37", "--k", "5", "--n", "16", "--M", "50", "--trials", "4",
+                      "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
+                      "--seed", "11"],
+                     "5723bc4c6c999d92d5923bd1d6eea29ee85b2213c2da50c99f019290ce10df7d"),
+    # A non-vertex learner on dense rows: sampled fresh and null rows, scored by the float64 product.
+    "trace_l1_odd": (["trace", "--variant", "l1_capped", "--s", "3", "--d", "37",
+                      "--learner", "normalized_mean_l2", "--n", "16", "--M", "50", "--trials", "4",
+                      "--alpha-target", "0.1", "--seed", "11"],
+                     "d7f0d059df01470f59df20aaf994d3b2c0ea9230e5b85eaecf93638c1e1a102d"),
 }
 
 

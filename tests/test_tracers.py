@@ -13,7 +13,7 @@ from sparsetrace.distributions import (
     BLOCK_ENTRIES,
     BetaPrior,
     SparsePopulation,
-    row_blocks,
+    block_rows,
     sample_matrix,
     sample_prior,
 )
@@ -169,7 +169,7 @@ class TestBlockedScoreBatch:
         bound = min(k / d, 0.4)
         mu = rng.uniform(-bound, bound, size=d)
         pop = SparsePopulation(mu, k, d)
-        rows = next(row_blocks(10**9, d))[1]
+        rows = block_rows(d)
         z = sample_matrix(pop, 3 * rows + 2, rng)
         tr = sparse_tracer(mu, k, 2.0, d) if kind == "sparse" \
             else TracerSpec(ProblemSpec(L1_CAPPED, d=d, s=3), mu, 0.5)
@@ -183,6 +183,42 @@ class TestBlockedScoreBatch:
         expected, expected_clipped = _score_batch_reference(tr, theta, z)
         np.testing.assert_allclose(scores, expected, rtol=1e-12)
         assert clipped == expected_clipped and clipped > 0
+
+    @pytest.mark.parametrize("bad,dtype", [(np.nan, np.float64), (0.5, np.float64), (7, np.int8),
+                                           (0, np.int8), (0, np.float64)])
+    def test_dense_rows_must_be_signs(self, bad, dtype):
+        # The bad entry sits past the first block; the zero case zeroes a whole row.
+        d = 64
+        rows = block_rows(d) + 1
+        for tr in (sparse_tracer(np.zeros(d), d, 2.0, d),
+                   TracerSpec(ProblemSpec(L1_CAPPED, d=d, s=3), np.zeros(d), 0.5)):
+            z = np.ones((rows, d), dtype=dtype)
+            z[-1, 5] = bad
+            if bad == 0:
+                z[-1] = 0
+            with pytest.raises(ValueError, match=r"values in \{-1, (0, )?\+1\}"):
+                score_batch(tr, np.full(d, 1.0 / d), z)
+
+    def test_dense_sampling_and_scoring_memory(self):
+        # Scoring peaks below n * d bytes, so it makes no float64 (or int8) copy of the rows;
+        # sampling peaks below its output plus n * d / 4 bytes.
+        n, d = 4000, 4096
+        rng = substream(SEED, 62, "memory")
+        mu = rng.uniform(-0.5, 0.5, size=d)
+        pop, tr = SparsePopulation(mu, d, d), sparse_tracer(mu, d, 2.0, d)
+        theta = rng.uniform(-1.0, 1.0, size=d) / d
+        tracemalloc.start()
+        try:
+            z = sample_matrix(pop, n, rng)
+            sampled, held = tracemalloc.get_traced_memory()[1], tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            scores, clipped = score_batch(tr, theta, z)
+            scored = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert z.shape == (n, d) and scores.shape == (n,) and clipped == 0
+        assert sampled < z.nbytes + n * d / 4
+        assert scored < n * d
 
 
 class TestSparseRowScores:
@@ -216,6 +252,27 @@ class TestSparseRowScores:
 
 
 class TestCalibrateThreshold:
+    @pytest.mark.parametrize("scores,masses,match", [
+        (np.full(100, np.nan), None, "null_scores"),
+        (np.append(np.arange(99.0), np.nan), None, "null_scores"),
+        ([0.0, 1.0], [np.nan, 1.0], "masses"),
+        ([0.0, 1.0], [1.5, -0.5], "masses"),
+        ([0.0, 1.0], [0.0, 0.0], "masses"),
+        ([0.0, 1.0], [0.5, 0.25, 0.25], "masses"),
+    ])
+    def test_malformed_law_rejected(self, scores, masses, match):
+        policy = null_quantile(0.05)
+        with pytest.raises(ValueError, match=match):
+            calibrate_threshold(policy, scores, masses)
+        with pytest.raises(ValueError, match=match):
+            tie_weight(policy, scores, 1.0, masses)
+
+    @pytest.mark.parametrize("lam", [0.5, np.nan])
+    def test_tie_weight_needs_lam_on_the_law(self, lam):
+        # Half the mass lies above 0.5 and none at it: q would be 0/0.
+        with pytest.raises(ValueError, match="lam"):
+            tie_weight(null_quantile(0.5), [0.0, 1.0], lam)
+
     def test_half_trace_value(self):
         assert calibrate_threshold(half_trace_value(1.6), []) == pytest.approx(0.8)
         with pytest.raises(ValueError, match="exactly one of xi and t_hat"):

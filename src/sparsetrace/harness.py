@@ -8,18 +8,19 @@ Output is a versioned CSV written atomically (temp file + rename): a
 header row, one record per line with floats at 17 significant digits, and
 trailing ``#summary`` comment rows.  Records are keyed by trial index and
 every trial owns a substream derived from (master_seed, trial, purpose),
-so the bytes are identical for any thread count.
+so the bytes are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import math
 import os
 import sys
 import tempfile
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple, get_args, get_type_hints
 
@@ -237,15 +238,39 @@ def _summaries(rows: list[tuple], header: tuple[str, ...]) -> list[str]:
     return lines
 
 
-def _map_trials(cfg: ExperimentConfig, purpose: str, threads: int, fn) -> list:
-    """fn(trial, rng) for every trial, in trial order; rng is the trial's substream."""
-    def one(trial: int):
-        return fn(trial, substream(cfg.master_seed, trial, purpose))
+_pools: dict[int, tuple] = {}  # pid -> (workers, executor), forked at the first parallel run
+atexit.register(_pools.clear)  # drop the pool while the modules it needs are still loaded
 
-    if threads <= 1:
-        return [one(i) for i in range(cfg.trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(cfg.trials)))
+
+def _chunk(fn, cfg: ExperimentConfig, plan: Plan, purpose: str, start: int, stop: int) -> list:
+    return [fn(cfg, plan, i, substream(cfg.master_seed, i, purpose)) for i in range(start, stop)]
+
+
+def _map_trials(cfg: ExperimentConfig, plan: Plan, purpose: str, threads: int, fn) -> list:
+    """fn(cfg, plan, trial, rng) for every trial, in trial order; rng is the trial's substream.
+
+    Of min(threads, trials) contiguous chunks of trials, the caller runs the first and forked
+    worker processes the others, so fn must be a module-level function."""
+    chunks = min(threads, cfg.trials)
+    ends = [cfg.trials * (i + 1) // chunks for i in range(chunks)]
+    pool = _pools.get(os.getpid(), (0, None))
+    if pool[0] < chunks - 1:
+        if pool[1] is not None:
+            pool[1].shutdown()  # so that no pool thread is alive when the new workers fork
+        # Imported here, so that serial runs load no multiprocessing; why fork: README.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+        pool = _pools[os.getpid()] = (chunks - 1, ProcessPoolExecutor(chunks - 1, get_context("fork")))
+    try:
+        futures = [pool[1].submit(_chunk, fn, cfg, plan, purpose, a, b)
+                   for a, b in zip(ends, ends[1:])]
+        rows = _chunk(fn, cfg, plan, purpose, 0, ends[0])
+        for future in futures:
+            rows += future.result()
+    except BrokenExecutor:  # a worker died: join what is left, and fork a new pool next time
+        _pools.pop(os.getpid())[1].shutdown()
+        raise
+    return rows
 
 
 Outcome = tuple[tuple[str, ...], list[tuple], list[str], list[str]]  # header, rows, summaries, failures
@@ -267,12 +292,13 @@ def _run_verify(cfg: ExperimentConfig, plan: None, threads: int) -> Outcome:
     return ("instance", "lhs", "rhs", "rel_error"), rows, summaries, failures
 
 
-def _run_trace(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
-    def one(trial: int, rng) -> tuple:
-        return _trace_row(trial, run_trace_trial(plan.learners[0], plan.spec, score_kind(plan.spec),
-                                                 plan.prior, cfg.n, cfg.M, plan.policy, rng))
+def _trace_trial(cfg: ExperimentConfig, plan: Plan, trial: int, rng) -> tuple:
+    return _trace_row(trial, run_trace_trial(plan.learners[0], plan.spec, score_kind(plan.spec),
+                                             plan.prior, cfg.n, cfg.M, plan.policy, rng))
 
-    rows = _map_trials(cfg, "trace", threads, one)
+
+def _run_trace(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
+    rows = _map_trials(cfg, plan, "trace", threads, _trace_trial)
     return TRACE_COLUMNS, rows, _summaries(rows, TRACE_COLUMNS), []
 
 
@@ -288,14 +314,15 @@ def _run_dp_audit(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
     return header, rows, summaries, failures
 
 
+def _sweep_trial(cfg: ExperimentConfig, plan: Plan, trial: int, rng) -> list[tuple]:
+    return [_trace_row(trial, report) for report in run_trace_arms(
+        plan.learners, plan.spec, score_kind(plan.spec), plan.prior, cfg.n, cfg.M, plan.policy, rng)]
+
+
 def _run_sweep(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
     """Every noise scale on each trial's one draw; fails where the paired rise in recall from one
     scale to the next exceeds its CI half-width, a one-sided test of about 2.5% at equal means."""
-    def one(trial: int, rng) -> list[tuple]:
-        return [_trace_row(trial, report) for report in run_trace_arms(
-            plan.learners, plan.spec, score_kind(plan.spec), plan.prior, cfg.n, cfg.M, plan.policy, rng)]
-
-    arms = list(zip(*_map_trials(cfg, "sweep", threads, one)))  # per scale, its rows in trial order
+    arms = list(zip(*_map_trials(cfg, plan, "sweep", threads, _sweep_trial)))  # rows per scale
     rows = [(scale,) + r for scale, arm in zip(cfg.noise_scales, arms) for r in arm]
     recalls = [[r[RECALL] for r in arm] for arm in arms]
     summaries = [f"#summary,recall@scale={scale:g},{_fmt(mean)},{_fmt(ci)}"
@@ -309,12 +336,13 @@ def _run_sweep(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
     return ("noise_scale",) + TRACE_COLUMNS, rows, summaries, failures
 
 
-def _run_trace_value(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
-    def one(trial: int, rng) -> tuple:
-        return (trial, trace_value_contribution(plan.learners[0], plan.spec, score_kind(plan.spec),
-                                                plan.prior, cfg.n, rng))
+def _trace_value_trial(cfg: ExperimentConfig, plan: Plan, trial: int, rng) -> tuple:
+    return (trial, trace_value_contribution(plan.learners[0], plan.spec, score_kind(plan.spec),
+                                            plan.prior, cfg.n, rng))
 
-    rows = _map_trials(cfg, "trace_value", threads, one)
+
+def _run_trace_value(cfg: ExperimentConfig, plan: Plan, threads: int) -> Outcome:
+    rows = _map_trials(cfg, plan, "trace_value", threads, _trace_value_trial)
     mean, ci = mean_ci([r[1] for r in rows])
     return ("trial_index", "t_hat"), rows, [f"#summary,t_hat,{_fmt(mean)},{_fmt(ci)}"], []
 
@@ -372,12 +400,13 @@ _FLAG_NAMES = {"master_seed": "--seed", "output_path": "--out"}
 def run(config: ExperimentConfig, threads: int | None = None) -> int:
     """Execute one experiment, write its CSV, and return the exit status.
 
-    `threads` defaults to the CPU count.  A failed acceptance check prints
-    one line per failure to stderr, naming the check and its margin, and
-    returns EXIT_ACCEPTANCE.
+    `threads` counts the trial processes, this one included (default: the
+    CPUs this process may use).  A failed check prints one line per failure
+    to stderr, naming the check and its margin, and returns EXIT_ACCEPTANCE.
     """
     plan = config.validate()
-    nthreads = max(1, threads) if threads is not None else os.cpu_count() or 1
+    nthreads = max(1, threads) if threads is not None else (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     header, rows, summaries, failures = EXPERIMENTS[config.experiment].runner(config, plan, nthreads)
     _write_csv(config.output_path, header, rows, summaries, config.experiment)
     command = config.experiment.replace("_", "-")
@@ -397,7 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, experiment in EXPERIMENTS.items():
         p = sub.add_parser(name.replace("_", "-"), help=experiment.help)
         p.add_argument("--config", metavar="FILE", help="config file; flags override its values")
-        p.add_argument("--threads", type=int, help="worker threads (default: CPU count)")
+        p.add_argument("--threads", type=int,
+                       help="worker processes, this one included (default: the CPUs it may use)")
         for field in ("master_seed", "output_path") + experiment.fields:
             p.add_argument(_FLAG_NAMES.get(field, "--" + field.replace("_", "-")), dest=field,
                            choices=_FIELD_CHOICES.get(field), help=_FIELD_HELP[field])

@@ -3,6 +3,7 @@ import hashlib
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -26,6 +27,27 @@ from sparsetrace.harness import (
 
 SEED = 20240906
 ROOT = Path(__file__).resolve().parents[1]
+TEST_PID = os.getpid()  # forked workers inherit it, so a trial can tell it runs in one
+
+
+def _fails_in_a_worker(cfg, plan, trial, rng):
+    if os.getpid() != TEST_PID:
+        raise ValueError(f"bug in trial {trial}")
+    return (trial,)
+
+
+def _killed_in_a_worker(cfg, plan, trial, rng):
+    if os.getpid() != TEST_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return (trial,)
+
+
+def _trial_runner(fn):
+    """A trace runner that maps the module-level fn over the trials.  Only this process reads
+    EXPERIMENTS, so patching it leaves no patched code in the kept worker pool."""
+    def runner(cfg, plan, threads):
+        return ("trial_index",), harness._map_trials(cfg, plan, "trace", threads, fn), [], []
+    return harness.Experiment("maps a test function", runner, harness._TRIAL_FIELDS)
 
 
 def _digest(path):
@@ -253,6 +275,24 @@ class TestRun:
         h1 = _digest(cfg.output_path)
         run(cfg, threads=8)
         assert _digest(cfg.output_path) == h1
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_default_worker_count_is_the_cpus_this_process_may_use(self, tmp_path, monkeypatch,
+                                                                   affinity):
+        seen = []
+
+        def runner(cfg, plan, threads):
+            seen.append(threads)
+            return ("trial_index",), [], [], []
+
+        monkeypatch.setitem(harness.EXPERIMENTS, "trace", harness.Experiment("", runner))
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert run(_small_trace(tmp_path)) == EXIT_OK
+        assert seen == [3 if affinity else 64]
 
     def test_identical_configs_reproduce_bytes(self, tmp_path):
         cfg_a = _small_trace(tmp_path, output_path=str(tmp_path / "a.csv"))
@@ -521,6 +561,52 @@ class TestMainExitCodes:
         assert err.startswith("Traceback (most recent call last):")
         assert err.endswith("ValueError: bug inside a trial\n")
 
+    def test_worker_error_is_a_bug_with_the_worker_traceback(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(harness.EXPERIMENTS, "trace", _trial_runner(_fails_in_a_worker))
+        assert main(["trace", "--trials", "2", "--alpha-target", "0.1", "--threads", "2",
+                     "--out", str(tmp_path / "t.csv")]) == EXIT_BUG
+        err = capsys.readouterr().err
+        # The worker's own frames, then the caller's, which re-raised its error.
+        worker, _, caller = err.partition("The above exception was the direct cause")
+        assert f", in {_fails_in_a_worker.__name__}\n" in worker
+        assert "ValueError: bug in trial 1" in worker
+        assert caller.endswith("ValueError: bug in trial 1\n")
+
+    def test_killed_worker_is_a_bug_and_the_next_run_forks_a_new_pool(self, tmp_path, monkeypatch,
+                                                                      capsys):
+        out = str(tmp_path / "t.csv")
+        with monkeypatch.context() as patch:
+            patch.setitem(harness.EXPERIMENTS, "trace", _trial_runner(_killed_in_a_worker))
+            assert main(["trace", "--trials", "2", "--alpha-target", "0.1", "--threads", "2",
+                         "--out", out]) == EXIT_BUG
+        assert "BrokenProcessPool" in capsys.readouterr().err
+        assert os.getpid() not in harness._pools
+        argv = ["trace", "--d", "64", "--n", "16", "--M", "50", "--trials", "4",
+                "--alpha-target", "0.1", "--out", out]
+        assert main(argv + ["--threads", "2"]) == EXIT_OK
+        assert os.getpid() in harness._pools
+        parallel = _digest(out)
+        assert main(argv + ["--threads", "1"]) == EXIT_OK
+        assert _digest(out) == parallel
+
+    @pytest.mark.parametrize("argv, status", [
+        (["trace", "--d", "64", "--n", "16", "--trials", "4", "--alpha-target", "0.1"], EXIT_OK),
+        # Two trials of recall 1 (CI 0) against a ceiling of 0.808: the audit fails by chance.
+        (["dp-audit", "--d", "256", "--k", "8", "--n", "16", "--M", "50", "--trials", "2",
+          "--learner", "gaussian_dp", "--epsilon", "0.01", "--alpha-target", "0.1", "--seed", "5"],
+         EXIT_ACCEPTANCE),
+    ])
+    def test_no_worker_outlives_the_cli(self, tmp_path, argv, status):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen([sys.executable, "-m", "sparsetrace", *argv, "--threads", "2",
+                                 "--out", str(tmp_path / "out.csv")], stderr=subprocess.PIPE,
+                                text=True, env=env, start_new_session=True)
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == status, err
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # the CLI led its own process group, which its workers joined
+
     def test_python_dash_m_package_runs_without_warnings(self, tmp_path):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -557,13 +643,15 @@ class TestMainExitCodes:
         assert len(mu_l1) == 3 and all(0.0 <= v <= 16.0 for v in mu_l1)
 
     def test_cli_start_up_does_not_import_scipy(self):
-        # scipy is needed only for the quadrature rules of the identity oracles.
+        # scipy is needed only for the quadrature rules of the identity oracles, and
+        # multiprocessing only once a run forks its worker pool.
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         code = ("import sys\nimport sparsetrace.harness as h\n"
                 "h.parse_cli(['trace', '--d', '64', '--alpha-target', '0.1'])\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.split('.')[0] in ('scipy', 'multiprocessing')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"

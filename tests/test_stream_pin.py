@@ -56,7 +56,7 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 8])
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_seeded_csv_bytes_are_pinned(name, threads, tmp_path):
     assert SCHEMA_VERSION == 12

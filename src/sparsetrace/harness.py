@@ -400,12 +400,15 @@ _FLAG_NAMES = {"master_seed": "--seed", "output_path": "--out"}
 def run(config: ExperimentConfig, threads: int | None = None) -> int:
     """Execute one experiment, write its CSV, and return the exit status.
 
-    `threads` counts the trial processes, this one included (default: the
-    CPUs this process may use).  A failed check prints one line per failure
-    to stderr, naming the check and its margin, and returns EXIT_ACCEPTANCE.
+    `threads` counts the trial processes, this one included, and must be
+    >= 1 (default: the CPUs this process may use).  A failed check prints
+    one line per failure to stderr, naming the check and its margin, and
+    returns EXIT_ACCEPTANCE.
     """
+    if threads is not None and threads < 1:
+        raise UsageError("threads: must be >= 1")
     plan = config.validate()
-    nthreads = max(1, threads) if threads is not None else (
+    nthreads = threads or (
         len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     header, rows, summaries, failures = EXPERIMENTS[config.experiment].runner(config, plan, nthreads)
     _write_csv(config.output_path, header, rows, summaries, config.experiment)
@@ -427,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name.replace("_", "-"), help=experiment.help)
         p.add_argument("--config", metavar="FILE", help="config file; flags override its values")
         p.add_argument("--threads", type=int,
-                       help="worker processes, this one included (default: the CPUs it may use)")
+                       help="worker processes, >= 1, this one included (default: the CPUs it may use)")
         for field in ("master_seed", "output_path") + experiment.fields:
             p.add_argument(_FLAG_NAMES.get(field, "--" + field.replace("_", "-")), dest=field,
                            choices=_FIELD_CHOICES.get(field), help=_FIELD_HELP[field])

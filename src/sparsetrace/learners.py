@@ -17,7 +17,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .distributions import BetaPrior, SparseRows, mean_ci, sample_matrix, sample_prior, ternary_int8
+from .distributions import BetaPrior, SparseRows, check_ternary, mean_ci, sample_matrix, sample_prior
 from .problems import ParameterPoint, ProblemSpec, check_data, data_distribution, excess_risk, is_feasible, support_argmax
 
 ERM_LINEAR = "erm"
@@ -33,14 +33,19 @@ VERTEX_LEARNERS = (ERM_LINEAR, GAUSSIAN_DP, SUBSAMPLE)
 class Dataset:
     """An ordered sample of n ternary points: a read-only (n, d) int8 matrix,
     or the `SparseRows` that `sample_matrix` gives at k < d, kept as they are
-    in O(n k) memory (they are immutable)."""
+    in O(n k) memory (they are immutable).
+
+    An int8 matrix is checked and kept as a read-only view, not copied, so a
+    trial holds its n d training bytes once; as with `SparseRows`' arrays, the
+    caller must not write it afterwards.  Other dtypes are checked, then cast
+    to a new int8 matrix."""
 
     z: np.ndarray | SparseRows
 
     def __post_init__(self):
         if isinstance(self.z, SparseRows):
             return
-        arr = ternary_int8(self.z)
+        arr = np.asarray(check_ternary(self.z), dtype=np.int8).view()
         arr.setflags(write=False)
         if arr.ndim != 2:
             raise ValueError("dataset must be a 2-D (n, d) matrix")

@@ -119,9 +119,10 @@ def check_data(spec: ProblemSpec, z: np.ndarray | SparseRows) -> None:
     """Require z to be n >= 1 rows of the spec's data space: d ternary entries
     with exactly `spec.k` nonzeros each.
 
-    Entry values are checked when the rows are cast to int8 (see
-    `distributions.ternary_int8`) or built as `SparseRows`, whose rows hold
-    their k nonzeros at distinct columns, before this check runs.
+    Entry values are checked before this check runs: by
+    `distributions.check_ternary` when the rows enter a `Dataset` or are cast
+    to int8, or when they are built as `SparseRows`, whose rows hold their k
+    nonzeros at distinct columns.
     """
     if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] != spec.d:
         raise ValueError(f"data has shape {z.shape}, expected (n >= 1, {spec.d})")

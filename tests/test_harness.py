@@ -294,6 +294,16 @@ class TestRun:
         assert run(_small_trace(tmp_path)) == EXIT_OK
         assert seen == [3 if affinity else 64]
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_worker_count_below_one_is_a_usage_error(self, tmp_path, capsys, threads):
+        cfg = _small_trace(tmp_path)
+        with pytest.raises(UsageError, match="threads: must be >= 1"):
+            run(cfg, threads=threads)
+        assert main(["trace", "--d", "64", "--trials", "2", "--alpha-target", "0.1",
+                     "--threads", str(threads), "--out", cfg.output_path]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: threads: must be >= 1\n"
+        assert not Path(cfg.output_path).exists()
+
     def test_identical_configs_reproduce_bytes(self, tmp_path):
         cfg_a = _small_trace(tmp_path, output_path=str(tmp_path / "a.csv"))
         cfg_b = _small_trace(tmp_path, output_path=str(tmp_path / "b.csv"))

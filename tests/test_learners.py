@@ -213,6 +213,29 @@ class TestDatasetType:
             assert data.z.dtype == np.int8 and np.array_equal(data.z, [[1, -1, 0]])
             assert not data.z.flags.writeable
 
+    def test_int8_input_is_kept_as_a_read_only_view(self):
+        # A k = d trial holds its n * d training bytes once: int8 rows are not copied.
+        z = substream(SEED, 400, "view").integers(-1, 2, size=(400, 4096)).astype(np.int8)
+        tracemalloc.start()
+        try:
+            data = Dataset(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(data.z, z)
+        assert not data.z.flags.writeable and z.flags.writeable
+        assert peak < 64 * 1024
+
+    def test_a_strided_int8_view_trains_like_its_contiguous_copy(self):
+        z = (substream(SEED, 41, "strided").integers(0, 2, size=(40, 128)) * 2 - 1).astype(np.int8)
+        strided = z[:, ::2]
+        spec = _box(64, 64)
+        for learner in (ERM, LearnerConfig("gaussian_dp", epsilon=1.0, delta=1e-5),
+                        LearnerConfig("subsample", subsample_m=9), lambda rows: rows.mean(axis=0) / 64):
+            thetas = [train(learner, spec, Dataset(rows), substream(SEED, 42)).theta
+                      for rows in (strided, np.ascontiguousarray(strided))]
+            assert thetas[0].tobytes() == thetas[1].tobytes()
+
 
 class TestFeasibilityInvariant:
     def test_all_learner_kinds_return_feasible_points(self):

@@ -484,6 +484,22 @@ class TestExactNullLaw:
 
 
 class TestRunTraceTrial:
+    def test_a_criterion_5_trial_holds_one_training_matrix(self):
+        # The n * d int8 training rows are held once (no copy into the Dataset), and
+        # the exact null law draws no fresh rows.
+        n, d = 400, 4096
+        spec = ProblemSpec(BOX_LP, d=d, p=2.0, k=d)
+        prior = default_prior(spec, beta=19.75)
+        tracemalloc.start()
+        try:
+            report = run_trace_trial(ERM, spec, "sparse", prior, n=n, M=200,
+                                     policy=null_quantile(0.01), rng=substream(SEED, 63))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.scores_train.shape == (n,)
+        assert peak < 1.75 * n * d
+
     def test_constant_learner_has_zero_recall_at_positive_threshold(self):
         spec = ProblemSpec(BOX_LP, d=8, p=2.0, k=8)
         prior = BetaPrior(1.0, 1.0, 8)

@@ -33,7 +33,7 @@ from .tracers import (ThresholdPolicy, TraceReport, default_prior, half_trace_va
                       run_trace_arms, run_trace_trial, score_kind, trace_value_contribution)
 
 IDENTITY_TOL = 1e-8
-SCHEMA_VERSION = 12
+SCHEMA_VERSION = 13
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 1

@@ -20,12 +20,12 @@ PINNED = {
     # k = d with ERM: the dense sign path and the exact null law, whose flagged mass is the soundness.
     "trace": (["trace", "--d", "64", "--n", "16", "--M", "50", "--trials", "4",
                "--alpha-target", "0.1", "--seed", "11"],
-              "61a09d819568e6ad4a9f0deba26fa1080409837319a8b2f2694a9a5893d00caa"),
+              "bdaadc4e5208c328ae3554a518efe4a6ebaf9d4109cc16919595590cba2f8d9f"),
     # k = d with gaussian_dp: no fresh rows, so the noise vector follows the training rows.
     "dp_audit_dense": (["dp-audit", "--d", "64", "--n", "16", "--M", "50", "--trials", "4",
                         "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
                         "--seed", "11"],
-                       "af8196463ca9a20be1b37190160b5a5c9ef3069ebe7cd7cb762728f302382733"),
+                       "353127e3cb27735751c79c689f226f0b3d46eb35cb1f25837f7741ebeae1d305"),
     # k < d: redraw-until-distinct supports, then one byte per sign on them, and a sampled null law.
     "dp_audit": (["dp-audit", "--d", "256", "--k", "8", "--n", "16", "--M", "50", "--trials", "4",
                   "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
@@ -43,7 +43,7 @@ PINNED = {
     # Odd widths: at d = 37 (and k = 5) most rows start partway through a raw 8-byte word.
     "trace_odd": (["trace", "--d", "37", "--n", "16", "--M", "50", "--trials", "4",
                    "--alpha-target", "0.1", "--seed", "11"],
-                  "067976ec84993f030efc7b9f5a97e9ddebc1e867f40675f5dc66928b8aecd42f"),
+                  "378ac2adfc1e79b2e8fc2a73096ffc7bcf82104afe7144f002c5396763164451"),
     "dp_audit_odd": (["dp-audit", "--d", "37", "--k", "5", "--n", "16", "--M", "50", "--trials", "4",
                       "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
                       "--seed", "11"],
@@ -59,7 +59,7 @@ PINNED = {
 @pytest.mark.parametrize("threads", [1, 2, 8])
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_seeded_csv_bytes_are_pinned(name, threads, tmp_path):
-    assert SCHEMA_VERSION == 12
+    assert SCHEMA_VERSION == 13
     argv, digest = PINNED[name]
     out = tmp_path / f"{name}.csv"
     assert main(argv + ["--threads", str(threads), "--out", str(out)]) == EXIT_OK

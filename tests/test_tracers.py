@@ -17,6 +17,7 @@ from sparsetrace.distributions import (
     sample_matrix,
     sample_prior,
 )
+from sparsetrace.harness import EXIT_OK, main
 from sparsetrace.learners import LearnerConfig
 from sparsetrace.oracles import check_card_moments
 from sparsetrace.problems import BOX_LP, L1_CAPPED, ProblemSpec, support_argmax
@@ -326,11 +327,11 @@ class TestCalibrateThreshold:
         assert flagged == pytest.approx(xi * m, rel=1e-9)
 
 
-def _pmf_recurrence(p):
-    """The O(d^2) reference: add one Bernoulli at a time."""
-    pmf = np.zeros(p.size + 1)
+def _pmf_recurrence(p, dtype=np.float64):
+    """The O(d^2) reference: add one Bernoulli at a time, in `dtype`."""
+    pmf = np.zeros(p.size + 1, dtype=dtype)
     pmf[0] = 1.0
-    for pj in p:
+    for pj in p.astype(dtype):
         pmf[1:] = pmf[1:] * (1.0 - pj) + pmf[:-1] * pj
         pmf[0] *= 1.0 - pj
     return pmf
@@ -370,6 +371,52 @@ class TestExactNullLaw:
         assert np.all(masses[:ones] == 0.0) and np.all(masses[ones + 8:] == 0.0)
         assert np.all(masses[ones:ones + 8] > 0.0) and abs(masses.sum() - 1.0) < 1e-12
         np.testing.assert_allclose(masses, _pmf_recurrence(p), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("beta", [1.0, 19.75])
+    def test_pmf_matches_a_long_double_recurrence_at_d_4096(self, beta):
+        d = 4096
+        rng = substream(SEED, d, f"pmf-longdouble-{beta}")
+        mu = sample_prior(BetaPrior(beta, 1.0, d), rng).values
+        p = (1.0 + np.where(rng.random(d) < 0.5, 1.0, -1.0) * mu) / 2.0
+        exact = _pmf_recurrence(p, np.longdouble)
+        assert np.max(np.abs(poisson_binomial_pmf(p) - exact)) <= 1e-15
+
+    @pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 64, 65, 520, 4097])
+    def test_pmf_on_partial_leaves_and_short_groups(self, m):
+        # m interior p_j: a partial last leaf of 8, and group counts that are no power of 8.
+        rng = substream(SEED, m, "pmf-leaves")
+        ones, zeros = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+        p = rng.permutation(np.concatenate([rng.uniform(0.01, 0.99, m), np.ones(ones), np.zeros(zeros)]))
+        masses = poisson_binomial_pmf(p)
+        assert masses.shape == (p.size + 1,)
+        assert np.all(masses[:ones] == 0.0) and np.all(masses[ones + m + 1:] == 0.0)
+        assert abs(masses.sum() - 1.0) < 1e-12
+        assert np.max(np.abs(masses - _pmf_recurrence(p, np.longdouble))) <= 1e-15
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.2, np.inf])
+    def test_pmf_rejects_probabilities_outside_the_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="^p: "):
+            poisson_binomial_pmf(np.array([bad, 0.5]))
+
+    def test_a_recurrence_law_moves_only_the_last_bits_of_recall(self, tmp_path, monkeypatch):
+        # The law's computation may move recall by rounding, through the tie weight, but
+        # never lambda or the soundness read from the law.  One worker process keeps every
+        # trial in this process, where the monkeypatch holds.
+        argv = ["trace", "--d", "256", "--n", "64", "--trials", "40", "--alpha-target", "0.05",
+                "--seed", "17", "--threads", "1", "--out"]
+
+        def columns(path):
+            rows = [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")]
+            return {name: [row[i] for row in rows[1:]] for i, name in enumerate(rows[0])}
+
+        assert main(argv + [str(tmp_path / "fft.csv")]) == EXIT_OK
+        monkeypatch.setattr("sparsetrace.tracers.poisson_binomial_pmf", _pmf_recurrence)
+        assert main(argv + [str(tmp_path / "recurrence.csv")]) == EXIT_OK
+        fft, recurrence = columns(tmp_path / "fft.csv"), columns(tmp_path / "recurrence.csv")
+        assert fft["lambda"] == recurrence["lambda"] and fft["soundness"] == recurrence["soundness"]
+        assert all(abs(float(s) - 0.05) < 1e-12 for s in fft["soundness"])  # the exact path
+        np.testing.assert_allclose(np.array(fft["recall"], dtype=float),
+                                   np.array(recurrence["recall"], dtype=float), rtol=1e-12, atol=0)
 
     def test_exact_threshold_matches_a_monte_carlo_null(self):
         d, m, xi = 16, 10**5, 0.05

@@ -5,6 +5,7 @@ from .distributions import (
     BetaPrior,
     MeanVector,
     QuadratureRule,
+    SignRows,
     SparsePopulation,
     SparseRows,
     pmf,

@@ -109,6 +109,71 @@ class SparseRows:
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
+@dataclass(frozen=True, eq=False)
+class SignRows:
+    """n dense rows of -1s and +1s of dimension d >= 1 (k = d), stored as sign bits.
+
+    `bits` is an (n, ceil(d / 8)) uint8 matrix in np.packbits order: row i's
+    entry j is bit 7 - j % 8 of bits[i, j // 8], 1 for +1 and 0 for -1, and
+    the padding bits past d are 0.  So each dense row has one form, and any
+    formula over the rows gives the same bits as over their dense matrix read
+    back by `sign_rows`.  n rows take n ceil(d / 8) bytes where the dense
+    matrix takes n d.  As `SparseRows` do, the rows report that matrix's
+    shape, ndim, size and dtype (int8), np.asarray(rows) builds it, and
+    indexing (a slice or an index array) selects rows.
+    """
+
+    bits: np.ndarray
+    d: int
+
+    def __post_init__(self):
+        bits = np.asarray(self.bits).view()
+        width = -(-self.d // 8)
+        if self.d < 1 or bits.dtype != np.uint8 or bits.ndim != 2 or bits.shape[1] != width:
+            raise ValueError(f"sign rows take an (n, {width}) uint8 bit matrix and d >= 1")
+        if self.d % 8 and np.any(bits[:, -1] & (0xFF >> self.d % 8)):
+            raise ValueError(f"the padding bits past column d={self.d} must be 0")
+        bits.setflags(write=False)
+        object.__setattr__(self, "bits", bits)
+
+    @property
+    def k(self) -> int:
+        return self.d
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.bits.shape[0], self.d
+
+    ndim = 2
+    dtype = np.dtype(np.int8)
+
+    @property
+    def size(self) -> int:
+        return self.bits.shape[0] * self.d
+
+    def __getitem__(self, rows) -> SignRows:
+        return SignRows(self.bits[rows], self.d)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("the dense matrix of sign rows is always a new array")
+        out = np.unpackbits(self.bits, axis=1, count=self.d).view(np.int8)
+        np.add(out, out, out=out)  # {0, 1} to {-1, +1}, as in `_byte_signs`
+        out -= 1
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def sign_rows(z) -> SignRows:
+    """z as SignRows: z itself, or the rows of an (n, d) array of -1s and +1s
+    (checked with no copy by `check_ternary` and a count of zeros)."""
+    if isinstance(z, SignRows):
+        return z
+    arr = check_ternary(z)
+    if arr.ndim != 2 or np.count_nonzero(arr) != arr.size:
+        raise ValueError("dense rows must take values in {-1, +1}")
+    return SignRows(np.packbits(arr > 0, axis=1), arr.shape[1])
+
+
 def sparse_rows(z, k: int) -> SparseRows:
     """z as SparseRows: z itself, or the rows of a ternary (n, d) array with
     exactly k < d nonzeros each, read off in column order."""
@@ -213,11 +278,15 @@ class QuadratureRule:
             raise ValueError("weights must be positive and sum to 1")
 
 
+_BIT = np.uint8(128) >> np.arange(8, dtype=np.uint8)  # column j's bit in its byte: _BIT[j % 8]
+
+
 def _byte_signs(rng: np.random.Generator, scaled: np.ndarray, n: int,
-                support: np.ndarray | None = None) -> np.ndarray:
-    """Independent int8 signs, +1 at column c with probability p_c = scaled[c] / 256:
-    an (n, d) matrix whose entry (i, j) sits at column j, or, given an (n, k)
-    `support`, an (n, k) matrix whose entry (i, j) sits at column support[i, j].
+                support: np.ndarray | None = None) -> SignRows | np.ndarray:
+    """Independent signs, +1 at column c with probability p_c = scaled[c] / 256:
+    the `SignRows` of an (n, d) matrix whose entry (i, j) sits at column j, or,
+    given an (n, k) `support`, an (n, k) int8 matrix whose entry (i, j) sits at
+    column support[i, j].
 
     Each entry spends one random byte b: with hi_c = min(floor(scaled_c), 255)
     and frac_c = scaled_c - hi_c, it is +1 where b < hi_c, and where b == hi_c
@@ -229,25 +298,44 @@ def _byte_signs(rng: np.random.Generator, scaled: np.ndarray, n: int,
     are drawn in blocks of `block_rows` rows, rounded up to a multiple of
     8 // gcd(width, 8) so that each block but the last fills whole words: the
     stream is the same for any block size, and working memory is one block
-    (at an odd width, 8 rows at least) plus the tie indices.
+    (at an odd width, 8 rows at least) plus the tie indices.  Dense rows are
+    packed block by block, with every tie -1; each tie settled +1 then sets
+    its bit, the ties of one byte OR-ed together by one reduceat, so no
+    (n, d) matrix is ever held.
     """
-    d = scaled.size
+    d, dense = scaled.size, support is None
     hi = np.minimum(scaled, 255.0).astype(np.uint8)  # the cast floors, as scaled >= 0
-    out = np.empty((n, d) if support is None else support.shape, dtype=np.int8)
-    width = out.shape[1]
+    width = d if dense else support.shape[1]
+    out = np.empty((n, -(-d // 8)), dtype=np.uint8) if dense else np.empty(support.shape, dtype=np.int8)
     step = block_rows(width)
     step += -step % (8 // math.gcd(width, 8))
+    if dense:  # one block's signs, in rows padded to whole bytes by columns left False
+        flags = np.zeros((min(step, n), 8 * out.shape[1]), dtype=np.bool_)
     ties = [np.empty(0, dtype=np.intp)]
     for i in range(0, n, step):
         j = min(n, i + step)
         words = rng.bit_generator.random_raw(-(-(j - i) * width // 8))
         b = words.astype("<u8", copy=False).view(np.uint8)[: (j - i) * width].reshape(j - i, width)
-        h = hi if support is None else hi[support[i:j]]
-        np.less(b, h, out=out[i:j].view(np.bool_))
+        h = hi if dense else hi[support[i:j]]
+        if dense:
+            np.less(b, h, out=flags[: j - i, :d])
+            out[i:j] = np.packbits(flags[: j - i]).reshape(j - i, -1)
+        else:
+            np.less(b, h, out=out[i:j].view(np.bool_))
         ties.append(np.flatnonzero(b == h) + i * width)
     ties = np.concatenate(ties)
-    tied = ties % d if support is None else support.reshape(-1)[ties]
-    out.reshape(-1)[ties] = rng.random(ties.size) < scaled[tied] - hi[tied]
+    tied = ties % d if dense else support.reshape(-1)[ties]
+    plus = rng.random(ties.size) < scaled[tied] - hi[tied]
+    if dense:  # set the bit of each tie settled +1: its entry's position in the padded rows
+        bit = ties[plus]
+        bit += bit // d * (flags.shape[1] - d)
+        byte = bit >> 3
+        first = np.ones(byte.size, dtype=np.bool_)  # ties come in entry order, so by byte
+        np.not_equal(byte[1:], byte[:-1], out=first[1:])
+        first = np.flatnonzero(first)
+        out.reshape(-1)[byte[first]] |= np.bitwise_or.reduceat(_BIT[bit & 7], first)
+        return SignRows(out, d)
+    out.reshape(-1)[ties] = plus
     # {0, 1} to {-1, +1} in place as out + out - 1, not (out << 1) - 1: numpy's
     # int8 add has a SIMD loop and its left shift does not.
     np.add(out, out, out=out)
@@ -290,8 +378,8 @@ def _distinct_columns(rng: np.random.Generator, n: int, d: int, m: int) -> np.nd
         cols[rows] = block
 
 
-def sample_matrix(pop: SparsePopulation, n: int, rng: np.random.Generator) -> np.ndarray | SparseRows:
-    """n independent draws: an (n, d) int8 matrix at k = d, a `SparseRows` at k < d.
+def sample_matrix(pop: SparsePopulation, n: int, rng: np.random.Generator) -> SignRows | SparseRows:
+    """n independent draws: a `SignRows` at k = d, a `SparseRows` at k < d.
 
     Each sign spends one random byte (`_byte_signs`): +1 where the byte is
     below min(floor(256 p_j), 255), p_j = (1 + (d/k) mu_j) / 2 for its column
@@ -300,7 +388,8 @@ def sample_matrix(pop: SparsePopulation, n: int, rng: np.random.Generator) -> np
     `_distinct_columns`: at k <= d/2 its m = k columns are the support; past
     d/2 its m = d - k columns are the ones left out, and the support is the
     rest.  The rows and the sampler's working memory are O(n k + d): no
-    (n, d) array is built below d/2.
+    (n, d) array is built below d/2.  At k = d the rows take n ceil(d / 8)
+    bytes, and the sampler packs each block's signs as it draws them.
 
     Signs are drawn in whole-row blocks of about BLOCK_ENTRIES entries (at
     an odd width, 8 rows at least), so that many are held at a time;

@@ -17,7 +17,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .distributions import BetaPrior, SparseRows, check_ternary, mean_ci, sample_matrix, sample_prior
+from .distributions import BetaPrior, SignRows, SparseRows, check_ternary, mean_ci, sample_matrix, sample_prior
 from .problems import ParameterPoint, ProblemSpec, check_data, data_distribution, excess_risk, is_feasible, support_argmax
 
 ERM_LINEAR = "erm"
@@ -31,19 +31,19 @@ VERTEX_LEARNERS = (ERM_LINEAR, GAUSSIAN_DP, SUBSAMPLE)
 
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered sample of n ternary points: a read-only (n, d) int8 matrix,
-    or the `SparseRows` that `sample_matrix` gives at k < d, kept as they are
-    in O(n k) memory (they are immutable).
+    """An ordered sample of n ternary points: the `SignRows` (k = d) or
+    `SparseRows` (k < d) that `sample_matrix` gives, kept as they are (they
+    are immutable and valid by construction), or a read-only (n, d) int8
+    matrix.
 
-    An int8 matrix is checked and kept as a read-only view, not copied, so a
-    trial holds its n d training bytes once; as with `SparseRows`' arrays, the
-    caller must not write it afterwards.  Other dtypes are checked, then cast
-    to a new int8 matrix."""
+    An int8 matrix is checked and kept as a read-only view, not copied; as
+    with the row types' arrays, the caller must not write it afterwards.
+    Other dtypes are checked, then cast to a new int8 matrix."""
 
-    z: np.ndarray | SparseRows
+    z: np.ndarray | SignRows | SparseRows
 
     def __post_init__(self):
-        if isinstance(self.z, SparseRows):
+        if isinstance(self.z, (SignRows, SparseRows)):
             return
         arr = np.asarray(check_ternary(self.z), dtype=np.int8).view()
         arr.setflags(write=False)
@@ -87,16 +87,23 @@ class LearnerConfig:
 LearnerLike = Union[LearnerConfig, Callable[[np.ndarray], np.ndarray]]
 
 
-def empirical_mean(z: np.ndarray | SparseRows) -> np.ndarray:
+def empirical_mean(z: np.ndarray | SignRows | SparseRows) -> np.ndarray:
     """Column means of the ternary rows: each column's integer sum over n.
     A dense matrix is summed in the narrowest integer type that |sum| <= n
     fits, through numpy's reduction buffers rather than a whole-matrix copy;
-    sparse rows are summed by a bincount over their support.  Both sums are
-    exact integers, so both forms give equal bits, and the bits of
+    sign rows as 2 S - n, S each column's count of +1 bits, unpacked 255
+    rows at a time; sparse rows by a bincount over their support.  All three
+    sums are exact integers, so every form gives equal bits, and the bits of
     z.mean(axis=0, dtype=float64)."""
     n = z.shape[0]
     if isinstance(z, SparseRows):
         return np.bincount(z.support.ravel(), weights=z.signs.ravel(), minlength=z.d) / n
+    if isinstance(z, SignRows):
+        # 255 rows at a time, the most whose 0/1 bits a uint8 sum holds exactly.
+        plus = np.zeros(8 * z.bits.shape[1], dtype=np.int64)
+        for i in range(0, n, 255):
+            plus += np.unpackbits(z.bits[i:i + 255]).reshape(-1, plus.size).sum(axis=0, dtype=np.uint8)
+        return (2 * plus[:z.d] - n) / n
     return z.sum(axis=0, dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int64) / n
 
 
@@ -120,7 +127,7 @@ def train(learner: LearnerLike, spec: ProblemSpec, data: Dataset, rng: np.random
     A config's kind picks the learner; only gaussian_dp consumes randomness,
     and every kind but normalized_mean_l2 returns a feasible point.  A map
     is called on the dense float64 sample matrix, built on demand from
-    sparse rows.  Either output is tagged with its feasibility.
+    sign or sparse rows.  Either output is tagged with its feasibility.
     """
     check_data(spec, data.z)
     if not isinstance(learner, LearnerConfig):

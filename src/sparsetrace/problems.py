@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SparsePopulation, SparseRows, check_mean, ternary_int8
+from .distributions import SignRows, SparsePopulation, SparseRows, check_mean, ternary_int8
 
 BOX_LP = "box_lp"
 L1_CAPPED = "l1_capped"
@@ -115,18 +115,19 @@ def is_feasible(spec: ProblemSpec, theta: np.ndarray) -> bool:
                 and (spec.variant == BOX_LP or np.sum(mags) <= 1.0 + FEASIBILITY_TOL))
 
 
-def check_data(spec: ProblemSpec, z: np.ndarray | SparseRows) -> None:
+def check_data(spec: ProblemSpec, z: np.ndarray | SignRows | SparseRows) -> None:
     """Require z to be n >= 1 rows of the spec's data space: d ternary entries
     with exactly `spec.k` nonzeros each.
 
     Entry values are checked before this check runs: by
     `distributions.check_ternary` when the rows enter a `Dataset` or are cast
-    to int8, or when they are built as `SparseRows`, whose rows hold their k
-    nonzeros at distinct columns.
+    to int8, or when they are built as `SignRows` (k = d, every entry +/-1)
+    or `SparseRows` (k nonzeros at distinct columns), which are valid by
+    construction, so for them only the shape and k are compared.
     """
     if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] != spec.d:
         raise ValueError(f"data has shape {z.shape}, expected (n >= 1, {spec.d})")
-    if isinstance(z, SparseRows):
+    if isinstance(z, (SignRows, SparseRows)):
         ok = z.k == spec.k
     elif spec.k == spec.d:
         # Rows are full exactly when no entry is 0, and one count over the

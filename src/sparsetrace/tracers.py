@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (BetaPrior, SparseRows, block_rows, check_mean, check_ternary, sample_matrix,
-                            sample_prior, sparse_rows)
+from .distributions import (BetaPrior, SignRows, SparseRows, block_rows, check_mean, sample_matrix, sample_prior,
+                            sign_rows, sparse_rows)
 from .learners import VERTEX_LEARNERS, Dataset, LearnerConfig, LearnerLike, train
 from .problems import BOX_LP, ProblemSpec, data_distribution, excess_risk
 
@@ -88,16 +88,20 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z) -> tuple[np.ndarray, int]:
     In-range configurations never clamp; a nonzero count signals an
     out-of-contract parameter.
 
-    Dense rows must hold only -1 and +1 (checked with no copy); they are cast
-    to float64 and scored one whole-row block (`distributions.block_rows`) at
-    a time, so float64 working memory is one block whatever n is.  At k < d
-    the rows are read as `SparseRows` (a dense array is converted) and scored
-    by gathers, theta[support] . signs and (theta * mu)[support], so the
-    work and working memory are O(n k) plus two d-long vectors.
+    Dense rows are read as `SignRows` (an array, which must hold only -1 and
+    +1, is checked with no copy and packed).  Where u = +/-1 (at a box
+    vertex) the products are z . u = d - 2 popcount(bits ^ packbits(u > 0)),
+    exact integers; otherwise each whole-row block (`distributions.block_rows`)
+    is unpacked to float64 and multiplied by u, so float64 working memory is
+    one block whatever n is.  Both give the bits of the float64 product of
+    the dense matrix.  At k < d the rows are read as `SparseRows` (a dense
+    array is converted) and scored by gathers, theta[support] . signs and
+    (theta * mu)[support], so the work and working memory are O(n k) plus two
+    d-long vectors.
     """
     spec = tr.spec
     theta = np.asarray(theta, dtype=float)
-    Z = Z if isinstance(Z, SparseRows) else np.asarray(Z)
+    Z = Z if isinstance(Z, (SignRows, SparseRows)) else np.asarray(Z)
     if Z.ndim != 2 or Z.shape[1] != spec.d or theta.shape != (spec.d,):
         raise ValueError("dimension mismatch between tracer, theta, and data")
     if not np.all(np.isfinite(theta)):
@@ -111,11 +115,17 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z) -> tuple[np.ndarray, int]:
         raw = spec.d ** (1.0 / spec.p) / math.sqrt(spec.k) * (
             signed.sum(axis=1) - spec.d / spec.k * centre.sum(axis=1))
     else:
-        if np.count_nonzero(check_ternary(Z)) != Z.size:
-            raise ValueError("dense rows must take values in {-1, +1}")
-        raw, step = np.empty(Z.shape[0]), block_rows(spec.d)
-        for i in range(0, Z.shape[0], step):
-            raw[i:i + step] = dense_score(Z[i:i + step].astype(np.float64, order="C") @ dense[0], *dense[1:])
+        rows, (u, centre, c) = sign_rows(Z), dense
+        if (np.abs(u) == 1).all():
+            disagree = np.bitwise_xor(rows.bits, np.packbits(u > 0))
+            # A row disagrees at most d times, so below d = 2^16 a uint16 sum holds the count.
+            total = np.uint16 if spec.d < 2**16 else np.int64
+            count = np.bitwise_count(disagree, out=disagree).sum(axis=1, dtype=total)
+            raw = dense_score(spec.d - 2.0 * count, centre, c)
+        else:
+            raw, step = np.empty(Z.shape[0]), block_rows(spec.d)
+            for i in range(0, Z.shape[0], step):
+                raw[i:i + step] = dense_score(np.asarray(rows[i:i + step], dtype=np.float64) @ u, centre, c)
     clip = tr.clip_bound
     return np.clip(raw, -clip, clip), int(np.count_nonzero(np.abs(raw) > clip))
 

@@ -10,6 +10,7 @@ from sparsetrace.distributions import (
     BLOCK_ENTRIES,
     BetaPrior,
     MeanVector,
+    SignRows,
     SparsePopulation,
     SparseRows,
     block_rows,
@@ -17,6 +18,7 @@ from sparsetrace.distributions import (
     prior_quadrature,
     sample_matrix,
     sample_prior,
+    sign_rows,
     sparse_rows,
 )
 from sparsetrace.problems import BOX_LP, ParameterPoint, ProblemSpec, loss
@@ -39,7 +41,7 @@ def symmetric_beta_moment(prior: BetaPrior, r: int) -> float:
 class TestSampleSupport:
     def test_full_support_is_everything(self):
         rng = substream(SEED, 0, "support")
-        z = sample_matrix(SparsePopulation(np.zeros(3), 3, 3), 20, rng)
+        z = np.asarray(sample_matrix(SparsePopulation(np.zeros(3), 3, 3), 20, rng))
         assert np.all(z != 0)
 
     def test_two_choose_one_is_fair(self):
@@ -78,7 +80,7 @@ class TestSampleSupport:
 class TestSampleSparse:
     def test_dense_zero_mean_is_fair_coins(self):
         pop = SparsePopulation(np.zeros(4), 4, 4)
-        draws = sample_matrix(pop, 4000, substream(SEED, 4, "sparse"))
+        draws = np.asarray(sample_matrix(pop, 4000, substream(SEED, 4, "sparse")))
         assert np.isin(draws, (-1, 1)).all()
         sigma = math.sqrt(1.0 / 4000)
         assert np.max(np.abs(draws.mean(axis=0))) < 4 * sigma
@@ -141,7 +143,7 @@ class TestSampleMatrix:
         mu = np.array([0.2, -0.1, 0.05])
         pop = SparsePopulation(mu, 3, 3)
         rng = substream(SEED, 9, "matrix")
-        z = sample_matrix(pop, 10**6, rng)
+        z = np.asarray(sample_matrix(pop, 10**6, rng))
         atoms = np.array(list(itertools.product((-1, 1), repeat=3)), dtype=np.int8)
         exact = np.array([np.prod((1 + mu * a) / 2) for a in atoms])
         codes = ((z + 1) // 2) @ np.array([4, 2, 1])
@@ -313,6 +315,51 @@ class TestSparseRows:
     def test_bad_rows_rejected(self, signs, support, d):
         with pytest.raises(ValueError):
             SparseRows(np.array(signs, dtype=np.int8), np.array(support), d)
+
+
+class TestSignRows:
+    def test_rows_report_and_build_their_dense_matrix(self):
+        # d = 50: seven bytes a row, the last with six padding bits.
+        pop = SparsePopulation(np.zeros(50), 50, 50)
+        rows = sample_matrix(pop, 30, substream(SEED, 31, "rows"))
+        assert isinstance(rows, SignRows) and rows.k == 50
+        assert rows.bits.shape == (30, 7) and rows.bits.dtype == np.uint8 and not rows.bits.flags.writeable
+        assert (rows.shape, rows.ndim, rows.size, rows.dtype) == ((30, 50), 2, 1500, np.int8)
+        dense = np.asarray(rows)
+        assert dense.dtype == np.int8 and dense.shape == (30, 50) and np.all(np.abs(dense) == 1)
+        assert np.array_equal(np.asarray(rows, dtype=np.float64), dense)
+        assert np.array_equal(np.asarray(rows[3:7]), dense[3:7])
+        assert np.array_equal(np.asarray(rows[np.array([5, 1])]), dense[[5, 1]])
+        assert np.array_equal(sign_rows(dense).bits, rows.bits) and sign_rows(rows) is rows
+        with pytest.raises(ValueError, match="always a new array"):
+            np.asarray(rows, copy=False)
+        with pytest.raises(ValueError, match=r"values in \{-1, \+1\}"):
+            sign_rows(np.where(dense > 0, dense, 0))
+
+    def test_bits_follow_packbits_order(self):
+        # Entry j is bit 7 - j % 8 of byte j // 8, and 1 is +1.
+        rows = SignRows(np.array([[0b10100000, 0b01000000], [0b01011111, 0b10000000]], dtype=np.uint8), 10)
+        assert np.array_equal(np.asarray(rows), [[1, -1, 1, -1, -1, -1, -1, -1, -1, 1],
+                                                 [-1, 1, -1, 1, 1, 1, 1, 1, 1, -1]])
+
+    def test_the_callers_array_stays_writable(self):
+        bits = np.zeros((2, 1), dtype=np.uint8)
+        rows = SignRows(bits, 8)
+        assert bits.flags.writeable and not rows.bits.flags.writeable
+
+    @pytest.mark.parametrize("bits,d", [
+        (np.array([[0b10100001]], dtype=np.uint8), 3),  # a padding bit set
+        (np.array([[0, 0b00000001]], dtype=np.uint8), 15),  # the last padding bit set
+        (np.array([[1]], dtype=np.int8), 8),  # a wrong dtype
+        (np.array([[1.0]]), 8),
+        (np.zeros((1, 2), dtype=np.uint8), 8),  # a wrong width
+        (np.zeros((1, 1), dtype=np.uint8), 9),
+        (np.zeros(1, dtype=np.uint8), 8),  # not one row per dense row
+        (np.zeros((1, 0), dtype=np.uint8), 0),  # no columns
+    ])
+    def test_bad_rows_rejected(self, bits, d):
+        with pytest.raises(ValueError):
+            SignRows(bits, d)
 
 
 class TestPmf:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsetrace.distributions import BetaPrior, SparsePopulation, SparseRows, sample_matrix
+from sparsetrace.distributions import BLOCK_ENTRIES, BetaPrior, SparsePopulation, SparseRows, sample_matrix, sign_rows
 from sparsetrace.learners import (
     LEARNER_KINDS,
     Dataset,
@@ -132,6 +132,41 @@ class TestSparseRows:
         rows = SparseRows(np.ones((2, 3), dtype=np.int8), np.array([[0, 3, 5], [1, 3, 7]]), 8)
         with pytest.raises(ValueError, match="exactly 2 nonzeros"):
             train(ERM, _box(8, 2), Dataset(rows), substream(SEED, 42))
+
+
+class TestSignRows:
+    # Past 255 rows the column counts take more than one uint8 block; widths with
+    # padding bits; and one past BLOCK_ENTRIES.
+    @pytest.mark.parametrize("d,n", [(1, 600), (7, 300), (37, 300), (4096, 300), (BLOCK_ENTRIES + 3, 5)])
+    def test_rows_train_as_their_int8_matrix(self, d, n):
+        # Every kind, on the rows and on their int8 matrix, from one generator state.
+        spec = _box(d, d)
+        rng = substream(SEED, d, "sign-rows")
+        rows = sample_matrix(SparsePopulation(rng.uniform(-0.5, 0.5, size=d), d, d), n, rng)
+        dense = np.asarray(rows)
+        mean = empirical_mean(rows)
+        assert mean.dtype == np.float64 and np.array_equal(mean, dense.mean(axis=0, dtype=np.float64))
+        seen = []
+        configs = [LearnerConfig(kind, epsilon=1.0, delta=1e-5) if kind == "gaussian_dp"
+                   else LearnerConfig(kind, subsample_m=n - 2) if kind == "subsample"
+                   else LearnerConfig(kind) for kind in LEARNER_KINDS]
+        for learner in configs + [lambda z: seen.append(z) or z.mean(axis=0)]:
+            a = train(learner, spec, Dataset(rows), substream(SEED, 43))
+            b = train(learner, spec, Dataset(dense), substream(SEED, 43))
+            assert np.array_equal(a.theta, b.theta) and a.feasible == b.feasible
+        assert seen[0].dtype == np.float64 and np.array_equal(seen[0], seen[1])
+        assert np.array_equal(seen[0], dense)
+
+    def test_full_columns_count_every_row(self):
+        # A column of n = 600 +1s: 255-row uint8 sums, each at its widest.
+        rows = sign_rows(np.ones((600, 9), dtype=np.int8))
+        assert np.array_equal(empirical_mean(rows), np.ones(9))
+        assert np.array_equal(empirical_mean(rows[:255]), np.ones(9))
+
+    def test_dense_rows_rejected_at_k_below_d(self):
+        rows = sign_rows(np.ones((2, 8), dtype=np.int8))
+        with pytest.raises(ValueError, match="exactly 2 nonzeros"):
+            train(ERM, _box(8, 2), Dataset(rows), substream(SEED, 44))
 
 
 class TestDpSensitivity:

@@ -27,11 +27,13 @@ from sparsetrace.tracers import (
     ThresholdPolicy,
     TraceReport,
     TracerSpec,
+    _dense,
     _draw_trial,
     _vertex_null_law,
     calibrate_threshold,
     default_beta,
     default_prior,
+    dense_score,
     half_trace_value,
     null_quantile,
     poisson_binomial_pmf,
@@ -202,7 +204,8 @@ class TestBlockedScoreBatch:
 
     def test_dense_sampling_and_scoring_memory(self):
         # Scoring peaks below n * d bytes, so it makes no float64 (or int8) copy of the rows;
-        # sampling peaks below its output plus n * d / 4 bytes.
+        # sampling peaks below its packed output plus n * d / 4 bytes, so it never holds an
+        # (n, d) int8 or bool matrix.
         n, d = 4000, 4096
         rng = substream(SEED, 62, "memory")
         mu = rng.uniform(-0.5, 0.5, size=d)
@@ -218,8 +221,43 @@ class TestBlockedScoreBatch:
         finally:
             tracemalloc.stop()
         assert z.shape == (n, d) and scores.shape == (n,) and clipped == 0
-        assert sampled < z.nbytes + n * d / 4
+        assert sampled < z.bits.nbytes + n * d / 4
         assert scored < n * d
+
+
+def _float_product_reference(tr, theta, Z):
+    """Dense scores of an int8 matrix by the float64 product: each whole-row block cast to
+    float64 and multiplied by u of `_dense`."""
+    u, centre, c = _dense(tr, theta)
+    raw, step = np.empty(Z.shape[0]), block_rows(tr.spec.d)
+    for i in range(0, Z.shape[0], step):
+        raw[i:i + step] = dense_score(Z[i:i + step].astype(np.float64) @ u, centre, c)
+    clip = tr.clip_bound
+    return np.clip(raw, -clip, clip), int(np.count_nonzero(np.abs(raw) > clip))
+
+
+class TestSignRowScores:
+    # One column; widths with padding bits; the criterion-5 width; and one past
+    # BLOCK_ENTRIES, where a block is one row.  Each takes two blocks and three rows.
+    @pytest.mark.parametrize("d", [1, 7, 37, 4096, BLOCK_ENTRIES + 3])
+    def test_rows_score_as_the_float64_product_of_their_int8_matrix(self, d):
+        rng = substream(SEED, d, "sign-rows")
+        mu = rng.uniform(-0.4, 0.4, size=d)
+        rows = sample_matrix(SparsePopulation(mu, d, d), 2 * block_rows(d) + 3, rng)
+        dense = np.asarray(rows)
+        box, l1 = ProblemSpec(BOX_LP, d=d), ProblemSpec(L1_CAPPED, d=d, s=min(3, d))
+        cases = [
+            # A box vertex, u = +/-1 (popcounts); an interior point and the scaling-matrix
+            # u = theta * L (the unpacked float64 product).
+            (sparse_tracer(mu, d, 2.0, d), support_argmax(box, rng.standard_normal(d)).theta),
+            (sparse_tracer(mu, d, 2.0, d), box.box_radius * rng.uniform(-1.0, 1.0, size=d)),
+            (TracerSpec(l1, mu, 0.5), support_argmax(l1, rng.standard_normal(d)).theta),
+        ]
+        for tr, theta in cases:
+            expected, expected_clipped = _float_product_reference(tr, theta, dense)
+            for z in (rows, dense):
+                scores, clipped = score_batch(tr, theta, z)
+                assert np.array_equal(scores, expected) and clipped == expected_clipped
 
 
 class TestSparseRowScores:
@@ -429,7 +467,7 @@ class TestExactNullLaw:
             rng = substream(SEED, trial, "exact-vs-mc")
             mu = sample_prior(BetaPrior(1.0, 1.0, d), rng).values
             pop = SparsePopulation(mu, d, d)
-            theta = support_argmax(spec, sample_matrix(pop, 8, rng).mean(axis=0)).theta
+            theta = support_argmax(spec, np.asarray(sample_matrix(pop, 8, rng)).mean(axis=0)).theta
             tr = TracerSpec(spec, mu)
             atoms, masses = _vertex_null_law(tr, theta)
             lam = calibrate_threshold(policy, atoms, masses)
@@ -455,10 +493,10 @@ class TestExactNullLaw:
         rng = substream(SEED, d, "agreement-chisquare")
         mu = sample_prior(default_prior(spec, alpha_target=0.1), rng).values
         pop = SparsePopulation(mu, d, d)
-        u = np.sign(support_argmax(spec, sample_matrix(pop, 8, rng).mean(axis=0)).theta).astype(np.int8)
+        u = np.sign(support_argmax(spec, np.asarray(sample_matrix(pop, 8, rng)).mean(axis=0)).theta).astype(np.int8)
         observed = np.zeros(d + 1)
         for _ in range(rows // block):  # about 5 MB of rows and 5 MB of agreements at a time
-            observed += np.bincount(np.count_nonzero(sample_matrix(pop, block, rng) == u, axis=1),
+            observed += np.bincount(np.count_nonzero(np.asarray(sample_matrix(pop, block, rng)) == u, axis=1),
                                     minlength=d + 1)
 
         def pvalue(p_agree):

@@ -77,7 +77,7 @@ class SparseRows:
         if signs.size and not (signs.min() >= -1 and signs.max() <= 1 and np.all(signs != 0)):
             raise ValueError("signs must take values in {-1, +1}")
         if support.size and not (support[:, 0].min() >= 0 and support[:, -1].max() < self.d
-                                 and np.all(support[:, 1:] > support[:, :-1])):
+                                 and not _stalls(support).size):
             raise ValueError(f"each row's support must increase strictly within [0, {self.d})")
         for name, arr in (("signs", signs), ("support", support)):
             arr.setflags(write=False)
@@ -343,14 +343,24 @@ def _byte_signs(rng: np.random.Generator, scaled: np.ndarray, n: int,
     return out
 
 
+def _stalls(cols: np.ndarray) -> np.ndarray:
+    """The ascending flat indices of the entries of the (n, m) `cols` that are not above their
+    left neighbour in the same row: one compare of the flattened rows, less the row boundaries."""
+    flat = cols.reshape(-1)
+    stall = flat[1:] <= flat[:-1]
+    stall[cols.shape[1] - 1::cols.shape[1]] = False  # the pairs that span two rows
+    return np.flatnonzero(stall) + 1
+
+
 def _distinct_columns(rng: np.random.Generator, n: int, d: int, m: int) -> np.ndarray:
     """(n, m) column indices, each row an exactly uniform m-subset of range(d)
     in increasing order, 0 < m <= d.
 
     One rng.integers call draws m iid columns per row, and each row is
     sorted.  Then, round after round, every row short of m distinct columns
-    redraws its repeated entries: one rng.integers call draws the deficits
-    of all rows, in row order, and the rows it touched are sorted again.
+    redraws its repeated entries, found by one flat scan (`_stalls`): one
+    rng.integers call draws the deficits of all rows, in row-major order, and
+    the rows it touched are sorted again.
 
     The law is uniform.  A row's state is its set S of distinct columns;
     the first draw and each round (keep S, add m - |S| iid uniform columns)
@@ -365,17 +375,14 @@ def _distinct_columns(rng: np.random.Generator, n: int, d: int, m: int) -> np.nd
     """
     cols = rng.integers(0, d, size=(n, m))
     cols.sort(axis=1)
-    rows, block = None, cols
-    while True:
-        repeat = block[:, 1:] == block[:, :-1]
-        short = repeat.any(axis=1)
-        if not short.any():
-            return cols
-        rows = np.flatnonzero(short) if rows is None else rows[short]
-        block = cols[rows]
-        block[:, 1:][repeat[short]] = rng.integers(0, d, size=np.count_nonzero(repeat))
+    rows, block = np.arange(n), cols
+    while (at := _stalls(block)).size:
+        block.reshape(-1)[at] = rng.integers(0, d, size=at.size)
+        short = np.bincount(at // m, minlength=len(block)) > 0
+        rows, block = rows[short], block[short]
         block.sort(axis=1)
         cols[rows] = block
+    return cols
 
 
 def sample_matrix(pop: SparsePopulation, n: int, rng: np.random.Generator) -> SignRows | SparseRows:

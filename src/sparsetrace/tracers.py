@@ -96,8 +96,9 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z) -> tuple[np.ndarray, int]:
     one block whatever n is.  Both give the bits of the float64 product of
     the dense matrix.  At k < d the rows are read as `SparseRows` (a dense
     array is converted) and scored by gathers, theta[support] . signs and
-    (theta * mu)[support], so the work and working memory are O(n k) plus two
-    d-long vectors.
+    (theta * mu)[support], taken in whole-row blocks of about BLOCK_ENTRIES
+    bytes of float64, so the work is O(n k) and the working memory, beside two
+    n-long sums, is two d-long vectors and one block whatever n is.
     """
     spec = tr.spec
     theta = np.asarray(theta, dtype=float)
@@ -108,12 +109,14 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z) -> tuple[np.ndarray, int]:
         raise ValueError("theta: entries must be finite")
     dense = _dense(tr, theta)
     if dense is None:
-        rows = sparse_rows(Z, spec.k)
-        signed = theta[rows.support]
-        signed *= rows.signs
-        centre = (theta * tr.mu)[rows.support]
-        raw = spec.d ** (1.0 / spec.p) / math.sqrt(spec.k) * (
-            signed.sum(axis=1) - spec.d / spec.k * centre.sum(axis=1))
+        rows, shift = sparse_rows(Z, spec.k), theta * tr.mu
+        signed, centre, step = np.empty(Z.shape[0]), np.empty(Z.shape[0]), block_rows(8 * spec.k)
+        for i in range(0, Z.shape[0], step):
+            block = theta[rows.support[i:i + step]]
+            block *= rows.signs[i:i + step]
+            block.sum(axis=1, out=signed[i:i + step])
+            shift[rows.support[i:i + step]].sum(axis=1, out=centre[i:i + step])
+        raw = spec.d ** (1.0 / spec.p) / math.sqrt(spec.k) * (signed - spec.d / spec.k * centre)
     else:
         rows, (u, centre, c) = sign_rows(Z), dense
         if (np.abs(u) == 1).all():

@@ -310,11 +310,52 @@ class TestSparseRows:
         ([[1, -1]], [[-1, 0]], 4),        # a negative column would wrap in a gather
         ([[1, -1]], [[3, 3]], 4),         # a repeated column
         ([[1, -1]], [[3, 1]], 4),         # columns out of order
+        ([[1, -1, 1]], [[3, 3, 5]], 8),   # a repeat in a row's first pair
+        ([[1, -1, 1]], [[1, 4, 4]], 8),   # and in its last pair
+        ([[1, -1], [1, 1]], [[0, 1], [2, 2]], 8),  # a repeat in a later row
         ([[1, -1]], [[0, 1]], 2),         # k = d rows are dense matrices
     ])
     def test_bad_rows_rejected(self, signs, support, d):
         with pytest.raises(ValueError):
             SparseRows(np.array(signs, dtype=np.int8), np.array(support), d)
+
+
+    def test_columns_may_fall_across_the_row_boundary(self):
+        # The last column of one row is above the first of the next: no row repeats a column.
+        rows = SparseRows(np.array([[1, -1], [-1, 1]], dtype=np.int8), np.array([[5, 6], [1, 2]]), 8)
+        assert np.array_equal(np.asarray(rows), [[0, 0, 0, 0, 0, 1, -1, 0], [0, -1, 1, 0, 0, 0, 0, 0]])
+
+
+def _distinct_columns_reference(rng, n, d, m):
+    """The row-wise redraw loop: each round compares every row's columns with their left
+    neighbours as a 2-D array, and the rows with a repeat redraw it, in row-major order."""
+    cols = rng.integers(0, d, size=(n, m))
+    cols.sort(axis=1)
+    rows, block = None, cols
+    while True:
+        repeat = block[:, 1:] == block[:, :-1]
+        short = repeat.any(axis=1)
+        if not short.any():
+            return cols
+        rows = np.flatnonzero(short) if rows is None else rows[short]
+        block = cols[rows]
+        block[:, 1:][repeat[short]] = rng.integers(0, d, size=np.count_nonzero(repeat))
+        block.sort(axis=1)
+        cols[rows] = block
+
+
+class TestDistinctColumns:
+    # No rows; one column a row; every row a permutation of range(d); d = 5, where most rows
+    # take several redraw rounds; and the audit_sparse shape.
+    @pytest.mark.parametrize("n,d,m", [(0, 50, 7), (200, 50, 1), (200, 50, 50), (500, 5, 4),
+                                       (1000, 8192, 64)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_row_wise_redraw_loop(self, n, d, m, seed):
+        ours, ref = substream(SEED, seed, "distinct"), substream(SEED, seed, "distinct")
+        cols = distributions._distinct_columns(ours, n, d, m)
+        assert np.array_equal(cols, _distinct_columns_reference(ref, n, d, m)), (n, d, m)
+        assert ours.random() == ref.random()
+        assert cols.shape == (n, m) and np.all(np.diff(cols, axis=1) > 0)
 
 
 class TestSignRows:

@@ -1,4 +1,4 @@
-"""Pin the random stream: the exact bytes of eight small seeded CSVs.
+"""Pin the random stream: the exact bytes of nine small seeded CSVs.
 
 Each digest covers the bytes after the schema line, which is checked on
 its own, so a digest that survives a schema bump shows that its run's
@@ -48,6 +48,11 @@ PINNED = {
                       "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
                       "--seed", "11"],
                      "5723bc4c6c999d92d5923bd1d6eea29ee85b2213c2da50c99f019290ce10df7d"),
+    # Past d/2: the drawn columns are the ones left out, and the support is the rest.
+    "dp_audit_complement": (["dp-audit", "--d", "37", "--k", "30", "--n", "16", "--M", "50", "--trials", "4",
+                             "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
+                             "--seed", "11"],
+                            "9487e12065ee3dd410a413735ef72664b300570a8c096b78ee663ff94ec1223d"),
     # A non-vertex learner on dense rows: sampled fresh and null rows, scored by the float64 product.
     "trace_l1_odd": (["trace", "--variant", "l1_capped", "--s", "3", "--d", "37",
                       "--learner", "normalized_mean_l2", "--n", "16", "--M", "50", "--trials", "4",

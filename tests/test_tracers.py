@@ -260,6 +260,18 @@ class TestSignRowScores:
                 assert np.array_equal(scores, expected) and clipped == expected_clipped
 
 
+def _one_gather_reference(tr, theta, rows):
+    """Sparse scores of `SparseRows` by one gather of every row at once: theta[support] . signs
+    and (theta * mu)[support], each summed along its rows."""
+    spec = tr.spec
+    signed = theta[rows.support] * rows.signs
+    centre = (theta * tr.mu)[rows.support]
+    raw = spec.d ** (1.0 / spec.p) / math.sqrt(spec.k) * (
+        signed.sum(axis=1) - spec.d / spec.k * centre.sum(axis=1))
+    clip = tr.clip_bound
+    return np.clip(raw, -clip, clip), int(np.count_nonzero(np.abs(raw) > clip))
+
+
 class TestSparseRowScores:
     def test_rows_and_their_dense_matrix_score_identically(self):
         # One k < d formula: a dense matrix is read as the same rows.
@@ -288,6 +300,39 @@ class TestSparseRowScores:
             tracemalloc.stop()
         assert scores.shape == (n,) and clipped == 0
         assert peak < n * d / 10
+
+    # k = 64 of d = 8192, the audit_sparse shape; and k = 30 of d = 37, past d/2, where
+    # each row's support is the complement of its drawn columns.
+    @pytest.mark.parametrize("d,k", [(8192, 64), (37, 30)])
+    def test_blocked_gathers_score_as_one_gather(self, d, k):
+        step = block_rows(8 * k)
+        rng = substream(SEED, d + k, "sparse-rows")
+        mu = rng.uniform(-k / d, k / d, size=d)
+        pop, tr = SparsePopulation(mu, k, d), sparse_tracer(mu, k, 2.0, d)
+        for n in sorted({0, 1, step - 1, step, step + 1, 2200}):
+            rows = sample_matrix(pop, n, rng)
+            # Two theta on one row set, as a sweep's arms score their shared null sample:
+            # the first clamps most rows, the second few.
+            for theta in (rng.uniform(-1.0, 1.0, size=d), rng.uniform(-1.0, 1.0, size=d) / k):
+                scores, clipped = score_batch(tr, theta, rows)
+                expected, expected_clipped = _one_gather_reference(tr, theta, rows)
+                assert np.array_equal(scores, expected) and clipped == expected_clipped, (d, k, n)
+
+    def test_scoring_holds_no_gather_of_every_row(self):
+        # One float64 gather of all n rows takes 8 n k bytes, and the two of them twice that.
+        n, d, k = 8000, 8192, 64
+        rng = substream(SEED, 63, "memory")
+        mu = rng.uniform(-k / d, k / d, size=d)
+        rows, tr = sample_matrix(SparsePopulation(mu, k, d), n, rng), sparse_tracer(mu, k, 2.0, d)
+        theta = rng.uniform(-1.0, 1.0, size=d) / k
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            scores, _ = score_batch(tr, theta, rows)
+            scored = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (n,) and scored < 2 * n * k
 
 
 class TestCalibrateThreshold:

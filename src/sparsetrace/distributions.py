@@ -33,22 +33,12 @@ def check_ternary(values) -> np.ndarray:
     """`values` as an array, not copied, once every entry is checked to lie in {-1, 0, +1}.
 
     The check runs on the input's own dtype, so values that an int8 cast
-    would wrap or truncate into range (255, 0.5, NaN) are rejected.  int8
-    input takes a min/max bound check instead of a set test.
+    would wrap or truncate into range (255, 0.5, NaN) are rejected.
     """
     arr = np.asarray(values)
-    if arr.dtype == np.int8:
-        ok = arr.size == 0 or (arr.min() >= -1 and arr.max() <= 1)
-    else:
-        ok = bool(np.isin(arr, (-1, 0, 1)).all())
-    if not ok:
+    if not np.isin(arr, (-1, 0, 1)).all():
         raise ValueError("entries must take values in {-1, 0, +1}")
     return arr
-
-
-def ternary_int8(values) -> np.ndarray:
-    """A new int8 array of `values`, which must all lie in {-1, 0, +1} (`check_ternary`)."""
-    return np.array(check_ternary(values), dtype=np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +48,7 @@ class SparseRows:
     Row i is signs[i, j] in {-1, +1} at column support[i, j] and 0 elsewhere,
     with each row's columns strictly increasing: one form per dense row, so
     any formula over the rows gives the same bits as over their dense
-    matrix read back by `sparse_rows`.  n rows take O(n k) memory where the
+    matrix read back by `as_rows`.  n rows take O(n k) memory where the
     dense matrix takes n d bytes.  The rows report that matrix's shape,
     ndim, size and dtype (int8), and np.asarray(rows) builds it.  Indexing
     selects rows (a slice or an index array) and gives a SparseRows.
@@ -117,7 +107,7 @@ class SignRows:
     entry j is bit 7 - j % 8 of bits[i, j // 8], 1 for +1 and 0 for -1, and
     the padding bits past d are 0.  So each dense row has one form, and any
     formula over the rows gives the same bits as over their dense matrix read
-    back by `sign_rows`.  n rows take n ceil(d / 8) bytes where the dense
+    back by `as_rows`.  n rows take n ceil(d / 8) bytes where the dense
     matrix takes n d.  As `SparseRows` do, the rows report that matrix's
     shape, ndim, size and dtype (int8), np.asarray(rows) builds it, and
     indexing (a slice or an index array) selects rows.
@@ -163,29 +153,24 @@ class SignRows:
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
-def sign_rows(z) -> SignRows:
-    """z as SignRows: z itself, or the rows of an (n, d) array of -1s and +1s
-    (checked with no copy by `check_ternary` and a count of zeros)."""
-    if isinstance(z, SignRows):
+def as_rows(z) -> SignRows | SparseRows:
+    """z as rows: z itself if it is `SignRows` or `SparseRows`, else the rows of a
+    ternary (n, d) array (`check_ternary`) with the same number k >= 1 of nonzeros
+    in every row: `SignRows` where no entry is 0, else `SparseRows` read off in
+    column order.  Either holds new arrays, so later writes to z do not reach it."""
+    if isinstance(z, (SignRows, SparseRows)):
         return z
     arr = check_ternary(z)
-    if arr.ndim != 2 or np.count_nonzero(arr) != arr.size:
-        raise ValueError("dense rows must take values in {-1, +1}")
-    return SignRows(np.packbits(arr > 0, axis=1), arr.shape[1])
-
-
-def sparse_rows(z, k: int) -> SparseRows:
-    """z as SparseRows: z itself, or the rows of a ternary (n, d) array with
-    exactly k < d nonzeros each, read off in column order."""
-    if isinstance(z, SparseRows):
-        if z.k != k:
-            raise ValueError(f"every data point must have exactly {k} nonzeros")
-        return z
-    arr = ternary_int8(z)
-    if arr.ndim != 2 or np.any(np.count_nonzero(arr, axis=1) != k):
-        raise ValueError(f"every data point must have exactly {k} nonzeros")
+    if arr.ndim != 2:
+        raise ValueError(f"rows take an (n, d) array, not one of shape {arr.shape}")
+    counts = np.count_nonzero(arr, axis=1)
+    if counts.size and (counts[0] == 0 or np.any(counts != counts[0])):
+        raise ValueError("every row must have the same number of nonzeros, at least one")
+    if not counts.size or counts[0] == arr.shape[1]:
+        return SignRows(np.packbits(arr > 0, axis=1), arr.shape[1])
     rows, cols = np.nonzero(arr)
-    return SparseRows(arr[rows, cols].reshape(-1, k), cols.reshape(-1, k), arr.shape[1])
+    signs = arr[rows, cols].astype(np.int8, copy=False).reshape(-1, counts[0])
+    return SparseRows(signs, cols.reshape(-1, counts[0]), arr.shape[1])
 
 
 def block_rows(width: int) -> int:
@@ -425,7 +410,7 @@ def pmf(pop: SparsePopulation, z) -> float:
     Zero unless z has exactly k nonzeros; otherwise
     C(d, k)^-1 * prod_{j in supp(z)} (1 + (d/k) mu_j z_j) / 2.
     """
-    entries = ternary_int8(z)
+    entries = check_ternary(z)
     if entries.shape != (pop.d,):
         raise ValueError(f"sample has dimension {entries.shape}, expected ({pop.d},)")
     support = np.flatnonzero(entries)

@@ -17,7 +17,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .distributions import BetaPrior, SignRows, SparseRows, check_ternary, mean_ci, sample_matrix, sample_prior
+from .distributions import BetaPrior, SignRows, SparseRows, as_rows, mean_ci, sample_matrix, sample_prior
 from .problems import ParameterPoint, ProblemSpec, check_data, data_distribution, excess_risk, is_feasible, support_argmax
 
 ERM_LINEAR = "erm"
@@ -31,25 +31,16 @@ VERTEX_LEARNERS = (ERM_LINEAR, GAUSSIAN_DP, SUBSAMPLE)
 
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered sample of n ternary points: the `SignRows` (k = d) or
-    `SparseRows` (k < d) that `sample_matrix` gives, kept as they are (they
-    are immutable and valid by construction), or a read-only (n, d) int8
-    matrix.
+    """An ordered sample of n ternary points, held as `SignRows` (k = d) or
+    `SparseRows` (k < d): the rows that `sample_matrix` gives are kept as
+    they are (they are immutable and valid by construction), and an array
+    is checked and read into new rows by `as_rows`, so the caller may write
+    to it afterwards."""
 
-    An int8 matrix is checked and kept as a read-only view, not copied; as
-    with the row types' arrays, the caller must not write it afterwards.
-    Other dtypes are checked, then cast to a new int8 matrix."""
-
-    z: np.ndarray | SignRows | SparseRows
+    z: SignRows | SparseRows
 
     def __post_init__(self):
-        if isinstance(self.z, (SignRows, SparseRows)):
-            return
-        arr = np.asarray(check_ternary(self.z), dtype=np.int8).view()
-        arr.setflags(write=False)
-        if arr.ndim != 2:
-            raise ValueError("dataset must be a 2-D (n, d) matrix")
-        object.__setattr__(self, "z", arr)
+        object.__setattr__(self, "z", as_rows(self.z))
 
     @property
     def n(self) -> int:
@@ -87,24 +78,20 @@ class LearnerConfig:
 LearnerLike = Union[LearnerConfig, Callable[[np.ndarray], np.ndarray]]
 
 
-def empirical_mean(z: np.ndarray | SignRows | SparseRows) -> np.ndarray:
-    """Column means of the ternary rows: each column's integer sum over n.
-    A dense matrix is summed in the narrowest integer type that |sum| <= n
-    fits, through numpy's reduction buffers rather than a whole-matrix copy;
-    sign rows as 2 S - n, S each column's count of +1 bits, unpacked 255
-    rows at a time; sparse rows by a bincount over their support.  All three
-    sums are exact integers, so every form gives equal bits, and the bits of
-    z.mean(axis=0, dtype=float64)."""
+def empirical_mean(z: SignRows | SparseRows) -> np.ndarray:
+    """Column means of the rows: each column's integer sum over n.  Sign rows
+    sum as 2 S - n, S each column's count of +1 bits, unpacked 255 rows at a
+    time; sparse rows by a bincount over their support.  Both sums are exact
+    integers, so either gives the bits of z.mean(axis=0, dtype=float64) on
+    the rows' dense matrix."""
     n = z.shape[0]
     if isinstance(z, SparseRows):
         return np.bincount(z.support.ravel(), weights=z.signs.ravel(), minlength=z.d) / n
-    if isinstance(z, SignRows):
-        # 255 rows at a time, the most whose 0/1 bits a uint8 sum holds exactly.
-        plus = np.zeros(8 * z.bits.shape[1], dtype=np.int64)
-        for i in range(0, n, 255):
-            plus += np.unpackbits(z.bits[i:i + 255]).reshape(-1, plus.size).sum(axis=0, dtype=np.uint8)
-        return (2 * plus[:z.d] - n) / n
-    return z.sum(axis=0, dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int64) / n
+    # 255 rows at a time, the most whose 0/1 bits a uint8 sum holds exactly.
+    plus = np.zeros(8 * z.bits.shape[1], dtype=np.int64)
+    for i in range(0, n, 255):
+        plus += np.unpackbits(z.bits[i:i + 255]).reshape(-1, plus.size).sum(axis=0, dtype=np.uint8)
+    return (2 * plus[:z.d] - n) / n
 
 
 def gaussian_sigma(epsilon: float, delta: float, k_max: int, n: int) -> float:
@@ -125,9 +112,10 @@ def train(learner: LearnerLike, spec: ProblemSpec, data: Dataset, rng: np.random
     """Run a learner on data from the spec's data space.
 
     A config's kind picks the learner; only gaussian_dp consumes randomness,
-    and every kind but normalized_mean_l2 returns a feasible point.  A map
-    is called on the dense float64 sample matrix, built on demand from
-    sign or sparse rows.  Either output is tagged with its feasibility.
+    and every kind but normalized_mean_l2 returns a feasible point; only
+    subsample selects rows.  A map is called on the dense float64 sample
+    matrix, built on demand from the rows.  Either output is tagged with
+    its feasibility.
     """
     check_data(spec, data.z)
     if not isinstance(learner, LearnerConfig):
@@ -135,7 +123,7 @@ def train(learner: LearnerLike, spec: ProblemSpec, data: Dataset, rng: np.random
         return ParameterPoint(theta, is_feasible(spec, theta))
     if learner.kind == SUBSAMPLE and learner.subsample_m > data.n:
         raise ValueError(f"subsample_m={learner.subsample_m} exceeds dataset size n={data.n}")
-    mu_hat = empirical_mean(data.z[: learner.subsample_m])  # all rows where subsample_m is None
+    mu_hat = empirical_mean(data.z[: learner.subsample_m] if learner.kind == SUBSAMPLE else data.z)
     if learner.kind == GAUSSIAN_DP:
         sigma = gaussian_sigma(learner.epsilon, learner.delta, spec.k, data.n)
         mu_hat = mu_hat + sigma * rng.standard_normal(spec.d)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SignRows, SparsePopulation, SparseRows, check_mean, ternary_int8
+from .distributions import SignRows, SparsePopulation, SparseRows, as_rows, check_mean
 
 BOX_LP = "box_lp"
 L1_CAPPED = "l1_capped"
@@ -115,27 +115,14 @@ def is_feasible(spec: ProblemSpec, theta: np.ndarray) -> bool:
                 and (spec.variant == BOX_LP or np.sum(mags) <= 1.0 + FEASIBILITY_TOL))
 
 
-def check_data(spec: ProblemSpec, z: np.ndarray | SignRows | SparseRows) -> None:
-    """Require z to be n >= 1 rows of the spec's data space: d ternary entries
-    with exactly `spec.k` nonzeros each.
-
-    Entry values are checked before this check runs: by
-    `distributions.check_ternary` when the rows enter a `Dataset` or are cast
-    to int8, or when they are built as `SignRows` (k = d, every entry +/-1)
-    or `SparseRows` (k nonzeros at distinct columns), which are valid by
-    construction, so for them only the shape and k are compared.
-    """
-    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] != spec.d:
+def check_data(spec: ProblemSpec, z: SignRows | SparseRows) -> None:
+    """Require the rows z to be n >= 1 points of the spec's data space: d
+    entries with exactly `spec.k` nonzeros each.  Entry values are checked
+    where rows are built (`distributions.as_rows`, or the row types' own
+    checks), so only the shape and k are compared here."""
+    if z.shape[0] < 1 or z.shape[1] != spec.d:
         raise ValueError(f"data has shape {z.shape}, expected (n >= 1, {spec.d})")
-    if isinstance(z, (SignRows, SparseRows)):
-        ok = z.k == spec.k
-    elif spec.k == spec.d:
-        # Rows are full exactly when no entry is 0, and one count over the
-        # whole array costs several times less than a count per row.
-        ok = np.count_nonzero(z) == z.size
-    else:
-        ok = np.all(np.count_nonzero(z, axis=1) == spec.k)
-    if not ok:
+    if z.k != spec.k:
         raise ValueError(f"every data point must have exactly {spec.k} nonzeros")
 
 
@@ -143,9 +130,9 @@ def loss(spec: ProblemSpec, theta: ParameterPoint, z: np.ndarray) -> float:
     """Linear loss -scale * <theta, z> at one data point z; requires a feasible theta."""
     if not theta.feasible:
         raise ValueError("loss evaluated at an infeasible parameter point")
-    entries = ternary_int8(z)
-    check_data(spec, entries[np.newaxis])
-    return -spec.loss_scale * float(np.dot(theta.theta, entries.astype(float)))
+    row = as_rows(np.asarray(z)[np.newaxis])
+    check_data(spec, row)
+    return -spec.loss_scale * float(np.dot(theta.theta, np.asarray(row, dtype=np.float64)[0]))
 
 
 def support_argmax(spec: ProblemSpec, v: np.ndarray) -> ParameterPoint:

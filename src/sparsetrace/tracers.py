@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (BetaPrior, SignRows, SparseRows, block_rows, check_mean, sample_matrix, sample_prior,
-                            sign_rows, sparse_rows)
+from .distributions import BetaPrior, as_rows, block_rows, check_mean, sample_matrix, sample_prior
 from .learners import VERTEX_LEARNERS, Dataset, LearnerConfig, LearnerLike, train
 from .problems import BOX_LP, ProblemSpec, data_distribution, excess_risk
 
@@ -88,37 +87,39 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z) -> tuple[np.ndarray, int]:
     In-range configurations never clamp; a nonzero count signals an
     out-of-contract parameter.
 
-    Dense rows are read as `SignRows` (an array, which must hold only -1 and
-    +1, is checked with no copy and packed).  Where u = +/-1 (at a box
-    vertex) the products are z . u = d - 2 popcount(bits ^ packbits(u > 0)),
+    Once theta is checked, Z is read by `distributions.as_rows`, and its
+    rows must have the spec's d and k.  On `SignRows` (k = d), where u = +/-1
+    (at a box vertex) the products are z . u = d - 2 popcount(bits ^ packbits(u > 0)),
     exact integers; otherwise each whole-row block (`distributions.block_rows`)
     is unpacked to float64 and multiplied by u, so float64 working memory is
     one block whatever n is.  Both give the bits of the float64 product of
-    the dense matrix.  At k < d the rows are read as `SparseRows` (a dense
-    array is converted) and scored by gathers, theta[support] . signs and
-    (theta * mu)[support], taken in whole-row blocks of about BLOCK_ENTRIES
-    bytes of float64, so the work is O(n k) and the working memory, beside two
-    n-long sums, is two d-long vectors and one block whatever n is.
+    the dense matrix.  `SparseRows` (k < d) are scored by gathers,
+    theta[support] . signs and (theta * mu)[support], taken in whole-row
+    blocks of about BLOCK_ENTRIES bytes of float64, so the work is O(n k)
+    and the working memory, beside two n-long sums, is two d-long vectors
+    and one block whatever n is.
     """
     spec = tr.spec
     theta = np.asarray(theta, dtype=float)
-    Z = Z if isinstance(Z, (SignRows, SparseRows)) else np.asarray(Z)
-    if Z.ndim != 2 or Z.shape[1] != spec.d or theta.shape != (spec.d,):
-        raise ValueError("dimension mismatch between tracer, theta, and data")
+    if theta.shape != (spec.d,):
+        raise ValueError(f"theta: has shape {theta.shape}, expected ({spec.d},)")
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta: entries must be finite")
-    dense = _dense(tr, theta)
+    rows = as_rows(Z)
+    if rows.shape[1] != spec.d or rows.k != spec.k:
+        raise ValueError(f"every data point must have {spec.d} entries, exactly {spec.k} nonzeros")
+    n, dense = rows.shape[0], _dense(tr, theta)
     if dense is None:
-        rows, shift = sparse_rows(Z, spec.k), theta * tr.mu
-        signed, centre, step = np.empty(Z.shape[0]), np.empty(Z.shape[0]), block_rows(8 * spec.k)
-        for i in range(0, Z.shape[0], step):
+        shift = theta * tr.mu
+        signed, centre, step = np.empty(n), np.empty(n), block_rows(8 * spec.k)
+        for i in range(0, n, step):
             block = theta[rows.support[i:i + step]]
             block *= rows.signs[i:i + step]
             block.sum(axis=1, out=signed[i:i + step])
             shift[rows.support[i:i + step]].sum(axis=1, out=centre[i:i + step])
         raw = spec.d ** (1.0 / spec.p) / math.sqrt(spec.k) * (signed - spec.d / spec.k * centre)
     else:
-        rows, (u, centre, c) = sign_rows(Z), dense
+        u, centre, c = dense
         if (np.abs(u) == 1).all():
             disagree = np.bitwise_xor(rows.bits, np.packbits(u > 0))
             # A row disagrees at most d times, so below d = 2^16 a uint16 sum holds the count.
@@ -126,8 +127,8 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z) -> tuple[np.ndarray, int]:
             count = np.bitwise_count(disagree, out=disagree).sum(axis=1, dtype=total)
             raw = dense_score(spec.d - 2.0 * count, centre, c)
         else:
-            raw, step = np.empty(Z.shape[0]), block_rows(spec.d)
-            for i in range(0, Z.shape[0], step):
+            raw, step = np.empty(n), block_rows(spec.d)
+            for i in range(0, n, step):
                 raw[i:i + step] = dense_score(np.asarray(rows[i:i + step], dtype=np.float64) @ u, centre, c)
     clip = tr.clip_bound
     return np.clip(raw, -clip, clip), int(np.count_nonzero(np.abs(raw) > clip))

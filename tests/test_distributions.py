@@ -13,15 +13,14 @@ from sparsetrace.distributions import (
     SignRows,
     SparsePopulation,
     SparseRows,
+    as_rows,
     block_rows,
     pmf,
     prior_quadrature,
     sample_matrix,
     sample_prior,
-    sign_rows,
-    sparse_rows,
 )
-from sparsetrace.problems import BOX_LP, ParameterPoint, ProblemSpec, loss
+from sparsetrace.problems import BOX_LP, ParameterPoint, ProblemSpec, check_data, loss
 from sparsetrace.rng import substream
 
 SEED = 20240901
@@ -297,11 +296,12 @@ class TestSparseRows:
         assert np.array_equal(np.take_along_axis(dense, rows.support, axis=1), rows.signs)
         assert np.array_equal(np.asarray(rows, dtype=np.float64), dense)
         assert np.array_equal(np.asarray(rows[3:7]), dense[3:7])
-        assert np.array_equal(np.asarray(sparse_rows(dense, 6)), dense)
+        assert np.array_equal(np.asarray(as_rows(dense)), dense)
         with pytest.raises(ValueError, match="always a new array"):
             np.asarray(rows, copy=False)
-        with pytest.raises(ValueError, match="exactly 5 nonzeros"):
-            sparse_rows(dense, 5)
+        dense[0, rows.support[0, 0]] = 0  # row 0 now has 5 nonzeros, the others 6
+        with pytest.raises(ValueError, match="same number of nonzeros"):
+            as_rows(dense)
 
     @pytest.mark.parametrize("signs,support,d", [
         ([[1, 0]], [[0, 1]], 4),          # a zero sign
@@ -371,11 +371,11 @@ class TestSignRows:
         assert np.array_equal(np.asarray(rows, dtype=np.float64), dense)
         assert np.array_equal(np.asarray(rows[3:7]), dense[3:7])
         assert np.array_equal(np.asarray(rows[np.array([5, 1])]), dense[[5, 1]])
-        assert np.array_equal(sign_rows(dense).bits, rows.bits) and sign_rows(rows) is rows
+        assert np.array_equal(as_rows(dense).bits, rows.bits) and as_rows(rows) is rows
         with pytest.raises(ValueError, match="always a new array"):
             np.asarray(rows, copy=False)
-        with pytest.raises(ValueError, match=r"values in \{-1, \+1\}"):
-            sign_rows(np.where(dense > 0, dense, 0))
+        with pytest.raises(ValueError, match="same number of nonzeros"):
+            as_rows(np.where(dense > 0, dense, 0))
 
     def test_bits_follow_packbits_order(self):
         # Entry j is bit 7 - j % 8 of byte j // 8, and 1 is +1.
@@ -401,6 +401,43 @@ class TestSignRows:
     def test_bad_rows_rejected(self, bits, d):
         with pytest.raises(ValueError):
             SignRows(bits, d)
+
+
+class TestAsRows:
+    # Dense rows, k < d/2 and k > d/2: every entry of the round trip comes back.
+    @pytest.mark.parametrize("k", [11, 3, 8])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+    def test_arrays_round_trip(self, k, dtype):
+        d = 11
+        rows = sample_matrix(SparsePopulation(np.zeros(d), k, d), 40, substream(SEED, k, "as-rows"))
+        a = np.asarray(rows).astype(dtype)
+        out = as_rows(a)
+        assert type(out) is (SignRows if k == d else SparseRows) and out.k == k
+        assert np.array_equal(np.asarray(out), a) and not np.shares_memory(np.asarray(out), a)
+
+    def test_rows_come_back_as_themselves(self):
+        for k in (6, 4):
+            rows = sample_matrix(SparsePopulation(np.zeros(6), k, 6), 5, substream(SEED, k, "same"))
+            assert as_rows(rows) is rows
+
+    @pytest.mark.parametrize("bad", [
+        [[1, -1, 0], [1, 0, 0]],   # unequal nonzero counts
+        [[1, -1, 1], [0, 0, 0]],   # an all-zero row among full ones
+        [[0, 0, 0]],               # every row all-zero: k = 0
+    ])
+    def test_rows_need_one_nonzero_count(self, bad):
+        with pytest.raises(ValueError, match="same number of nonzeros, at least one"):
+            as_rows(np.array(bad))
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match=r"an \(n, d\) array"):
+            as_rows(np.array([1, -1, 1]))
+
+    def test_no_rows_fail_the_data_check(self):
+        rows = as_rows(np.zeros((0, 4), dtype=np.int8))
+        assert rows.shape == (0, 4)
+        with pytest.raises(ValueError, match="n >= 1"):
+            check_data(ProblemSpec(BOX_LP, d=4), rows)
 
 
 class TestPmf:

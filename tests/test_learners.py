@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsetrace.distributions import BLOCK_ENTRIES, BetaPrior, SparsePopulation, SparseRows, sample_matrix, sign_rows
+from sparsetrace import distributions
+from sparsetrace.distributions import (BLOCK_ENTRIES, BetaPrior, SignRows, SparsePopulation, SparseRows, as_rows,
+                                      sample_matrix)
 from sparsetrace.learners import (
     LEARNER_KINDS,
     Dataset,
@@ -117,7 +119,7 @@ class TestSparseRows:
         spec = _box(64, 8)
         rows = sample_matrix(SparsePopulation(np.zeros(64), 8, 64), 40, substream(SEED, 40))
         dense = np.asarray(rows)
-        assert np.array_equal(empirical_mean(rows), empirical_mean(dense))
+        assert np.array_equal(empirical_mean(rows), dense.mean(axis=0, dtype=np.float64))
         seen = []
         configs = [LearnerConfig(kind, epsilon=1.0, delta=1e-5) if kind == "gaussian_dp"
                    else LearnerConfig(kind, subsample_m=7) if kind == "subsample"
@@ -127,6 +129,22 @@ class TestSparseRows:
             b = train(learner, spec, Dataset(dense), substream(SEED, 41))
             assert np.array_equal(a.theta, b.theta) and a.feasible == b.feasible
         assert seen[0].dtype == np.float64 and np.array_equal(seen[0], seen[1])
+
+    def test_only_subsample_selects_rows(self, monkeypatch):
+        # Every new SparseRows scans its support once (`_stalls`): the kinds that train on
+        # every row build none, and subsample builds its one prefix.
+        calls = []
+        stalls = distributions._stalls
+        monkeypatch.setattr(distributions, "_stalls", lambda cols: calls.append(cols.shape) or stalls(cols))
+        spec = _box(64, 8)
+        data = Dataset(sample_matrix(SparsePopulation(np.zeros(64), 8, 64), 40, substream(SEED, 45)))
+        calls.clear()
+        for learner in (ERM, LearnerConfig("gaussian_dp", epsilon=1.0, delta=1e-5),
+                        LearnerConfig("normalized_mean_l2"), lambda z: z.mean(axis=0)):
+            train(learner, spec, data, substream(SEED, 46))
+        assert calls == []
+        train(LearnerConfig("subsample", subsample_m=7), spec, data, substream(SEED, 46))
+        assert calls == [(7, 8)]
 
     def test_wrong_sparsity_rejected(self):
         rows = SparseRows(np.ones((2, 3), dtype=np.int8), np.array([[0, 3, 5], [1, 3, 7]]), 8)
@@ -159,12 +177,12 @@ class TestSignRows:
 
     def test_full_columns_count_every_row(self):
         # A column of n = 600 +1s: 255-row uint8 sums, each at its widest.
-        rows = sign_rows(np.ones((600, 9), dtype=np.int8))
+        rows = as_rows(np.ones((600, 9), dtype=np.int8))
         assert np.array_equal(empirical_mean(rows), np.ones(9))
         assert np.array_equal(empirical_mean(rows[:255]), np.ones(9))
 
     def test_dense_rows_rejected_at_k_below_d(self):
-        rows = sign_rows(np.ones((2, 8), dtype=np.int8))
+        rows = as_rows(np.ones((2, 8), dtype=np.int8))
         with pytest.raises(ValueError, match="exactly 2 nonzeros"):
             train(ERM, _box(8, 2), Dataset(rows), substream(SEED, 44))
 
@@ -176,26 +194,31 @@ class TestDpSensitivity:
         pop = SparsePopulation(np.zeros(d), k, d)
         bound = 2 * math.sqrt(k) / n
         for _ in range(1000):
-            z = np.asarray(sample_matrix(pop, n, rng))
-            z_prime = z.copy()
+            z = sample_matrix(pop, n, rng)
+            z_prime = np.asarray(z)
             z_prime[int(rng.integers(n))] = np.asarray(sample_matrix(pop, 1, rng))[0]
-            gap = np.linalg.norm(empirical_mean(z) - empirical_mean(z_prime))
+            gap = np.linalg.norm(empirical_mean(z) - empirical_mean(as_rows(z_prime)))
             assert gap <= bound + 1e-12
 
     @pytest.mark.parametrize("n, d", [(1, 7), (2, 1), (400, 4096), (32767, 5), (40000, 3)])
     def test_empirical_mean_is_the_float64_mean_bit_for_bit(self, n, d):
-        # Integer column sums over n, in int16 up to n = 32767 and int64 past it.
-        z = substream(SEED, n, "ternary").integers(-1, 2, size=(n, d)).astype(np.int8)
+        # Sign rows sum their bits in uint8 blocks of 255 rows; sparse rows (the same
+        # signs and a last column of zeros, k = d of d + 1) by a bincount.
+        z = np.zeros((n, d + 1), dtype=np.int8)
+        z[:, :d] = 2 * substream(SEED, n, "signs").integers(0, 2, size=(n, d)) - 1
         z[:, 0] = 1  # a column whose sum is n, the widest the accumulator must hold
-        mean = empirical_mean(z)
-        assert mean.dtype == np.float64 and np.array_equal(mean, z.mean(axis=0, dtype=np.float64))
+        for kind, dense in ((SignRows, z[:, :d]), (SparseRows, z)):
+            rows = as_rows(dense)
+            mean = empirical_mean(rows)
+            assert type(rows) is kind and mean.dtype == np.float64
+            assert np.array_equal(mean, dense.mean(axis=0, dtype=np.float64))
 
     def test_empirical_mean_makes_no_float64_copy(self):
         n, d = 400, 4096
-        z = np.ones((n, d), dtype=np.int8)
+        rows = as_rows(np.ones((n, d), dtype=np.int8))
         tracemalloc.start()
         try:
-            mean = empirical_mean(z)
+            mean = empirical_mean(rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -245,21 +268,25 @@ class TestDatasetType:
         for values in (np.array([[1.0, -1.0, 0.0]]), np.array([[1, -1, 0]], dtype=np.int64),
                        np.array([[1, -1, 0]], dtype=np.int8)):
             data = Dataset(values)
-            assert data.z.dtype == np.int8 and np.array_equal(data.z, [[1, -1, 0]])
-            assert not data.z.flags.writeable
+            assert data.z.dtype == np.int8 and np.array_equal(np.asarray(data.z), [[1, -1, 0]])
+            assert not (data.z.signs.flags.writeable or data.z.support.flags.writeable)
 
-    def test_int8_input_is_kept_as_a_read_only_view(self):
-        # A k = d trial holds its n * d training bytes once: int8 rows are not copied.
-        z = substream(SEED, 400, "view").integers(-1, 2, size=(400, 4096)).astype(np.int8)
-        tracemalloc.start()
-        try:
-            data = Dataset(z)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.shares_memory(data.z, z)
-        assert not data.z.flags.writeable and z.flags.writeable
-        assert peak < 64 * 1024
+    @pytest.mark.parametrize("k", [64, 9])
+    def test_later_writes_to_the_array_do_not_reach_the_dataset(self, k):
+        # Every kind trains to the theta of the rows as they were when the Dataset was built.
+        spec = _box(64, k)
+        z = np.asarray(sample_matrix(SparsePopulation(np.zeros(64), k, 64), 30, substream(SEED, k, "alias")))
+        kept = Dataset(z.copy())
+        data = Dataset(z)
+        j = int(np.argmax(np.abs(z.sum(axis=0))))  # a column whose mean the write flips
+        np.negative(z[:, j], out=z[:, j])
+        configs = [LearnerConfig(kind, epsilon=1.0, delta=1e-5) if kind == "gaussian_dp"
+                   else LearnerConfig(kind, subsample_m=20) if kind == "subsample"
+                   else LearnerConfig(kind) for kind in LEARNER_KINDS]
+        for learner in configs + [lambda rows: rows.mean(axis=0) / 64]:
+            a = train(learner, spec, data, substream(SEED, 47))
+            b = train(learner, spec, kept, substream(SEED, 47))
+            assert a.theta.tobytes() == b.theta.tobytes()
 
     def test_a_strided_int8_view_trains_like_its_contiguous_copy(self):
         z = (substream(SEED, 41, "strided").integers(0, 2, size=(40, 128)) * 2 - 1).astype(np.int8)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsetrace.distributions import sample_matrix
+from sparsetrace.distributions import as_rows, sample_matrix
 from sparsetrace.learners import Dataset, LearnerConfig, train
 from sparsetrace.problems import (
     BOX_LP,
@@ -106,8 +106,10 @@ class TestLoss:
         assert loss(spec, theta, np.array(good, dtype=np.int8)) == 0.0
         with pytest.raises(ValueError, match="exactly"):
             loss(spec, theta, np.array(bad, dtype=np.int8))
-        with pytest.raises(ValueError, match="exactly"):
+        with pytest.raises(ValueError, match="same number of nonzeros"):
             train(LearnerConfig("erm"), spec, Dataset(np.array([good, bad])), substream(SEED, 0))
+        with pytest.raises(ValueError, match="exactly"):
+            train(LearnerConfig("erm"), spec, Dataset(np.array([bad, bad])), substream(SEED, 0))
 
     def test_data_space_enforced(self):
         spec = ProblemSpec(BOX_LP, d=3, p=2.0, k=2)
@@ -118,10 +120,13 @@ class TestLoss:
     @pytest.mark.parametrize("spec", [ProblemSpec(BOX_LP, d=6, p=2.0, k=6), ProblemSpec(L1_CAPPED, d=6, s=2)])
     def test_full_rows_reject_a_single_zero(self, spec):
         z = np.where(substream(SEED, 3).random((5, 6)) < 0.5, 1, -1).astype(np.int8)
-        check_data(spec, z)
+        check_data(spec, as_rows(z))
         z[3, 4] = 0
+        with pytest.raises(ValueError, match="same number of nonzeros"):
+            as_rows(z)
+        z[:, 4] = 0  # one zero in every row: k = 5 rows
         with pytest.raises(ValueError, match="exactly 6 nonzeros"):
-            check_data(spec, z)
+            check_data(spec, as_rows(z))
 
 
 class TestSupportArgmax:

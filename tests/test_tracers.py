@@ -13,6 +13,7 @@ from sparsetrace.distributions import (
     BLOCK_ENTRIES,
     BetaPrior,
     SparsePopulation,
+    as_rows,
     block_rows,
     sample_matrix,
     sample_prior,
@@ -120,6 +121,11 @@ class TestSparseScore:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="theta: entries must be finite"):
                 score_batch(tr, np.array([0.0, bad, 0.0, 0.0]), np.zeros((1, 4), dtype=np.int8))
+        # Rows of another d, or of another k (dense, or sparse with one nonzero), as arrays or rows.
+        for z in ([[1, -1, 0]], [[1, -1, 1, 1]], [[0, 1, 0, 0]]):
+            for rows in (np.array(z), as_rows(np.array(z))):
+                with pytest.raises(ValueError, match="exactly 2 nonzeros"):
+                    score_batch(tr, np.zeros(4), rows)
 
 
 class TestScalingScore:
@@ -199,7 +205,8 @@ class TestBlockedScoreBatch:
             z[-1, 5] = bad
             if bad == 0:
                 z[-1] = 0
-            with pytest.raises(ValueError, match=r"values in \{-1, (0, )?\+1\}"):
+            match = "same number of nonzeros" if bad == 0 else r"values in \{-1, 0, \+1\}"
+            with pytest.raises(ValueError, match=match):
                 score_batch(tr, np.full(d, 1.0 / d), z)
 
     def test_dense_sampling_and_scoring_memory(self):

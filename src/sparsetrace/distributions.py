@@ -285,8 +285,7 @@ def _byte_signs(rng: np.random.Generator, scaled: np.ndarray, n: int,
     stream is the same for any block size, and working memory is one block
     (at an odd width, 8 rows at least) plus the tie indices.  Dense rows are
     packed block by block, with every tie -1; each tie settled +1 then sets
-    its bit, the ties of one byte OR-ed together by one reduceat, so no
-    (n, d) matrix is ever held.
+    its bit by one np.bitwise_or.at, so no (n, d) matrix is ever held.
     """
     d, dense = scaled.size, support is None
     hi = np.minimum(scaled, 255.0).astype(np.uint8)  # the cast floors, as scaled >= 0
@@ -294,31 +293,23 @@ def _byte_signs(rng: np.random.Generator, scaled: np.ndarray, n: int,
     out = np.empty((n, -(-d // 8)), dtype=np.uint8) if dense else np.empty(support.shape, dtype=np.int8)
     step = block_rows(width)
     step += -step % (8 // math.gcd(width, 8))
-    if dense:  # one block's signs, in rows padded to whole bytes by columns left False
-        flags = np.zeros((min(step, n), 8 * out.shape[1]), dtype=np.bool_)
     ties = [np.empty(0, dtype=np.intp)]
     for i in range(0, n, step):
         j = min(n, i + step)
         words = rng.bit_generator.random_raw(-(-(j - i) * width // 8))
         b = words.astype("<u8", copy=False).view(np.uint8)[: (j - i) * width].reshape(j - i, width)
         h = hi if dense else hi[support[i:j]]
-        if dense:
-            np.less(b, h, out=flags[: j - i, :d])
-            out[i:j] = np.packbits(flags[: j - i]).reshape(j - i, -1)
+        if dense:  # packbits pads each row's last byte with zeros, as SignRows requires
+            out[i:j] = np.packbits(b < h, axis=1)
         else:
             np.less(b, h, out=out[i:j].view(np.bool_))
         ties.append(np.flatnonzero(b == h) + i * width)
     ties = np.concatenate(ties)
     tied = ties % d if dense else support.reshape(-1)[ties]
     plus = rng.random(ties.size) < scaled[tied] - hi[tied]
-    if dense:  # set the bit of each tie settled +1: its entry's position in the padded rows
-        bit = ties[plus]
-        bit += bit // d * (flags.shape[1] - d)
-        byte = bit >> 3
-        first = np.ones(byte.size, dtype=np.bool_)  # ties come in entry order, so by byte
-        np.not_equal(byte[1:], byte[:-1], out=first[1:])
-        first = np.flatnonzero(first)
-        out.reshape(-1)[byte[first]] |= np.bitwise_or.reduceat(_BIT[bit & 7], first)
+    if dense:  # set the bit of each tie settled +1
+        row, col = np.divmod(ties[plus], d)
+        np.bitwise_or.at(out, (row, col >> 3), _BIT[col & 7])
         return SignRows(out, d)
     out.reshape(-1)[ties] = plus
     # {0, 1} to {-1, +1} in place as out + out - 1, not (out << 1) - 1: numpy's

@@ -199,14 +199,15 @@ def check_card_moments(vectors: Sequence[np.ndarray], betas: Sequence[float]):
     a_i >= beta/n must be at least max(A1 - max(beta, 0), 0)^2 / A2 (0 when
     A2 = 0): the bound holds for beta >= 0 and negative betas only relax
     the counting threshold, so they are clamped on the right-hand side.
-    Returns (passed, first_counterexample).
+    Returns (passed, first_counterexample); empty or non-finite input raises.
     """
     if len(vectors) == 0 or len(vectors) != len(betas):
         raise ValueError("need equally many nonempty vectors and betas")
     for a, beta in zip(vectors, betas):
         a = np.asarray(a, dtype=float)
-        n = a.size
-        count = int(np.count_nonzero(a >= beta / n))
+        if a.size == 0 or not (np.isfinite(a).all() and math.isfinite(beta)):
+            raise ValueError("every vector must be nonempty, and every entry and beta finite")
+        count = int(np.count_nonzero(a >= beta / a.size))
         a2 = float(np.sum(a**2))
         bound = 0.0 if a2 == 0.0 else max(float(np.sum(a)) - max(beta, 0.0), 0.0) ** 2 / a2
         if count < bound:

@@ -284,6 +284,36 @@ class TestBlockedSampleMatrix:
             assert sampler * width % 8 == 0 and rows <= sampler < rows + 8
 
 
+class _TiedBytes:
+    """A generator stand-in whose every raw byte is 128 and whose uniforms cycle
+    through `uniforms`: at scaled = 128.5 every entry ties, and the uniforms
+    alone settle it, +1 below 0.5."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=np.float64)
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        return np.full(size, 0x8080808080808080, dtype=np.uint64)
+
+    def random(self, size):
+        return np.resize(self.uniforms, size)
+
+
+class TestEveryByteTied:
+    # Each tie settled +1 sets its own bit, so several in one byte (and in the
+    # padded last byte of a row) must all land, and no other bit may move.
+    @pytest.mark.parametrize("uniforms", [[0.25], [0.75], [0.25, 0.75, 0.75, 0.25, 0.1]],
+                             ids=["all-plus", "none-plus", "some-plus"])
+    @pytest.mark.parametrize("n", [1, 9])
+    @pytest.mark.parametrize("d", [1, 8, 13, 16, 37])
+    def test_rows_are_the_signs_the_uniforms_settle(self, d, n, uniforms):
+        rows = distributions._byte_signs(_TiedBytes(uniforms), np.full(d, 128.5), n)
+        plus = np.resize(np.asarray(uniforms), n * d).reshape(n, d) < 0.5
+        assert isinstance(rows, SignRows)
+        assert np.array_equal(np.asarray(rows), np.where(plus, 1, -1)), (d, n)
+
+
 class TestSparseRows:
     def test_rows_report_and_build_their_dense_matrix(self):
         pop = SparsePopulation(np.zeros(50), 6, 50)

@@ -315,6 +315,17 @@ class TestCardMoments:
         passed, _ = check_card_moments([np.zeros(4)], [-2.0])
         assert passed
 
+    @pytest.mark.parametrize("vector,beta", [
+        (np.array([]), 1.0),  # nothing to count
+        (np.array([np.nan]), 0.0),
+        (np.array([0.5, np.inf]), 1.0),
+        (np.array([0.5]), float("nan")),
+        (np.array([0.5]), -math.inf),
+    ], ids=["empty", "nan-entry", "inf-entry", "nan-beta", "inf-beta"])
+    def test_empty_or_nonfinite_input_rejected(self, vector, beta):
+        with pytest.raises(ValueError, match="nonempty.*finite"):
+            check_card_moments([np.ones(3), vector], [0.0, beta])
+
     def test_random_battery_has_no_violations(self):
         rng = substream(SEED, 5, "card")
         vectors, betas = [], []

@@ -12,6 +12,7 @@ against that density exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -422,12 +423,14 @@ def sample_prior(prior: BetaPrior, rng: np.random.Generator) -> MeanVector:
     return MeanVector(values, prior.gamma)
 
 
+@functools.lru_cache(maxsize=128)
 def prior_quadrature(prior: BetaPrior, max_degree: int) -> QuadratureRule:
     """Gauss-Jacobi rule exact for polynomials of degree <= max_degree.
 
     ceil((max_degree + 1) / 2) nodes suffice since an m-node Gauss rule is
     exact to degree 2m - 1.  Weights are normalized to the prior's unit
-    mass and nodes rescaled to [-gamma, gamma].
+    mass and nodes rescaled to [-gamma, gamma].  Each rule is built once per
+    process and shared, read-only, by every caller; the last 128 are kept.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")

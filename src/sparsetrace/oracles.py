@@ -22,8 +22,10 @@ the sample's probability weight and leaves a polynomial integrand.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -56,37 +58,56 @@ class IdentityCheckResult:
         return cls(lhs=lhs, rhs=rhs, rel_error=rel, instance=instance)
 
 
+def _index(name: str, value) -> int:
+    """`value` as an int; a float or any other non-integer raises ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}: must be an integer, got {value!r}") from None
+
+
 def ternary_atoms(d: int, k: int) -> np.ndarray:
     """All k-sparse ternary vectors in dimension d, as an (A, d) int8 matrix."""
-    atoms = []
-    for support in itertools.combinations(range(d), k):
-        for signs in itertools.product((-1, 1), repeat=k):
-            z = np.zeros(d, dtype=np.int8)
-            z[list(support)] = signs
-            atoms.append(z)
-    return np.stack(atoms)
+    d, k = _index("d", d), _index("k", k)
+    if not 0 <= k <= d:
+        raise ValueError(f"k: must lie in [0, d], got k={k}, d={d}")
+    supports = list(itertools.combinations(range(d), k))
+    signs = list(itertools.product((-1, 1), repeat=k))
+    atoms = np.zeros((len(supports), len(signs), d), dtype=np.int8)
+    for block, support in zip(atoms, supports):
+        block[:, list(support)] = signs
+    return atoms.reshape(len(supports) * len(signs), d)
 
 
 def _enumerate(prior: BetaPrior, degree: int, k: int, n: int, learner: Learner):
-    """(rule, z_sets, orderings, thetas): the prior's Gauss rule exact to `degree`,
-    every multiset of n k-sparse atoms as an (N, n, d) stack in canonical order
-    (nondecreasing `ternary_atoms` index), each one's n! / prod_a c_a! orderings,
-    and the learner's outputs on them.  Both identities are symmetric sums over
-    the samples, so one term stands for all orderings.  Raises
-    EnumerationLimitError before any atom is built if the instance is too big."""
+    """(rule, z_sets, orderings, thetas): the prior's Gauss rule exact to `degree`, the
+    shape's `_multisets`, and the learner's output on each, given a new float64 copy per
+    call.  Raises EnumerationLimitError before any atom is built or cached if too big."""
     rule = prior_quadrature(prior, degree)
-    n_atoms = math.comb(prior.d, k) * 2**k
-    terms = n_atoms**n * rule.nodes.size**prior.d
+    terms = (math.comb(prior.d, k) * 2**k) ** n * rule.nodes.size**prior.d
     if terms > ENUMERATION_LIMIT:
         raise EnumerationLimitError(f"instance needs {terms} weighted terms > {ENUMERATION_LIMIT}")
+    z_sets, orderings = _multisets(prior.d, k, n)
+    thetas = np.stack([np.asarray(learner(z), dtype=float) for z in z_sets.astype(np.float64)])
+    return rule, z_sets, orderings, thetas
+
+
+@functools.lru_cache(maxsize=32)
+def _multisets(d: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every multiset of n k-sparse atoms in dimension d as a read-only (N, n, d) int8
+    stack in canonical order (nondecreasing `ternary_atoms` index), and each one's
+    n! / prod_a c_a! orderings: both identities are symmetric sums over the samples, so
+    one term stands for all orderings.  Built once per process; the last 32 are kept."""
+    n_atoms = math.comb(d, k) * 2**k
     idx = np.array(list(itertools.combinations_with_replacement(range(n_atoms), n)), dtype=np.int64)
     # In a sorted row, sample i's rank among the equal samples up to it runs
     # 1..c_a over atom a's run, so the ranks multiply to prod_a c_a!.
     ranks = np.tril(idx[:, :, None] == idx[:, None, :]).sum(axis=2)
     orderings = math.factorial(n) / ranks.prod(axis=1, dtype=np.float64)
-    z_sets = ternary_atoms(prior.d, k)[idx]
-    thetas = np.stack([np.asarray(learner(z), dtype=float) for z in z_sets.astype(np.float64)])
-    return rule, z_sets, orderings, thetas
+    z_sets = ternary_atoms(d, k)[idx]
+    z_sets.setflags(write=False)
+    orderings.setflags(write=False)
+    return z_sets, orderings
 
 
 def _coordinate_moments(rule: QuadratureRule, z_sets: np.ndarray, ratio: float,
@@ -123,6 +144,7 @@ def verify_sparse_identity(d: int, k: int, n: int, beta: float, learner: Learner
     order-dependent learner the check is of "sort the samples into canonical
     order, then learn", itself a deterministic learner.
     """
+    d, k, n = _index("d", d), _index("k", k), _index("n", n)
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
     if n < 1:
@@ -152,6 +174,7 @@ def verify_scaling_identity(d: int, n: int, beta: float, gamma: float, learner: 
     is rejected.  Quadrature degree n + 3 covers the polynomial left by the
     (z - mu)(1 + z mu) = (1 - mu^2) z reduction.
     """
+    d, n = _index("d", d), _index("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if not beta > 0:
@@ -215,23 +238,22 @@ def check_card_moments(vectors: Sequence[np.ndarray], betas: Sequence[float]):
     return True, None
 
 
-# Deterministic learners exercised by the verification grid.
+# Deterministic learners exercised by the verification grid.  Each is called once per
+# multiset, so each takes the mean by the bare reduction that `ndarray.mean` wraps.
 
 def mean_clipped(z: np.ndarray) -> np.ndarray:
     """Empirical mean clipped to the unit box."""
-    return np.clip(z.mean(axis=0), -1.0, 1.0)
+    return np.minimum(np.maximum(np.add.reduce(z, 0) / z.shape[0], -1.0), 1.0)
 
 
 def mean_box_vertex(z: np.ndarray) -> np.ndarray:
     """ERM-style map: box vertex aligned with the empirical mean (p = 2)."""
-    d = z.shape[1]
-    spec = ProblemSpec(BOX_LP, d=d, p=2.0, k=d)
-    return support_argmax(spec, z.mean(axis=0)).theta
+    return support_argmax(ProblemSpec(BOX_LP, d=z.shape[1]), np.add.reduce(z, 0) / z.shape[0]).theta
 
 
 def mean_cubed(z: np.ndarray) -> np.ndarray:
     """A fixed nonlinear map: coordinatewise cube of the empirical mean."""
-    return z.mean(axis=0) ** 3
+    return (np.add.reduce(z, 0) / z.shape[0]) ** 3
 
 
 GRID_LEARNERS = (

@@ -23,6 +23,7 @@ from sparsetrace.oracles import (
     verify_scaling_identity,
     verify_sparse_identity,
 )
+from sparsetrace.problems import BOX_LP, ProblemSpec, support_argmax
 from sparsetrace.rng import substream
 
 SEED = 20240905
@@ -114,6 +115,26 @@ class TestSparseIdentity:
             verify_sparse_identity(2, 3, 1, 1.0, IDENTITY)
         with pytest.raises(ValueError):
             verify_sparse_identity(2, 1, 1, 0.5, IDENTITY)
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda: verify_sparse_identity(2, 1, 1.5, 2.0, mean_cubed), "n"),
+        (lambda: verify_sparse_identity(2.0, 1, 1, 2.0, mean_cubed), "d"),
+        (lambda: verify_sparse_identity(2, 1.0, 1, 2.0, mean_cubed), "k"),
+        (lambda: verify_scaling_identity(2.0, 1, 2.0, 0.5, mean_cubed), "d"),
+        (lambda: verify_scaling_identity(2, 2.0, 2.0, 0.5, mean_cubed), "n"),
+        (lambda: ternary_atoms(2.0, 1), "d"),
+        (lambda: ternary_atoms(2, 3), "k"),
+    ], ids=["sparse-n", "sparse-d", "sparse-k", "scaling-d", "scaling-n", "atoms-d", "atoms-k>d"])
+    def test_shapes_must_be_integers_within_range(self, call, name):
+        # A float 2.0 hashes equal to 2, so it must be refused before any cache is consulted.
+        before = prior_quadrature.cache_info(), oracles._multisets.cache_info()
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            call()
+        assert (prior_quadrature.cache_info(), oracles._multisets.cache_info()) == before
+
+    def test_numpy_integer_shapes_accepted(self):
+        r = verify_sparse_identity(np.int64(3), np.int64(2), np.int64(2), 2.0, mean_cubed)
+        assert r == verify_sparse_identity(3, 2, 2, 2.0, mean_cubed)
 
     def test_monte_carlo_cross_validation(self):
         # Independent sampled estimate of the LHS agrees with the exact value.
@@ -283,6 +304,94 @@ class TestBenchmarkHeavySet:
         for task in workloads.VerifyOracles.heavy:
             result = workloads.VerifyOracles._heavy_instance(task)
             assert result.rel_error <= workloads.IDENTITY_TOL, result.instance
+
+
+def _clear_caches():
+    prior_quadrature.cache_clear()
+    oracles._multisets.cache_clear()
+
+
+class TestShapeCaches:
+    """Each shape's Gauss rule and multisets are built once per process; the
+    learner still sees every multiset, as a new float64 array, on every call."""
+
+    def test_second_call_builds_no_atoms_and_calls_the_learner_per_multiset(self, monkeypatch):
+        built, calls = [], 0
+        atoms = oracles.ternary_atoms
+        monkeypatch.setattr(oracles, "ternary_atoms", lambda d, k: built.append((d, k)) or atoms(d, k))
+
+        def counted(z):
+            nonlocal calls
+            calls += 1
+            return mean_cubed(z)
+
+        _clear_caches()
+        first = verify_sparse_identity(3, 2, 2, 2.0, counted)
+        calls = 0
+        second = verify_sparse_identity(3, 2, 2, 2.0, counted)
+        assert built == [(3, 2)]
+        assert calls == math.comb(12 + 2 - 1, 2)  # 12 atoms, 2 samples
+        assert second == first
+        assert prior_quadrature.cache_info().misses == 1
+        # The dense cube at d = 2 is the sparse oracle's k = d shape.
+        verify_scaling_identity(2, 2, 2.0, 0.6, counted)
+        calls = 0
+        verify_sparse_identity(2, 2, 2, 2.0, counted)
+        assert built == [(3, 2), (2, 2)]
+        assert calls == math.comb(4 + 2 - 1, 2)
+
+    def test_learner_writing_its_input_leaves_later_calls_unchanged(self):
+        def vandal(z):
+            theta = mean_cubed(z)
+            z[:] = 1.0
+            return theta
+
+        _clear_caches()
+        for oracle, args in ((verify_sparse_identity, (3, 2, 2, 2.0)),
+                             (verify_scaling_identity, (2, 2, 2.0, 0.6))):
+            first = oracle(*args, mean_cubed)
+            assert oracle(*args, vandal) == first
+            again = oracle(*args, mean_cubed)
+            assert (again.lhs, again.rhs) == (first.lhs, first.rhs)
+
+    def test_cached_arrays_are_read_only(self):
+        _clear_caches()
+        for _ in range(2):  # once as built, once from the caches
+            rule, z_sets, orderings, _ = oracles._enumerate(BetaPrior(2.0, 0.5, 2), 4, 1, 2, IDENTITY)
+            for arr in (rule.nodes, rule.weights, z_sets, orderings):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0
+
+
+# The old forms of the grid learners, through ndarray.mean and np.clip.
+MEAN_FORMS = {
+    "mean_clipped": lambda z: np.clip(z.mean(axis=0), -1.0, 1.0),
+    "mean_box_vertex": lambda z: support_argmax(
+        ProblemSpec(BOX_LP, d=z.shape[1], p=2.0, k=z.shape[1]), z.mean(axis=0)).theta,
+    "mean_cubed": lambda z: z.mean(axis=0) ** 3,
+}
+
+
+class TestGridLearnerBits:
+    def test_same_bits_as_the_mean_forms_on_every_multiset(self):
+        # The battery's (d, k, n) shapes, then the four enumeration-heavy instances'
+        # (the dense cube is k = d).
+        shapes = [(d, k, n) for d in (1, 2, 3) for k in range(1, d + 1) for n in (1, 2)]
+        shapes += [(5, 5, 3), (6, 6, 2), (7, 1, 3), (4, 4, 3)]
+        for d, k, n in shapes:
+            atoms = ternary_atoms(d, k).astype(np.float64)
+            for rows in itertools.combinations_with_replacement(range(atoms.shape[0]), n):
+                z = atoms[list(rows)]
+                for name, fn in GRID_LEARNERS:
+                    got, want = fn(z), MEAN_FORMS[name](z)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, z)
+
+    def test_same_bits_as_the_mean_forms_off_the_lattice(self):
+        rng = substream(SEED, 7, "grid")
+        for shape in ((1, 1), (3, 4), (17, 9)):
+            z = rng.normal(size=shape)
+            for name, fn in GRID_LEARNERS:
+                assert fn(z).tobytes() == MEAN_FORMS[name](z).tobytes(), name
 
 
 class TestBetaAbsMoment:

@@ -29,8 +29,9 @@ from .learners import GAUSSIAN_DP, LEARNER_KINDS, SUBSAMPLE, LearnerConfig
 from .oracles import verification_grid
 from .problems import BOX_LP, VARIANTS, ProblemSpec
 from .rng import substream
-from .tracers import (ThresholdPolicy, TraceReport, default_prior, half_trace_value, null_quantile,
-                      run_trace_arms, run_trace_trial, score_kind, trace_value_contribution)
+from .tracers import (NULL_SAMPLE_LIMIT, ThresholdPolicy, TraceReport, default_prior, half_trace_value,
+                      null_quantile, null_sample_size, run_trace_arms, run_trace_trial, score_kind,
+                      trace_value_contribution)
 
 IDENTITY_TOL = 1e-8
 SCHEMA_VERSION = 13
@@ -150,6 +151,8 @@ class ExperimentConfig:
         policy = _build("xi", null_quantile, self.xi) if "xi" in experiment.fields else None
         if "t_hat" in experiment.fields and self.t_hat is not None:
             policy = _build("t_hat", half_trace_value, self.t_hat)
+        if policy is not None:
+            _build("xi", null_sample_size, learners, spec, policy)
         prior = _build("alpha_target", default_prior, spec, self.alpha_target, self.beta)
         return Plan(spec, prior, learners, policy)
 
@@ -384,7 +387,7 @@ _FIELD_HELP = {
     "epsilon": "DP epsilon in (0, 10] (gaussian_dp)",
     "delta": "DP delta in (0, 1) (gaussian_dp)",
     "subsample_m": "subsample size, 1 <= m <= n (subsample)",
-    "xi": "soundness level, xi in (0, 1)",
+    "xi": f"soundness level, xi in (0, 1); >= {10 / NULL_SAMPLE_LIMIT:g} where the null is sampled, not exact",
     "t_hat": "finite trace value; sets the threshold to t_hat / 2 (else the xi null quantile)",
     "beta": "prior shape override, beta > 0",
     "alpha_target": "target excess risk used to derive beta, > 0",

@@ -7,10 +7,12 @@ threshold at the (1 - xi)-quantile of their null law (exact at a box vertex
 on dense box_lp data, sampled elsewhere, with a tie weight on the atom at
 the threshold) controls the false positive rate while training points of
 accurate learners score high.  Where the law is exact, that rate is the
-law's flagged mass itself, xi, and no fresh row is drawn to measure it.
-A trial draws its rows once and trains each learner on them from one
-generator state, so the arms of a noise sweep share the data and the
-Gaussian noise vector.
+law's flagged mass itself, xi, and no fresh row is drawn to measure it; a
+sampled null has at most NULL_SAMPLE_LIMIT rows.  Each arm sorts its null
+law once (`_NullLaw`) and reads the threshold, the tie weight and every flag
+count through one split (`_split`).  A trial draws its rows once and trains
+each learner on them from one generator state, so the arms of a noise sweep
+share the data and the Gaussian noise vector.
 
 Two score families are implemented; on dense rows (every l1_capped row,
 box_lp at k = d) both are one affine map c * (z . u - u . mu), `dense_score`:
@@ -240,44 +242,55 @@ def null_quantile(xi: float) -> ThresholdPolicy:
     return ThresholdPolicy(xi=xi)
 
 
-def _law(null_scores, masses=None) -> tuple[np.ndarray, np.ndarray]:
-    """(scores, masses) of the law `masses` on `null_scores`, or of a sample with unit masses."""
-    scores = np.asarray(null_scores, dtype=float)
-    weights = np.ones_like(scores) if masses is None else np.asarray(masses, dtype=float)
-    if np.isnan(scores).any():
-        raise ValueError("null_scores: entries must not be NaN")
-    if masses is not None and not (weights.shape == scores.shape and np.isfinite(weights).all()
-                                   and np.all(weights >= 0) and weights.sum() > 0):
-        raise ValueError("masses: need one finite, nonnegative mass per score, with a positive sum")
-    return scores, weights
+class _NullLaw:
+    """A null law validated and sorted once: `masses` on `null_scores`, or unit masses on a null
+    sample (`sample`), as its scores ascending by one stable argsort, their masses in that order,
+    and the total mass summed in the given order.  `size` counts scores, as `np.size` does."""
+
+    def __init__(self, null_scores, masses=None):
+        scores = np.asarray(null_scores, dtype=float)
+        if scores.ndim != 1:
+            raise ValueError(f"null_scores: has shape {scores.shape}, expected a 1-D array")
+        if np.isnan(scores).any():
+            raise ValueError("null_scores: entries must not be NaN")
+        weights = np.ones_like(scores) if masses is None else np.asarray(masses, dtype=float)
+        with np.errstate(over="ignore"):  # a sum past the float range is refused below, not warned of
+            total = weights.sum()
+        if masses is not None and not (weights.shape == scores.shape and np.isfinite(weights).all()
+                                       and np.all(weights >= 0) and 0 < total < np.inf):
+            raise ValueError("masses: need one finite, nonnegative mass per score, with a positive, finite sum")
+        order = np.argsort(scores, kind="stable")
+        self.scores, self.masses, self.total = scores[order], weights[order], total
+        self.sample, self.size = masses is None, scores.size
 
 
 def calibrate_threshold(policy: ThresholdPolicy, null_scores, masses=None) -> float:
     """Threshold lambda from a policy and, for null_quantile, a discrete null law.
 
-    The law puts `masses` on the values `null_scores`, or equal masses on a
-    null sample of at least 1/xi values.  lambda is the smallest value with
-    null mass below xi above it.  Flagging every score above lambda and a
-    share `tie_weight` of those at it flags null mass xi exactly: 90 zeros
-    and 10 ones at xi = 0.05 give lambda = 1 and q = 0.5.  A NaN score, or masses
-    of another shape, not finite, negative or summing to 0, raise ValueError.
+    The law puts `masses` on the values `null_scores`, or equal masses on a null sample of
+    at least 1/xi values, or is a `_NullLaw`.  lambda is the smallest value with null mass
+    below xi above it.  Flagging every score above lambda and a share `tie_weight` of those
+    at it flags null mass xi exactly: 90 zeros and 10 ones at xi = 0.05 give lambda = 1 and
+    q = 0.5.  Scores not 1-D or with a NaN, or masses of another shape, not finite, negative
+    or summing to 0 or past the float range, raise ValueError.
     """
     if policy.t_hat is not None:
         return policy.t_hat / 2.0
-    scores, weights = _law(null_scores, masses)
-    if masses is None and scores.size * policy.xi < 1.0:
-        raise ValueError(f"null sample of size {scores.size} is insufficient; need >= {math.ceil(1.0 / policy.xi)}")
-    order = np.argsort(scores, kind="stable")
-    above = weights.sum() - np.cumsum(weights[order])
+    law = null_scores if isinstance(null_scores, _NullLaw) else _NullLaw(null_scores, masses)
+    if law.sample and law.size * policy.xi < 1.0:
+        raise ValueError(f"null sample of size {law.size} is insufficient; need >= {math.ceil(1.0 / policy.xi)}")
+    above = law.total - np.cumsum(law.masses)
     # The slack keeps a mass of exactly xi above a value, up to rounding, from counting as below xi.
-    return float(scores[order][np.argmax(above < policy.xi * weights.sum() * (1.0 - 1e-12))])
+    return float(law.scores[np.argmax(above < policy.xi * law.total * (1.0 - 1e-12))])
 
 
-def _split_mass(scores, lam: float, masses=None) -> tuple[float, float, float]:
-    """(mass above lam, mass at lam, total mass) of the law `masses` on `scores`, or of a
-    sample with unit masses."""
-    scores, weights = _law(scores, masses)
-    return weights[scores > lam].sum(), weights[scores == lam].sum(), weights.sum()
+def _split(null, lam: float) -> tuple[float, float, float]:
+    """(mass above lam, mass at lam, total mass) of a `_NullLaw`, whose sorted scores put each
+    part in one slice, or of unit masses on an unsorted score sample, which is counted."""
+    if isinstance(null, _NullLaw):
+        lo, hi = np.searchsorted(null.scores, lam, "left"), np.searchsorted(null.scores, lam, "right")
+        return null.masses[hi:].sum(), null.masses[lo:hi].sum(), null.total
+    return np.count_nonzero(null > lam), np.count_nonzero(null == lam), null.size
 
 
 def tie_weight(policy: ThresholdPolicy, null_scores, lam: float, masses=None) -> float:
@@ -285,17 +298,11 @@ def tie_weight(policy: ThresholdPolicy, null_scores, lam: float, masses=None) ->
     lambda of `calibrate_threshold`, where the law has mass; 1 for a t_hat policy."""
     if policy.t_hat is not None:
         return 1.0
-    above, at, total = _split_mass(null_scores, lam, masses)
+    law = null_scores if isinstance(null_scores, _NullLaw) else _NullLaw(null_scores, masses)
+    above, at, total = _split(law, lam)
     if not at > 0:
         raise ValueError(f"lam: {lam} carries none of the law's mass")
     return float(np.clip((policy.xi * total - above) / at, 0.0, 1.0))
-
-
-def _flagged(scores, lam: float, q: float, masses=None) -> tuple[float, float]:
-    """(flagged mass, total mass) of a law, or of a sample with unit masses: the
-    flagged mass is the mass above lam plus a share q, the tie weight, of the mass at lam."""
-    above, at, total = _split_mass(scores, lam, masses)
-    return above + q * at, total
 
 
 @dataclass(frozen=True)
@@ -346,6 +353,25 @@ def _draw_trial(learners: tuple[LearnerLike, ...], spec: ProblemSpec, tracer_kin
     return mu, tracer, thetas, z_train, held
 
 
+NULL_SAMPLE_LIMIT = 10**5  # rows of a sampled null law; a xi that needs more is refused
+
+
+def null_sample_size(learners: tuple[LearnerLike, ...], spec: ProblemSpec, policy: ThresholdPolicy) -> int | None:
+    """The rows of a trial's null sample: None on the exact path (a xi policy, and every
+    learner a vertex learner on dense box_lp data), 0 under t_hat, else max(1000, ceil(10 / xi)).
+    A xi whose sample would pass NULL_SAMPLE_LIMIT rows raises ValueError naming xi."""
+    if policy.xi is None:
+        return 0
+    if spec.variant == BOX_LP and spec.k == spec.d and all(
+            isinstance(learner, LearnerConfig) and learner.kind in VERTEX_LEARNERS for learner in learners):
+        return None
+    if 10.0 / policy.xi > NULL_SAMPLE_LIMIT:
+        raise ValueError(f"xi: {policy.xi:g} needs a null sample of ceil(10 / xi) rows, past the limit of "
+                         f"{NULL_SAMPLE_LIMIT} rows; take xi >= {10.0 / NULL_SAMPLE_LIMIT:g}, or the exact "
+                         "path, which draws no null rows (vertex learners on box_lp at k = d)")
+    return max(1000, math.ceil(10.0 / policy.xi))
+
+
 def run_trace_arms(learners: tuple[LearnerLike, ...], spec: ProblemSpec, tracer_kind: str, prior: BetaPrior,
                    n: int, M: int, policy: ThresholdPolicy, rng: np.random.Generator) -> list[TraceReport]:
     """One full attack trial per learner, all on one draw (see `_draw_trial`).
@@ -360,12 +386,11 @@ def run_trace_arms(learners: tuple[LearnerLike, ...], spec: ProblemSpec, tracer_
     """
     if n < 1 or M < 1:
         raise ValueError("n and M must be >= 1")
-    exact = (policy.xi is not None and spec.variant == BOX_LP and spec.k == spec.d
-             and all(isinstance(learner, LearnerConfig) and learner.kind in VERTEX_LEARNERS
-                     for learner in learners))
     # The sampled path's fresh and null rows are drawn before training, so the path is chosen here.
-    held_out = () if exact else (M, max(1000, math.ceil(10.0 / policy.xi)) if policy.xi is not None else 0)
-    mu, tracer, thetas, z_train, held = _draw_trial(learners, spec, tracer_kind, prior, n, rng, held_out)
+    null_rows = null_sample_size(learners, spec, policy)
+    exact = null_rows is None
+    mu, tracer, thetas, z_train, held = _draw_trial(learners, spec, tracer_kind, prior, n, rng,
+                                                    () if exact else (M, null_rows))
 
     reports = []
     for theta in thetas:
@@ -373,20 +398,21 @@ def run_trace_arms(learners: tuple[LearnerLike, ...], spec: ProblemSpec, tracer_
         if exact:
             # At a box vertex c = 1 / sqrt(d), so |c (2B - d - u . mu)| <= 2 d / sqrt(d),
             # the clip bound: no atom is ever clamped.
-            (scores_null, masses), scores_fresh = _vertex_null_law(tracer, theta.theta), np.empty(0)
+            law, scores_fresh = _NullLaw(*_vertex_null_law(tracer, theta.theta)), np.empty(0)
         else:
             (scores_fresh, clip_fr), (scores_null, clip_nu) = (score_batch(tracer, theta.theta, z)
                                                                for z in held)
-            masses, clips = None, clips + clip_fr + clip_nu
-        lam = calibrate_threshold(policy, scores_null, masses)
-        q = tie_weight(policy, scores_null, lam, masses)
-        flagged, total = _flagged(scores_null, lam, q, masses) if exact else _flagged(scores_fresh, lam, q)
+            law, clips = _NullLaw(scores_null), clips + clip_fr + clip_nu
+        lam = calibrate_threshold(policy, law)
+        q = tie_weight(policy, law, lam)
+        above, at, total = _split(law if exact else scores_fresh, lam)
+        train_above, train_at, _ = _split(scores_train, lam)
         reports.append(TraceReport(
             scores_train=scores_train,
             scores_fresh=scores_fresh,
             threshold=lam,
-            recall_estimate=_flagged(scores_train, lam, q)[0],
-            soundness_estimate=flagged / total,
+            recall_estimate=train_above + q * train_at,
+            soundness_estimate=(above + q * at) / total,
             mu_l1=float(np.sum(np.abs(mu))),
             excess_risk=excess_risk(spec, theta, mu) if theta.feasible else float("nan"),
             clip_events=clips,

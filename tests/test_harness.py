@@ -24,6 +24,7 @@ from sparsetrace.harness import (
     parse_cli,
     run,
 )
+from sparsetrace.tracers import NULL_SAMPLE_LIMIT
 
 SEED = 20240906
 ROOT = Path(__file__).resolve().parents[1]
@@ -204,6 +205,27 @@ class TestParseCli:
         assert main(["trace", "--d", "64", "--trials", "2", "--alpha-target", "0.1",
                      "--out", str(tmp_path / "t.csv")] + extra) == EXIT_USAGE
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--d", "3", "--k", "1", "--xi", "1e-12"],
+        ["--d", "3", "--k", "1", "--xi", "1e-300"],
+        ["--variant", "l1_capped", "--s", "2", "--d", "8", "--xi", "1e-12"],
+    ])
+    def test_a_sampled_null_past_the_row_limit_is_a_usage_error(self, tmp_path, capsys, extra):
+        # ceil(10 / xi) null rows: 72.8 TiB of rows at 1e-12, past numpy's largest dimension at 1e-300.
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--n", "16", "--trials", "1", "--alpha-target", "0.1",
+                     "--out", str(out)] + extra) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: xi: ") and f"limit of {NULL_SAMPLE_LIMIT} rows" in err
+        assert "exact path" in err and not out.exists()
+
+    def test_the_exact_path_takes_a_tiny_xi(self, tmp_path):
+        # Vertex learners at k = d draw no null rows, so the row limit does not apply.
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--d", "64", "--n", "16", "--trials", "2", "--xi", "1e-12",
+                     "--alpha-target", "0.1", "--out", str(out)]) == EXIT_OK
+        assert out.exists()
 
     @pytest.mark.parametrize("key, flag, value", [
         ("d", "--d", "1.5"), ("d", "--d", "none"), ("xi", "--xi", "abc"),

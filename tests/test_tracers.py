@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -23,13 +23,17 @@ from sparsetrace.learners import LearnerConfig
 from sparsetrace.oracles import check_card_moments
 from sparsetrace.problems import BOX_LP, L1_CAPPED, ProblemSpec, support_argmax
 from sparsetrace.rng import substream
+from sparsetrace import tracers
 from sparsetrace.tracers import (
+    NULL_SAMPLE_LIMIT,
     SCALING_MATRIX_SCORE,
     ThresholdPolicy,
     TraceReport,
     TracerSpec,
     _dense,
     _draw_trial,
+    _NullLaw,
+    _split,
     _vertex_null_law,
     calibrate_threshold,
     default_beta,
@@ -37,6 +41,7 @@ from sparsetrace.tracers import (
     dense_score,
     half_trace_value,
     null_quantile,
+    null_sample_size,
     poisson_binomial_pmf,
     run_trace_arms,
     run_trace_trial,
@@ -350,6 +355,8 @@ class TestCalibrateThreshold:
         ([0.0, 1.0], [1.5, -0.5], "masses"),
         ([0.0, 1.0], [0.0, 0.0], "masses"),
         ([0.0, 1.0], [0.5, 0.25, 0.25], "masses"),
+        ([[1.0, 2.0], [3.0, 4.0]], None, "null_scores"),
+        ([1.0, 2.0], [1e308, 1e308], "masses"),  # each finite, their sum not
     ])
     def test_malformed_law_rejected(self, scores, masses, match):
         policy = null_quantile(0.05)
@@ -415,6 +422,121 @@ class TestCalibrateThreshold:
         assert 0.0 <= q <= 1.0
         flagged = np.count_nonzero(scores > lam) + q * np.count_nonzero(scores == lam)
         assert flagged == pytest.approx(xi * m, rel=1e-9)
+
+
+# The threshold rule as it stood before the null law was sorted once per arm: the reference
+# that `_NullLaw` and `_split` must match bit for bit.
+def _law_reference(null_scores, masses=None):
+    scores = np.asarray(null_scores, dtype=float)
+    weights = np.ones_like(scores) if masses is None else np.asarray(masses, dtype=float)
+    if np.isnan(scores).any():
+        raise ValueError("null_scores: entries must not be NaN")
+    if masses is not None and not (weights.shape == scores.shape and np.isfinite(weights).all()
+                                   and np.all(weights >= 0) and weights.sum() > 0):
+        raise ValueError("masses: need one finite, nonnegative mass per score, with a positive sum")
+    return scores, weights
+
+
+def _calibrate_reference(policy, null_scores, masses=None):
+    scores, weights = _law_reference(null_scores, masses)
+    if masses is None and scores.size * policy.xi < 1.0:
+        raise ValueError(f"null sample of size {scores.size} is insufficient; need >= {math.ceil(1.0 / policy.xi)}")
+    order = np.argsort(scores, kind="stable")
+    above = weights.sum() - np.cumsum(weights[order])
+    return float(scores[order][np.argmax(above < policy.xi * weights.sum() * (1.0 - 1e-12))])
+
+
+def _split_mass_reference(scores, lam, masses=None):
+    scores, weights = _law_reference(scores, masses)
+    return weights[scores > lam].sum(), weights[scores == lam].sum(), weights.sum()
+
+
+def _tie_weight_reference(policy, null_scores, lam, masses=None):
+    above, at, total = _split_mass_reference(null_scores, lam, masses)
+    if not at > 0:
+        raise ValueError(f"lam: {lam} carries none of the law's mass")
+    return float(np.clip((policy.xi * total - above) / at, 0.0, 1.0))
+
+
+def _flagged_reference(scores, lam, q, masses=None):
+    above, at, total = _split_mass_reference(scores, lam, masses)
+    return above + q * at, total
+
+
+def _assert_matches_reference(xi, scores, masses=None):
+    """lambda, q, the law's flagged mass and its total, bit for bit, from one sorted law;
+    and the flagged count of the unsorted scores read as a sample."""
+    policy, law = null_quantile(xi), _NullLaw(scores, masses)
+    lam = calibrate_threshold(policy, law)
+    q = tie_weight(policy, law, lam)
+    assert lam == _calibrate_reference(policy, scores, masses)
+    assert q == _tie_weight_reference(policy, scores, lam, masses)
+    above, at, total = _split(law, lam)
+    assert (above + q * at, total) == _flagged_reference(scores, lam, q, masses)
+    above, at, total = _split(np.asarray(scores, dtype=float), lam)
+    assert (above + q * at, total) == _flagged_reference(scores, lam, q)
+
+
+class TestOneSortedLaw:
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 8)), min_size=1, max_size=60),
+           st.integers(0, 6), st.floats(1e-3, 0.999, allow_nan=False))
+    def test_a_dyadic_law_in_any_order_matches_the_reference(self, atoms, shift, xi):
+        # Dyadic masses (with ties and zero masses) sum exactly in any order, so sorting moves no bit.
+        scores, masses = (np.array(column, dtype=float) for column in zip(*atoms))
+        assume(masses.sum() > 0)
+        _assert_matches_reference(xi, scores / 3.0, masses / 2.0**shift)
+
+    @given(st.lists(st.integers(-3, 3) | st.floats(-5.0, 5.0, allow_nan=False), min_size=1, max_size=300),
+           st.floats(1e-3, 0.999, allow_nan=False))
+    def test_a_unit_mass_sample_matches_the_reference(self, values, xi):
+        assume(len(values) * xi >= 1)
+        _assert_matches_reference(xi, values)
+
+    @pytest.mark.parametrize("d", [1, 5, 64, 2048])
+    @given(seed=st.integers(0, 2**32 - 1), xi=st.floats(1e-6, 0.999, allow_nan=False))
+    @settings(max_examples=25, deadline=None)
+    def test_a_vertex_law_matches_the_reference(self, d, seed, xi):
+        # The atoms ascend, so the stable sort keeps their order and each slice sum is the masked sum.
+        rng = np.random.default_rng(seed)
+        spec = ProblemSpec(BOX_LP, d=d)
+        mu = sample_prior(default_prior(spec, alpha_target=0.1), rng).values
+        theta = spec.box_radius * np.where(rng.random(d) < 0.5, 1.0, -1.0)
+        atoms, masses = _vertex_null_law(TracerSpec(spec, mu), theta)
+        _assert_matches_reference(xi, atoms, masses)
+
+    @pytest.mark.parametrize("k", [64, 8])  # the exact path, and the sampled one
+    def test_each_arm_builds_and_sorts_one_law(self, k, monkeypatch):
+        spec = ProblemSpec(BOX_LP, d=64, k=k)
+        learners = (ERM, LearnerConfig("gaussian_dp", epsilon=0.5, delta=1e-5))
+        built, sorted_sizes, argsort = [], [], np.argsort
+
+        class CountedLaw(_NullLaw):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        def counted_argsort(a, *args, **kwargs):
+            sorted_sizes.append(np.size(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(tracers, "_NullLaw", CountedLaw)
+        monkeypatch.setattr(np, "argsort", counted_argsort)
+        run_trace_arms(learners, spec, "sparse", default_prior(spec, alpha_target=0.1), 16, 50,
+                       null_quantile(0.05), substream(SEED, 90))
+        null_size = 65 if k == 64 else 1000
+        assert len(built) == 2 and [b.size for b in built] == [null_size] * 2
+        assert sorted_sizes.count(null_size) == 2
+
+    def test_null_sample_size(self):
+        dense, sparse = ProblemSpec(BOX_LP, d=64), ProblemSpec(BOX_LP, d=64, k=8)
+        dp = LearnerConfig("gaussian_dp", epsilon=0.5, delta=1e-5)
+        assert null_sample_size((ERM, dp), dense, null_quantile(1e-300)) is None
+        assert null_sample_size((ERM, lambda z: np.zeros(64)), dense, null_quantile(0.05)) == 1000
+        assert null_sample_size((ERM,), sparse, half_trace_value(1.0)) == 0
+        assert null_sample_size((ERM,), sparse, null_quantile(0.05)) == 1000
+        assert null_sample_size((ERM,), sparse, null_quantile(10.0 / NULL_SAMPLE_LIMIT)) == NULL_SAMPLE_LIMIT
+        with pytest.raises(ValueError, match=f"^xi: .*limit of {NULL_SAMPLE_LIMIT} rows.*exact path"):
+            null_sample_size((ERM,), sparse, null_quantile(9.0 / NULL_SAMPLE_LIMIT))
 
 
 def _pmf_recurrence(p, dtype=np.float64):

@@ -7,7 +7,6 @@ from .distributions import (
     QuadratureRule,
     SignRows,
     SparsePopulation,
-    SparseRows,
     pmf,
     prior_quadrature,
     sample_matrix,

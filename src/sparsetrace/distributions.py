@@ -4,10 +4,11 @@ The data model is a mixture over supports: draw a uniformly random size-k
 subset J of the d coordinates, put independent +/-1 entries with mean
 (d/k)*mu_j on J, and zeros elsewhere.  The marginal mean of a sample is
 exactly mu, which is why the family admits exact fingerprinting
-identities.  Priors over mu are per-coordinate symmetric beta laws on
-[-gamma, gamma] with density proportional to (1 - (x/gamma)^2)^(beta-1);
-`prior_quadrature` provides Gauss-Jacobi rules that integrate polynomials
-against that density exactly.
+identities.  Samples are held as `SignRows`: each row's k signs packed as
+bits, beside its support where k < d.  Priors over mu are per-coordinate
+symmetric beta laws on [-gamma, gamma] with density proportional to
+(1 - (x/gamma)^2)^(beta-1); `prior_quadrature` provides Gauss-Jacobi rules
+that integrate polynomials against that density exactly.
 """
 
 from __future__ import annotations
@@ -43,93 +44,51 @@ def check_ternary(values) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SparseRows:
-    """n k-sparse ternary rows of dimension d, 0 < k < d, stored as (support, signs).
-
-    Row i is signs[i, j] in {-1, +1} at column support[i, j] and 0 elsewhere,
-    with each row's columns strictly increasing: one form per dense row, so
-    any formula over the rows gives the same bits as over their dense
-    matrix read back by `as_rows`.  n rows take O(n k) memory where the
-    dense matrix takes n d bytes.  The rows report that matrix's shape,
-    ndim, size and dtype (int8), and np.asarray(rows) builds it.  Indexing
-    selects rows (a slice or an index array) and gives a SparseRows.
-    """
-
-    signs: np.ndarray
-    support: np.ndarray
-    d: int
-
-    def __post_init__(self):
-        signs, support = np.asarray(self.signs).view(), np.asarray(self.support).view()
-        if signs.dtype != np.int8 or signs.ndim != 2 or support.shape != signs.shape:
-            raise ValueError("sparse rows take (n, k) int8 signs and (n, k) support indices")
-        if support.dtype.kind not in "iu" or not 0 < signs.shape[1] < self.d:
-            raise ValueError(f"sparse rows take integer support indices and 0 < k < d={self.d}")
-        if signs.size and not (signs.min() >= -1 and signs.max() <= 1 and np.all(signs != 0)):
-            raise ValueError("signs must take values in {-1, +1}")
-        if support.size and not (support[:, 0].min() >= 0 and support[:, -1].max() < self.d
-                                 and not _stalls(support).size):
-            raise ValueError(f"each row's support must increase strictly within [0, {self.d})")
-        for name, arr in (("signs", signs), ("support", support)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def k(self) -> int:
-        return self.signs.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.signs.shape[0], self.d
-
-    ndim = 2
-    dtype = np.dtype(np.int8)
-
-    @property
-    def size(self) -> int:
-        return self.signs.shape[0] * self.d
-
-    def __getitem__(self, rows) -> SparseRows:
-        return SparseRows(self.signs[rows], self.support[rows], self.d)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy is False:
-            raise ValueError("the dense matrix of sparse rows is always a new array")
-        out = np.zeros(self.shape, dtype=np.int8)
-        out[np.arange(self.shape[0])[:, None], self.support] = self.signs
-        return out if dtype is None else out.astype(dtype, copy=False)
-
-
-@dataclass(frozen=True, eq=False)
 class SignRows:
-    """n dense rows of -1s and +1s of dimension d >= 1 (k = d), stored as sign bits.
+    """n k-sparse ternary rows of dimension d, 1 <= k <= d, stored as sign bits on their support.
 
-    `bits` is an (n, ceil(d / 8)) uint8 matrix in np.packbits order: row i's
-    entry j is bit 7 - j % 8 of bits[i, j // 8], 1 for +1 and 0 for -1, and
-    the padding bits past d are 0.  So each dense row has one form, and any
-    formula over the rows gives the same bits as over their dense matrix read
-    back by `as_rows`.  n rows take n ceil(d / 8) bytes where the dense
-    matrix takes n d.  As `SparseRows` do, the rows report that matrix's
-    shape, ndim, size and dtype (int8), np.asarray(rows) builds it, and
-    indexing (a slice or an index array) selects rows.
+    `bits` is an (n, ceil(k / 8)) uint8 matrix in np.packbits order: row i's
+    j-th sign is bit 7 - j % 8 of bits[i, j // 8], 1 for +1 and 0 for -1,
+    and the padding bits past k are 0.  That sign sits at column support[i, j],
+    or at column j where `support` is None (k = d); a support is an (n, k)
+    integer matrix whose rows increase strictly within [0, d), and every
+    entry off it is 0.  So each dense row has one form, and any formula over
+    the rows gives the same bits as over their dense matrix read back by
+    `as_rows`.  n rows take n ceil(k / 8) bytes, plus n k support indices
+    below d, where the dense matrix takes n d.  The rows report that
+    matrix's shape, ndim, size and dtype (int8), np.asarray(rows) builds
+    it, and indexing (a slice or an index array) selects rows.
     """
 
     bits: np.ndarray
     d: int
+    support: np.ndarray | None = None
 
     def __post_init__(self):
-        bits = np.asarray(self.bits).view()
-        width = -(-self.d // 8)
-        if self.d < 1 or bits.dtype != np.uint8 or bits.ndim != 2 or bits.shape[1] != width:
-            raise ValueError(f"sign rows take an (n, {width}) uint8 bit matrix and d >= 1")
-        if self.d % 8 and np.any(bits[:, -1] & (0xFF >> self.d % 8)):
-            raise ValueError(f"the padding bits past column d={self.d} must be 0")
+        bits, support = np.asarray(self.bits).view(), self.support
+        if support is not None:
+            support = np.asarray(support).view()
+            if support.dtype.kind not in "iu" or support.ndim != 2 or not 0 < support.shape[1] < self.d:
+                raise ValueError(f"a support takes (n, k) integer indices and 0 < k < d={self.d}")
+            if support.size and not (support[:, 0].min() >= 0 and support[:, -1].max() < self.d
+                                     and not _stalls(support).size):
+                raise ValueError(f"each row's support must increase strictly within [0, {self.d})")
+            support.setflags(write=False)
+            object.__setattr__(self, "support", support)
+        k = self.k
+        width = -(-k // 8)
+        if k < 1 or bits.dtype != np.uint8 or bits.ndim != 2 or bits.shape[1] != width:
+            raise ValueError(f"sign rows take an (n, {width}) uint8 bit matrix and k >= 1")
+        if support is not None and len(bits) != len(support):
+            raise ValueError("sign rows take one support row per bit row")
+        if k % 8 and np.any(bits[:, -1] & (0xFF >> k % 8)):
+            raise ValueError(f"the padding bits past sign k={k} must be 0")
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
 
     @property
     def k(self) -> int:
-        return self.d
+        return self.d if self.support is None else self.support.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -142,24 +101,36 @@ class SignRows:
     def size(self) -> int:
         return self.bits.shape[0] * self.d
 
+    @property
+    def signs(self) -> np.ndarray:
+        """The (n, k) int8 signs, -1 or +1, as a new array."""
+        out = np.unpackbits(self.bits, axis=1, count=self.k).view(np.int8)
+        # {0, 1} to {-1, +1} in place as out + out - 1, not (out << 1) - 1: numpy's
+        # int8 add has a SIMD loop and its left shift does not.
+        np.add(out, out, out=out)
+        out -= 1
+        return out
+
     def __getitem__(self, rows) -> SignRows:
-        return SignRows(self.bits[rows], self.d)
+        return SignRows(self.bits[rows], self.d, None if self.support is None else self.support[rows])
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
             raise ValueError("the dense matrix of sign rows is always a new array")
-        out = np.unpackbits(self.bits, axis=1, count=self.d).view(np.int8)
-        np.add(out, out, out=out)  # {0, 1} to {-1, +1}, as in `_byte_signs`
-        out -= 1
+        if self.support is None:
+            out = self.signs
+        else:
+            out = np.zeros(self.shape, dtype=np.int8)
+            out[np.arange(self.shape[0])[:, None], self.support] = self.signs
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
-def as_rows(z) -> SignRows | SparseRows:
-    """z as rows: z itself if it is `SignRows` or `SparseRows`, else the rows of a
-    ternary (n, d) array (`check_ternary`) with the same number k >= 1 of nonzeros
-    in every row: `SignRows` where no entry is 0, else `SparseRows` read off in
-    column order.  Either holds new arrays, so later writes to z do not reach it."""
-    if isinstance(z, (SignRows, SparseRows)):
+def as_rows(z) -> SignRows:
+    """z as rows: z itself if it is `SignRows`, else the rows of a ternary (n, d)
+    array (`check_ternary`) with the same number k >= 1 of nonzeros in every
+    row, read off in column order: with no support where no entry is 0.  The
+    rows hold new arrays, so later writes to z do not reach them."""
+    if isinstance(z, SignRows):
         return z
     arr = check_ternary(z)
     if arr.ndim != 2:
@@ -170,8 +141,8 @@ def as_rows(z) -> SignRows | SparseRows:
     if not counts.size or counts[0] == arr.shape[1]:
         return SignRows(np.packbits(arr > 0, axis=1), arr.shape[1])
     rows, cols = np.nonzero(arr)
-    signs = arr[rows, cols].astype(np.int8, copy=False).reshape(-1, counts[0])
-    return SparseRows(signs, cols.reshape(-1, counts[0]), arr.shape[1])
+    plus = (arr[rows, cols] > 0).reshape(-1, counts[0])
+    return SignRows(np.packbits(plus, axis=1), arr.shape[1], cols.reshape(-1, counts[0]))
 
 
 def block_rows(width: int) -> int:
@@ -264,15 +235,14 @@ class QuadratureRule:
             raise ValueError("weights must be positive and sum to 1")
 
 
-_BIT = np.uint8(128) >> np.arange(8, dtype=np.uint8)  # column j's bit in its byte: _BIT[j % 8]
+_BIT = np.uint8(128) >> np.arange(8, dtype=np.uint8)  # sign j's bit in its byte: _BIT[j % 8]
 
 
 def _byte_signs(rng: np.random.Generator, scaled: np.ndarray, n: int,
-                support: np.ndarray | None = None) -> SignRows | np.ndarray:
+                support: np.ndarray | None = None) -> SignRows:
     """Independent signs, +1 at column c with probability p_c = scaled[c] / 256:
-    the `SignRows` of an (n, d) matrix whose entry (i, j) sits at column j, or,
-    given an (n, k) `support`, an (n, k) int8 matrix whose entry (i, j) sits at
-    column support[i, j].
+    the `SignRows` of n rows whose sign (i, j) sits at column j, or, given an
+    (n, k) `support`, at column support[i, j].
 
     Each entry spends one random byte b: with hi_c = min(floor(scaled_c), 255)
     and frac_c = scaled_c - hi_c, it is +1 where b < hi_c, and where b == hi_c
@@ -284,14 +254,14 @@ def _byte_signs(rng: np.random.Generator, scaled: np.ndarray, n: int,
     are drawn in blocks of `block_rows` rows, rounded up to a multiple of
     8 // gcd(width, 8) so that each block but the last fills whole words: the
     stream is the same for any block size, and working memory is one block
-    (at an odd width, 8 rows at least) plus the tie indices.  Dense rows are
-    packed block by block, with every tie -1; each tie settled +1 then sets
-    its bit by one np.bitwise_or.at, so no (n, d) matrix is ever held.
+    (at an odd width, 8 rows at least) plus the tie indices.  Each block is
+    packed as it is drawn, with every tie -1; each tie settled +1 then sets
+    its bit by one np.bitwise_or.at, so no (n, width) sign matrix is ever held.
     """
-    d, dense = scaled.size, support is None
+    d = scaled.size
     hi = np.minimum(scaled, 255.0).astype(np.uint8)  # the cast floors, as scaled >= 0
-    width = d if dense else support.shape[1]
-    out = np.empty((n, -(-d // 8)), dtype=np.uint8) if dense else np.empty(support.shape, dtype=np.int8)
+    width = d if support is None else support.shape[1]
+    out = np.empty((n, -(-width // 8)), dtype=np.uint8)
     step = block_rows(width)
     step += -step % (8 // math.gcd(width, 8))
     ties = [np.empty(0, dtype=np.intp)]
@@ -299,25 +269,16 @@ def _byte_signs(rng: np.random.Generator, scaled: np.ndarray, n: int,
         j = min(n, i + step)
         words = rng.bit_generator.random_raw(-(-(j - i) * width // 8))
         b = words.astype("<u8", copy=False).view(np.uint8)[: (j - i) * width].reshape(j - i, width)
-        h = hi if dense else hi[support[i:j]]
-        if dense:  # packbits pads each row's last byte with zeros, as SignRows requires
-            out[i:j] = np.packbits(b < h, axis=1)
-        else:
-            np.less(b, h, out=out[i:j].view(np.bool_))
+        h = hi if support is None else hi[support[i:j]]
+        # packbits pads each row's last byte with zeros, as SignRows requires
+        out[i:j] = np.packbits(b < h, axis=1)
         ties.append(np.flatnonzero(b == h) + i * width)
     ties = np.concatenate(ties)
-    tied = ties % d if dense else support.reshape(-1)[ties]
+    tied = ties % d if support is None else support.reshape(-1)[ties]
     plus = rng.random(ties.size) < scaled[tied] - hi[tied]
-    if dense:  # set the bit of each tie settled +1
-        row, col = np.divmod(ties[plus], d)
-        np.bitwise_or.at(out, (row, col >> 3), _BIT[col & 7])
-        return SignRows(out, d)
-    out.reshape(-1)[ties] = plus
-    # {0, 1} to {-1, +1} in place as out + out - 1, not (out << 1) - 1: numpy's
-    # int8 add has a SIMD loop and its left shift does not.
-    np.add(out, out, out=out)
-    out -= 1
-    return out
+    row, col = np.divmod(ties[plus], width)  # set the bit of each tie settled +1
+    np.bitwise_or.at(out, (row, col >> 3), _BIT[col & 7])
+    return SignRows(out, d, support)
 
 
 def _stalls(cols: np.ndarray) -> np.ndarray:
@@ -362,8 +323,8 @@ def _distinct_columns(rng: np.random.Generator, n: int, d: int, m: int) -> np.nd
     return cols
 
 
-def sample_matrix(pop: SparsePopulation, n: int, rng: np.random.Generator) -> SignRows | SparseRows:
-    """n independent draws: a `SignRows` at k = d, a `SparseRows` at k < d.
+def sample_matrix(pop: SparsePopulation, n: int, rng: np.random.Generator) -> SignRows:
+    """n independent draws, as `SignRows`: with no support at k = d.
 
     Each sign spends one random byte (`_byte_signs`): +1 where the byte is
     below min(floor(256 p_j), 255), p_j = (1 + (d/k) mu_j) / 2 for its column
@@ -372,8 +333,8 @@ def sample_matrix(pop: SparsePopulation, n: int, rng: np.random.Generator) -> Si
     `_distinct_columns`: at k <= d/2 its m = k columns are the support; past
     d/2 its m = d - k columns are the ones left out, and the support is the
     rest.  The rows and the sampler's working memory are O(n k + d): no
-    (n, d) array is built below d/2.  At k = d the rows take n ceil(d / 8)
-    bytes, and the sampler packs each block's signs as it draws them.
+    (n, d) array is built below d/2.  The signs take n ceil(k / 8) bytes,
+    and the sampler packs each block's signs as it draws them.
 
     Signs are drawn in whole-row blocks of about BLOCK_ENTRIES entries (at
     an odd width, 8 rows at least), so that many are held at a time;
@@ -393,7 +354,7 @@ def sample_matrix(pop: SparsePopulation, n: int, rng: np.random.Generator) -> Si
         left[np.arange(n)[:, None], support] = False
         support = np.flatnonzero(left)
         support = np.remainder(support, d, out=support).reshape(n, k)
-    return SparseRows(_byte_signs(rng, scaled, n, support), support, d)
+    return _byte_signs(rng, scaled, n, support)
 
 
 def pmf(pop: SparsePopulation, z) -> float:

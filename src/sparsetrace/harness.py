@@ -29,7 +29,7 @@ from .learners import GAUSSIAN_DP, LEARNER_KINDS, SUBSAMPLE, LearnerConfig
 from .oracles import verification_grid
 from .problems import BOX_LP, VARIANTS, ProblemSpec
 from .rng import substream
-from .tracers import (NULL_SAMPLE_LIMIT, ThresholdPolicy, TraceReport, default_prior, half_trace_value,
+from .tracers import (ROW_LIMIT, ThresholdPolicy, TraceReport, default_prior, half_trace_value,
                       null_quantile, null_sample_size, run_trace_arms, run_trace_trial, score_kind,
                       trace_value_contribution)
 
@@ -129,6 +129,8 @@ class ExperimentConfig:
         for name in ("n", "M", "trials"):
             if name in experiment.fields and getattr(self, name) < 1:
                 raise UsageError(f"{name}: must be >= 1")
+            if name in experiment.fields and name != "trials" and getattr(self, name) > ROW_LIMIT:
+                raise UsageError(f"{name}: must be <= {ROW_LIMIT}, the most rows one sample may hold")
         if self.master_seed < 0:
             raise UsageError("master_seed: must be >= 0")  # a SeedSequence entropy word
         spec = _build("variant", self.resolved_spec)
@@ -387,12 +389,12 @@ _FIELD_HELP = {
     "epsilon": "DP epsilon in (0, 10] (gaussian_dp)",
     "delta": "DP delta in (0, 1) (gaussian_dp)",
     "subsample_m": "subsample size, 1 <= m <= n (subsample)",
-    "xi": f"soundness level, xi in (0, 1); >= {10 / NULL_SAMPLE_LIMIT:g} where the null is sampled, not exact",
+    "xi": f"soundness level, xi in (0, 1); >= {10 / ROW_LIMIT:g} where the null is sampled, not exact",
     "t_hat": "finite trace value; sets the threshold to t_hat / 2 (else the xi null quantile)",
     "beta": "prior shape override, beta > 0",
     "alpha_target": "target excess risk used to derive beta, > 0",
-    "n": "training set size, n >= 1",
-    "M": "fresh evaluation points, M >= 1 (unused where the null law is exact)",
+    "n": f"training set size, 1 <= n <= {ROW_LIMIT}",
+    "M": f"fresh evaluation points, 1 <= M <= {ROW_LIMIT} (unused where the null law is exact)",
     "trials": "independent trials, >= 1",
     "noise_scales": "comma-separated positive noise multipliers",
 }

@@ -17,7 +17,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .distributions import BetaPrior, SignRows, SparseRows, as_rows, mean_ci, sample_matrix, sample_prior
+from .distributions import BetaPrior, SignRows, as_rows, mean_ci, sample_matrix, sample_prior
 from .problems import ParameterPoint, ProblemSpec, check_data, data_distribution, excess_risk, is_feasible, support_argmax
 
 ERM_LINEAR = "erm"
@@ -31,13 +31,12 @@ VERTEX_LEARNERS = (ERM_LINEAR, GAUSSIAN_DP, SUBSAMPLE)
 
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered sample of n ternary points, held as `SignRows` (k = d) or
-    `SparseRows` (k < d): the rows that `sample_matrix` gives are kept as
-    they are (they are immutable and valid by construction), and an array
-    is checked and read into new rows by `as_rows`, so the caller may write
-    to it afterwards."""
+    """An ordered sample of n ternary points, held as `SignRows`: the rows
+    that `sample_matrix` gives are kept as they are (they are immutable and
+    valid by construction), and an array is checked and read into new rows
+    by `as_rows`, so the caller may write to it afterwards."""
 
-    z: SignRows | SparseRows
+    z: SignRows
 
     def __post_init__(self):
         object.__setattr__(self, "z", as_rows(self.z))
@@ -78,14 +77,14 @@ class LearnerConfig:
 LearnerLike = Union[LearnerConfig, Callable[[np.ndarray], np.ndarray]]
 
 
-def empirical_mean(z: SignRows | SparseRows) -> np.ndarray:
-    """Column means of the rows: each column's integer sum over n.  Sign rows
-    sum as 2 S - n, S each column's count of +1 bits, unpacked 255 rows at a
-    time; sparse rows by a bincount over their support.  Both sums are exact
-    integers, so either gives the bits of z.mean(axis=0, dtype=float64) on
-    the rows' dense matrix."""
+def empirical_mean(z: SignRows) -> np.ndarray:
+    """Column means of the rows: each column's integer sum over n.  At k = d
+    the sums are 2 S - n, S each column's count of +1 bits, unpacked 255 rows
+    at a time; at k < d a bincount of the unpacked signs over the support.
+    Both sums are exact integers, so either gives the bits of
+    z.mean(axis=0, dtype=float64) on the rows' dense matrix."""
     n = z.shape[0]
-    if isinstance(z, SparseRows):
+    if z.support is not None:
         return np.bincount(z.support.ravel(), weights=z.signs.ravel(), minlength=z.d) / n
     # 255 rows at a time, the most whose 0/1 bits a uint8 sum holds exactly.
     plus = np.zeros(8 * z.bits.shape[1], dtype=np.int64)

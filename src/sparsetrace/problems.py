@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SignRows, SparsePopulation, SparseRows, as_rows, check_mean
+from .distributions import SignRows, SparsePopulation, as_rows, check_mean
 
 BOX_LP = "box_lp"
 L1_CAPPED = "l1_capped"
@@ -115,10 +115,10 @@ def is_feasible(spec: ProblemSpec, theta: np.ndarray) -> bool:
                 and (spec.variant == BOX_LP or np.sum(mags) <= 1.0 + FEASIBILITY_TOL))
 
 
-def check_data(spec: ProblemSpec, z: SignRows | SparseRows) -> None:
+def check_data(spec: ProblemSpec, z: SignRows) -> None:
     """Require the rows z to be n >= 1 points of the spec's data space: d
     entries with exactly `spec.k` nonzeros each.  Entry values are checked
-    where rows are built (`distributions.as_rows`, or the row types' own
+    where rows are built (`distributions.as_rows`, or the row type's own
     checks), so only the shape and k are compared here."""
     if z.shape[0] < 1 or z.shape[1] != spec.d:
         raise ValueError(f"data has shape {z.shape}, expected (n >= 1, {spec.d})")

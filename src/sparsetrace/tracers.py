@@ -8,11 +8,12 @@ on dense box_lp data, sampled elsewhere, with a tie weight on the atom at
 the threshold) controls the false positive rate while training points of
 accurate learners score high.  Where the law is exact, that rate is the
 law's flagged mass itself, xi, and no fresh row is drawn to measure it; a
-sampled null has at most NULL_SAMPLE_LIMIT rows.  Each arm sorts its null
-law once (`_NullLaw`) and reads the threshold, the tie weight and every flag
-count through one split (`_split`).  A trial draws its rows once and trains
-each learner on them from one generator state, so the arms of a noise sweep
-share the data and the Gaussian noise vector.
+sampled null has at most ROW_LIMIT rows, as every sample the CLI takes.
+Each arm sorts its null law once (`_NullLaw`) and reads the threshold, the
+tie weight and every flag count through one split (`_split`).  A trial
+draws its rows once and trains each learner on them from one generator
+state, so the arms of a noise sweep share the data and the Gaussian noise
+vector.
 
 Two score families are implemented; on dense rows (every l1_capped row,
 box_lp at k = d) both are one affine map c * (z . u - u . mu), `dense_score`:
@@ -90,16 +91,17 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z) -> tuple[np.ndarray, int]:
     out-of-contract parameter.
 
     Once theta is checked, Z is read by `distributions.as_rows`, and its
-    rows must have the spec's d and k.  On `SignRows` (k = d), where u = +/-1
+    rows must have the spec's d and k.  At k = d, where u = +/-1
     (at a box vertex) the products are z . u = d - 2 popcount(bits ^ packbits(u > 0)),
     exact integers; otherwise each whole-row block (`distributions.block_rows`)
     is unpacked to float64 and multiplied by u, so float64 working memory is
     one block whatever n is.  Both give the bits of the float64 product of
-    the dense matrix.  `SparseRows` (k < d) are scored by gathers,
-    theta[support] . signs and (theta * mu)[support], taken in whole-row
-    blocks of about BLOCK_ENTRIES bytes of float64, so the work is O(n k)
-    and the working memory, beside two n-long sums, is two d-long vectors
-    and one block whatever n is.
+    the dense matrix.  At k < d the signs are unpacked once, to an (n, k)
+    int8 matrix, and the rows are scored by gathers, theta[support] . signs
+    and (theta * mu)[support], taken in whole-row blocks of about
+    BLOCK_ENTRIES bytes of float64, so the work is O(n k) and the working
+    memory, beside the signs and two n-long sums, is two d-long vectors and
+    one block whatever n is.
     """
     spec = tr.spec
     theta = np.asarray(theta, dtype=float)
@@ -112,11 +114,11 @@ def score_batch(tr: TracerSpec, theta: np.ndarray, Z) -> tuple[np.ndarray, int]:
         raise ValueError(f"every data point must have {spec.d} entries, exactly {spec.k} nonzeros")
     n, dense = rows.shape[0], _dense(tr, theta)
     if dense is None:
-        shift = theta * tr.mu
+        shift, signs = theta * tr.mu, rows.signs
         signed, centre, step = np.empty(n), np.empty(n), block_rows(8 * spec.k)
         for i in range(0, n, step):
             block = theta[rows.support[i:i + step]]
-            block *= rows.signs[i:i + step]
+            block *= signs[i:i + step]
             block.sum(axis=1, out=signed[i:i + step])
             shift[rows.support[i:i + step]].sum(axis=1, out=centre[i:i + step])
         raw = spec.d ** (1.0 / spec.p) / math.sqrt(spec.k) * (signed - spec.d / spec.k * centre)
@@ -281,7 +283,10 @@ def calibrate_threshold(policy: ThresholdPolicy, null_scores, masses=None) -> fl
         raise ValueError(f"null sample of size {law.size} is insufficient; need >= {math.ceil(1.0 / policy.xi)}")
     above = law.total - np.cumsum(law.masses)
     # The slack keeps a mass of exactly xi above a value, up to rounding, from counting as below xi.
-    return float(law.scores[np.argmax(above < policy.xi * law.total * (1.0 - 1e-12))])
+    below = above < policy.xi * law.total * (1.0 - 1e-12)
+    # No mass lies above the last atom that has any, but the sums' rounding can leave more than
+    # xi there, so that no value passes: then lambda is that atom.
+    return float(law.scores[np.argmax(below) if below[-1] else np.flatnonzero(law.masses)[-1]])
 
 
 def _split(null, lam: float) -> tuple[float, float, float]:
@@ -353,21 +358,21 @@ def _draw_trial(learners: tuple[LearnerLike, ...], spec: ProblemSpec, tracer_kin
     return mu, tracer, thetas, z_train, held
 
 
-NULL_SAMPLE_LIMIT = 10**5  # rows of a sampled null law; a xi that needs more is refused
+ROW_LIMIT = 10**5  # rows of any one sample, training, fresh or null; the CLI refuses more
 
 
 def null_sample_size(learners: tuple[LearnerLike, ...], spec: ProblemSpec, policy: ThresholdPolicy) -> int | None:
     """The rows of a trial's null sample: None on the exact path (a xi policy, and every
     learner a vertex learner on dense box_lp data), 0 under t_hat, else max(1000, ceil(10 / xi)).
-    A xi whose sample would pass NULL_SAMPLE_LIMIT rows raises ValueError naming xi."""
+    A xi whose sample would pass ROW_LIMIT rows raises ValueError naming xi."""
     if policy.xi is None:
         return 0
     if spec.variant == BOX_LP and spec.k == spec.d and all(
             isinstance(learner, LearnerConfig) and learner.kind in VERTEX_LEARNERS for learner in learners):
         return None
-    if 10.0 / policy.xi > NULL_SAMPLE_LIMIT:
+    if 10.0 / policy.xi > ROW_LIMIT:
         raise ValueError(f"xi: {policy.xi:g} needs a null sample of ceil(10 / xi) rows, past the limit of "
-                         f"{NULL_SAMPLE_LIMIT} rows; take xi >= {10.0 / NULL_SAMPLE_LIMIT:g}, or the exact "
+                         f"{ROW_LIMIT} rows; take xi >= {10.0 / ROW_LIMIT:g}, or the exact "
                          "path, which draws no null rows (vertex learners on box_lp at k = d)")
     return max(1000, math.ceil(10.0 / policy.xi))
 

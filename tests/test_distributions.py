@@ -12,7 +12,6 @@ from sparsetrace.distributions import (
     MeanVector,
     SignRows,
     SparsePopulation,
-    SparseRows,
     as_rows,
     block_rows,
     pmf,
@@ -310,15 +309,32 @@ class TestEveryByteTied:
     def test_rows_are_the_signs_the_uniforms_settle(self, d, n, uniforms):
         rows = distributions._byte_signs(_TiedBytes(uniforms), np.full(d, 128.5), n)
         plus = np.resize(np.asarray(uniforms), n * d).reshape(n, d) < 0.5
-        assert isinstance(rows, SignRows)
+        assert isinstance(rows, SignRows) and rows.support is None
         assert np.array_equal(np.asarray(rows), np.where(plus, 1, -1)), (d, n)
+
+    # On a support the row width is k, not d: odd k leaves padding bits past k in
+    # each row's last byte, and a row's ties must land in that row.
+    @pytest.mark.parametrize("uniforms", [[0.25], [0.75], [0.25, 0.75, 0.75, 0.25, 0.1]],
+                             ids=["all-plus", "none-plus", "some-plus"])
+    @pytest.mark.parametrize("n", [1, 9])
+    @pytest.mark.parametrize("d,k", [(40, 1), (40, 5), (40, 13), (64, 37)])
+    def test_rows_on_a_support_are_the_signs_the_uniforms_settle(self, d, k, n, uniforms):
+        support = distributions._distinct_columns(substream(SEED, k, "tied"), n, d, k)
+        rows = distributions._byte_signs(_TiedBytes(uniforms), np.full(d, 128.5), n, support)
+        plus = np.resize(np.asarray(uniforms), n * k).reshape(n, k) < 0.5
+        assert isinstance(rows, SignRows) and np.array_equal(rows.support, support) and rows.k == k
+        assert np.array_equal(rows.signs, np.where(plus, 1, -1)), (d, k, n)
+        dense = np.zeros((n, d), dtype=np.int8)
+        np.put_along_axis(dense, support, np.where(plus, 1, -1), axis=1)
+        assert np.array_equal(np.asarray(rows), dense)
 
 
 class TestSparseRows:
     def test_rows_report_and_build_their_dense_matrix(self):
         pop = SparsePopulation(np.zeros(50), 6, 50)
         rows = sample_matrix(pop, 30, substream(SEED, 30, "rows"))
-        assert isinstance(rows, SparseRows) and rows.k == 6
+        assert isinstance(rows, SignRows) and rows.k == 6 and rows.support.shape == (30, 6)
+        assert rows.bits.shape == (30, 1) and not (rows.bits.flags.writeable or rows.support.flags.writeable)
         assert (rows.shape, rows.ndim, rows.size, rows.dtype) == ((30, 50), 2, 1500, np.int8)
         dense = np.asarray(rows)
         assert dense.dtype == np.int8 and dense.shape == (30, 50)
@@ -334,8 +350,6 @@ class TestSparseRows:
             as_rows(dense)
 
     @pytest.mark.parametrize("signs,support,d", [
-        ([[1, 0]], [[0, 1]], 4),          # a zero sign
-        ([[1, 2]], [[0, 1]], 4),
         ([[1, -1]], [[0, 4]], 4),         # a column past d
         ([[1, -1]], [[-1, 0]], 4),        # a negative column would wrap in a gather
         ([[1, -1]], [[3, 3]], 4),         # a repeated column
@@ -343,16 +357,29 @@ class TestSparseRows:
         ([[1, -1, 1]], [[3, 3, 5]], 8),   # a repeat in a row's first pair
         ([[1, -1, 1]], [[1, 4, 4]], 8),   # and in its last pair
         ([[1, -1], [1, 1]], [[0, 1], [2, 2]], 8),  # a repeat in a later row
-        ([[1, -1]], [[0, 1]], 2),         # k = d rows are dense matrices
+        ([[1, -1]], [[0, 1]], 2),         # k = d rows take no support
+        ([[1, -1]], [[0.0, 1.0]], 4),     # float columns
+        ([[1, -1]], [0, 1], 4),           # a support that is not (n, k)
+        ([[1, -1]], [[0, 1], [2, 3]], 4),  # not one support row per bit row
     ])
     def test_bad_rows_rejected(self, signs, support, d):
         with pytest.raises(ValueError):
-            SparseRows(np.array(signs, dtype=np.int8), np.array(support), d)
+            SignRows(np.packbits(np.array(signs) > 0, axis=1), d, np.array(support))
+
+    @pytest.mark.parametrize("bits,k", [
+        ([[0b10100000]], 2),  # a padding bit set past k
+        ([[0b11111111, 0b11000000]], 9),  # the first padding bit past k = 9
+        ([[0b11000000, 0]], 2),  # a wrong width: k = 2 signs take one byte
+    ])
+    def test_bad_bits_rejected(self, bits, k):
+        support = np.arange(k)[np.newaxis]
+        with pytest.raises(ValueError):
+            SignRows(np.array(bits, dtype=np.uint8), 16, support)
 
 
     def test_columns_may_fall_across_the_row_boundary(self):
         # The last column of one row is above the first of the next: no row repeats a column.
-        rows = SparseRows(np.array([[1, -1], [-1, 1]], dtype=np.int8), np.array([[5, 6], [1, 2]]), 8)
+        rows = SignRows(np.array([[0b10000000], [0b01000000]], dtype=np.uint8), 8, np.array([[5, 6], [1, 2]]))
         assert np.array_equal(np.asarray(rows), [[0, 0, 0, 0, 0, 1, -1, 0], [0, -1, 1, 0, 0, 0, 0, 0]])
 
 
@@ -417,6 +444,10 @@ class TestSignRows:
         bits = np.zeros((2, 1), dtype=np.uint8)
         rows = SignRows(bits, 8)
         assert bits.flags.writeable and not rows.bits.flags.writeable
+        support = np.array([[0, 3, 5], [1, 2, 7]])
+        rows = SignRows(bits, 8, support)
+        assert bits.flags.writeable and support.flags.writeable
+        assert not (rows.bits.flags.writeable or rows.support.flags.writeable)
 
     @pytest.mark.parametrize("bits,d", [
         (np.array([[0b10100001]], dtype=np.uint8), 3),  # a padding bit set
@@ -442,7 +473,7 @@ class TestAsRows:
         rows = sample_matrix(SparsePopulation(np.zeros(d), k, d), 40, substream(SEED, k, "as-rows"))
         a = np.asarray(rows).astype(dtype)
         out = as_rows(a)
-        assert type(out) is (SignRows if k == d else SparseRows) and out.k == k
+        assert type(out) is SignRows and out.k == k and (out.support is None) == (k == d)
         assert np.array_equal(np.asarray(out), a) and not np.shares_memory(np.asarray(out), a)
 
     def test_rows_come_back_as_themselves(self):

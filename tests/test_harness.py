@@ -1,15 +1,19 @@
 import argparse
 import hashlib
+import math
 import os
 import re
 import shlex
 import signal
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sparsetrace import harness
 from sparsetrace.harness import (
@@ -24,7 +28,9 @@ from sparsetrace.harness import (
     parse_cli,
     run,
 )
-from sparsetrace.tracers import NULL_SAMPLE_LIMIT
+from sparsetrace.learners import LEARNER_KINDS, SUBSAMPLE
+from sparsetrace.problems import BOX_LP, VARIANTS
+from sparsetrace.tracers import ROW_LIMIT
 
 SEED = 20240906
 ROOT = Path(__file__).resolve().parents[1]
@@ -217,8 +223,21 @@ class TestParseCli:
         assert main(["trace", "--n", "16", "--trials", "1", "--alpha-target", "0.1",
                      "--out", str(out)] + extra) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("error: xi: ") and f"limit of {NULL_SAMPLE_LIMIT} rows" in err
+        assert err.startswith("error: xi: ") and f"limit of {ROW_LIMIT} rows" in err
         assert "exact path" in err and not out.exists()
+
+    @pytest.mark.parametrize("extra, field", [
+        (["--d", "3", "--k", "1", "--n", "16", "--M", "10000000000000"], "M"),
+        (["--d", "3", "--k", "1", "--n", "10000000000000", "--M", "50"], "n"),
+        (["--d", "64", "--n", "10000000000000"], "n"),
+    ])
+    def test_samples_past_the_row_limit_are_usage_errors(self, tmp_path, capsys, extra, field):
+        # Without the limit each asks numpy for about 73 TiB of rows and exits 4.
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--trials", "1", "--alpha-target", "0.1", "--out", str(out)] + extra) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {field}: must be <= {ROW_LIMIT}, the most rows one sample may hold\n"
+        assert not out.exists()
 
     def test_the_exact_path_takes_a_tiny_xi(self, tmp_path):
         # Vertex learners at k = d draw no null rows, so the row limit does not apply.
@@ -687,6 +706,81 @@ class TestMainExitCodes:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+
+@st.composite
+def _small_cli_run(draw):
+    """The argv of one trial-running CLI command at d, n <= 64, M <= 200 and trials <= 5.
+    Every other field is drawn over its accepted range or left to its default.  A field the
+    variant or learner would refuse is left out, and one it needs is given: s on l1_capped,
+    subsample_m for subsample, and alpha_target unless box_lp is given beta."""
+    name = draw(st.sampled_from(sorted(e for e in harness.EXPERIMENTS if harness.EXPERIMENTS[e].fields)))
+    experiment = harness.EXPERIMENTS[name]
+    d, n = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    variant = draw(st.sampled_from(VARIANTS))
+    learner = experiment.learner or draw(st.sampled_from(LEARNER_KINDS))
+    values = {"variant": variant, "learner": learner, "d": d, "n": n, "M": draw(st.integers(1, 200)),
+              "trials": draw(st.integers(1, 5)), "master_seed": draw(st.integers(0, 2**32 - 1))}
+    optional = {
+        "epsilon": st.floats(0, 10, exclude_min=True), "delta": st.floats(0, 1, exclude_min=True, exclude_max=True),
+        "xi": st.floats(0, 1, exclude_min=True, exclude_max=True) | st.floats(1e-300, 1e-12),
+        "t_hat": st.floats(-1e3, 1e3), "beta": st.floats(1e-3, 1e3),
+        "noise_scales": st.lists(st.floats(0.01, 100), min_size=1, max_size=3, unique=True).map(
+            lambda v: ",".join(map(repr, sorted(v)))),
+    }
+    if variant == BOX_LP:
+        optional.update(p=st.floats(1, 1e3), k=st.integers(1, d))
+    else:
+        values["s"] = draw(st.integers(1, d))
+    if learner == SUBSAMPLE:
+        values["subsample_m"] = draw(st.integers(1, n))
+    for field, values_of in optional.items():
+        if draw(st.booleans()):
+            values[field] = draw(values_of)
+    if variant != BOX_LP or "beta" not in values or draw(st.booleans()):
+        values["alpha_target"] = draw(st.floats(1e-3, 10))
+    flags = (f"{harness._FLAG_NAMES.get(f, '--' + f.replace('_', '-'))}={values[f]}"
+             for f in ("master_seed",) + experiment.fields if f in values)
+    return [name.replace("_", "-"), "--threads", "1", *flags]
+
+
+class TestConfigSpace:
+    # The largest sample a run below can hold is 10^5 null rows at d = 64: their int64
+    # supports take up to 50 MB (k = 63), beside the sampler's draws and the scores.
+    PEAK_BYTES = 128 * 2**20
+
+    @settings(max_examples=400, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(argv=_small_cli_run())
+    def test_every_run_finishes_in_bounded_memory_or_is_refused(self, tmp_path, capsys, argv):
+        out = tmp_path / "run.csv"
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_ACCEPTANCE, EXIT_USAGE), (argv, err)
+        assert peak < self.PEAK_BYTES, (argv, peak)
+        if code == EXIT_USAGE:
+            field = re.match(r"error: (\w+): ", err)
+            assert field and field[1] in harness._FIELD_TYPES, (argv, err)
+            assert not out.exists()
+            return
+        lines = out.read_text().splitlines()
+        header = lines[1].split(",")
+        for line in lines[2:]:
+            cells = line.split(",")
+            names = [cells[1]] * len(cells) if cells[0] == "#summary" else header
+            for name, cell in zip(names, cells):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value) or name == "excess_risk", (argv, line)
 
 
 def test_readme_lists_every_config_key():

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from sparsetrace import distributions
-from sparsetrace.distributions import (BLOCK_ENTRIES, BetaPrior, SignRows, SparsePopulation, SparseRows, as_rows,
-                                      sample_matrix)
+from sparsetrace.distributions import BLOCK_ENTRIES, BetaPrior, SignRows, SparsePopulation, as_rows, sample_matrix
 from sparsetrace.learners import (
     LEARNER_KINDS,
     Dataset,
@@ -131,7 +130,7 @@ class TestSparseRows:
         assert seen[0].dtype == np.float64 and np.array_equal(seen[0], seen[1])
 
     def test_only_subsample_selects_rows(self, monkeypatch):
-        # Every new SparseRows scans its support once (`_stalls`): the kinds that train on
+        # Every new row set on a support scans it once (`_stalls`): the kinds that train on
         # every row build none, and subsample builds its one prefix.
         calls = []
         stalls = distributions._stalls
@@ -147,7 +146,7 @@ class TestSparseRows:
         assert calls == [(7, 8)]
 
     def test_wrong_sparsity_rejected(self):
-        rows = SparseRows(np.ones((2, 3), dtype=np.int8), np.array([[0, 3, 5], [1, 3, 7]]), 8)
+        rows = SignRows(np.full((2, 1), 0b11100000, dtype=np.uint8), 8, np.array([[0, 3, 5], [1, 3, 7]]))
         with pytest.raises(ValueError, match="exactly 2 nonzeros"):
             train(ERM, _box(8, 2), Dataset(rows), substream(SEED, 42))
 
@@ -202,15 +201,15 @@ class TestDpSensitivity:
 
     @pytest.mark.parametrize("n, d", [(1, 7), (2, 1), (400, 4096), (32767, 5), (40000, 3)])
     def test_empirical_mean_is_the_float64_mean_bit_for_bit(self, n, d):
-        # Sign rows sum their bits in uint8 blocks of 255 rows; sparse rows (the same
-        # signs and a last column of zeros, k = d of d + 1) by a bincount.
+        # Rows at k = d sum their bits in uint8 blocks of 255 rows; rows on a support (the
+        # same signs and a last column of zeros, k = d of d + 1) by a bincount.
         z = np.zeros((n, d + 1), dtype=np.int8)
         z[:, :d] = 2 * substream(SEED, n, "signs").integers(0, 2, size=(n, d)) - 1
         z[:, 0] = 1  # a column whose sum is n, the widest the accumulator must hold
-        for kind, dense in ((SignRows, z[:, :d]), (SparseRows, z)):
+        for dense in (z[:, :d], z):
             rows = as_rows(dense)
             mean = empirical_mean(rows)
-            assert type(rows) is kind and mean.dtype == np.float64
+            assert (rows.support is None) == (dense is not z) and mean.dtype == np.float64
             assert np.array_equal(mean, dense.mean(axis=0, dtype=np.float64))
 
     def test_empirical_mean_makes_no_float64_copy(self):
@@ -269,7 +268,7 @@ class TestDatasetType:
                        np.array([[1, -1, 0]], dtype=np.int8)):
             data = Dataset(values)
             assert data.z.dtype == np.int8 and np.array_equal(np.asarray(data.z), [[1, -1, 0]])
-            assert not (data.z.signs.flags.writeable or data.z.support.flags.writeable)
+            assert not (data.z.bits.flags.writeable or data.z.support.flags.writeable)
 
     @pytest.mark.parametrize("k", [64, 9])
     def test_later_writes_to_the_array_do_not_reach_the_dataset(self, k):

@@ -25,7 +25,7 @@ from sparsetrace.problems import BOX_LP, L1_CAPPED, ProblemSpec, support_argmax
 from sparsetrace.rng import substream
 from sparsetrace import tracers
 from sparsetrace.tracers import (
-    NULL_SAMPLE_LIMIT,
+    ROW_LIMIT,
     SCALING_MATRIX_SCORE,
     ThresholdPolicy,
     TraceReport,
@@ -273,7 +273,7 @@ class TestSignRowScores:
 
 
 def _one_gather_reference(tr, theta, rows):
-    """Sparse scores of `SparseRows` by one gather of every row at once: theta[support] . signs
+    """Sparse scores of rows on a support by one gather of every row at once: theta[support] . signs
     and (theta * mu)[support], each summed along its rows."""
     spec = tr.spec
     signed = theta[rows.support] * rows.signs
@@ -370,6 +370,23 @@ class TestCalibrateThreshold:
         # Half the mass lies above 0.5 and none at it: q would be 0/0.
         with pytest.raises(ValueError, match="lam"):
             tie_weight(null_quantile(0.5), [0.0, 1.0], lam)
+
+    @pytest.mark.parametrize("xi", [1e-17, 1e-300])
+    def test_xi_below_the_rounding_of_the_mass_sum(self, xi):
+        # Ten masses of 0.1 sum to 1 but accumulate to 1 - 1.1e-16, and the top atom has no
+        # mass: lambda is the last atom with mass, whose tie weight flags mass xi.
+        scores, masses = np.arange(11.0), np.append(np.full(10, 0.1), 0.0)
+        assert masses.sum() - np.cumsum(masses)[-1] > xi
+        lam = calibrate_threshold(null_quantile(xi), scores, masses)
+        assert lam == 9.0 and tie_weight(null_quantile(xi), scores, lam, masses) == pytest.approx(xi / 0.1)
+
+    def test_exact_path_soundness_at_a_tiny_xi(self, tmp_path):
+        # Each exact null law's flagged mass is xi up to the rounding of its sum.
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--d", "8", "--xi", "1e-300", "--beta", "1", "--n", "16", "--trials", "20",
+                     "--threads", "1", "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:] if not line.startswith("#")]
+        assert len(rows) == 20 and all(float(row[5]) <= 1e-16 for row in rows)
 
     def test_half_trace_value(self):
         assert calibrate_threshold(half_trace_value(1.6), []) == pytest.approx(0.8)
@@ -534,9 +551,9 @@ class TestOneSortedLaw:
         assert null_sample_size((ERM, lambda z: np.zeros(64)), dense, null_quantile(0.05)) == 1000
         assert null_sample_size((ERM,), sparse, half_trace_value(1.0)) == 0
         assert null_sample_size((ERM,), sparse, null_quantile(0.05)) == 1000
-        assert null_sample_size((ERM,), sparse, null_quantile(10.0 / NULL_SAMPLE_LIMIT)) == NULL_SAMPLE_LIMIT
-        with pytest.raises(ValueError, match=f"^xi: .*limit of {NULL_SAMPLE_LIMIT} rows.*exact path"):
-            null_sample_size((ERM,), sparse, null_quantile(9.0 / NULL_SAMPLE_LIMIT))
+        assert null_sample_size((ERM,), sparse, null_quantile(10.0 / ROW_LIMIT)) == ROW_LIMIT
+        with pytest.raises(ValueError, match=f"^xi: .*limit of {ROW_LIMIT} rows.*exact path"):
+            null_sample_size((ERM,), sparse, null_quantile(9.0 / ROW_LIMIT))
 
 
 def _pmf_recurrence(p, dtype=np.float64):

@@ -7,8 +7,8 @@ threshold at the (1 - xi)-quantile of their null law (exact at a box vertex
 on dense box_lp data, sampled elsewhere, with a tie weight on the atom at
 the threshold) controls the false positive rate while training points of
 accurate learners score high.  Where the law is exact, that rate is the
-law's flagged mass itself, xi, and no fresh row is drawn to measure it; a
-sampled null has at most ROW_LIMIT rows, as every sample the CLI takes.
+law's flagged mass itself, at most xi, and no fresh row is drawn to measure
+it; a sampled null has at most ROW_LIMIT rows, as every sample the CLI takes.
 Each arm sorts its null law once (`_NullLaw`) and reads the threshold, the
 tie weight and every flag count through one split (`_split`).  A trial
 draws its rows once and trains each learner on them from one generator
@@ -245,9 +245,9 @@ def null_quantile(xi: float) -> ThresholdPolicy:
 
 
 class _NullLaw:
-    """A null law validated and sorted once: `masses` on `null_scores`, or unit masses on a null
-    sample (`sample`), as its scores ascending by one stable argsort, their masses in that order,
-    and the total mass summed in the given order.  `size` counts scores, as `np.size` does."""
+    """A null law validated and sorted once: `masses` on `null_scores`, or unit masses on a null sample
+    (`sample`), as its scores ascending by one stable argsort, their masses, and `tail[i]`, the mass of
+    atoms i and up summed from the top (`tail[0]` the total, `tail[-1]` 0).  `size` counts scores."""
 
     def __init__(self, null_scores, masses=None):
         scores = np.asarray(null_scores, dtype=float)
@@ -256,37 +256,35 @@ class _NullLaw:
         if np.isnan(scores).any():
             raise ValueError("null_scores: entries must not be NaN")
         weights = np.ones_like(scores) if masses is None else np.asarray(masses, dtype=float)
-        with np.errstate(over="ignore"):  # a sum past the float range is refused below, not warned of
-            total = weights.sum()
         if masses is not None and not (weights.shape == scores.shape and np.isfinite(weights).all()
-                                       and np.all(weights >= 0) and 0 < total < np.inf):
-            raise ValueError("masses: need one finite, nonnegative mass per score, with a positive, finite sum")
+                                       and np.all(weights >= 0)):
+            raise ValueError("masses: need one finite, nonnegative mass per score")
         order = np.argsort(scores, kind="stable")
-        self.scores, self.masses, self.total = scores[order], weights[order], total
-        self.sample, self.size = masses is None, scores.size
+        self.scores, self.masses = scores[order], weights[order]
+        with np.errstate(over="ignore"):  # a sum past the float range is refused below, not warned of
+            self.tail = np.append(np.cumsum(self.masses[::-1])[::-1], 0.0)
+        self.total, self.sample, self.size = self.tail[0], masses is None, scores.size
+        if not (self.sample or 0 < self.total < np.inf):
+            raise ValueError("masses: need a positive, finite sum")
 
 
 def calibrate_threshold(policy: ThresholdPolicy, null_scores, masses=None) -> float:
     """Threshold lambda from a policy and, for null_quantile, a discrete null law.
 
-    The law puts `masses` on the values `null_scores`, or equal masses on a null sample of
-    at least 1/xi values, or is a `_NullLaw`.  lambda is the smallest value with null mass
-    below xi above it.  Flagging every score above lambda and a share `tie_weight` of those
-    at it flags null mass xi exactly: 90 zeros and 10 ones at xi = 0.05 give lambda = 1 and
-    q = 0.5.  Scores not 1-D or with a NaN, or masses of another shape, not finite, negative
-    or summing to 0 or past the float range, raise ValueError.
+    The law puts `masses` on the values `null_scores`, or equal masses on a null sample of at
+    least 1/xi values, or is a `_NullLaw`.  lambda is the lowest atom with null mass below xi
+    above it, read off the law's upper tail, so it carries mass.  Flagging every score above
+    lambda and a share `tie_weight` of those at it flags null mass xi: 90 zeros and 10 ones at
+    xi = 0.05 give lambda = 1 and q = 0.5.  Scores not 1-D or with a NaN, or masses of another
+    shape, not finite, negative or summing to 0 or past the float range, raise ValueError.
     """
     if policy.t_hat is not None:
         return policy.t_hat / 2.0
     law = null_scores if isinstance(null_scores, _NullLaw) else _NullLaw(null_scores, masses)
     if law.sample and law.size * policy.xi < 1.0:
         raise ValueError(f"null sample of size {law.size} is insufficient; need >= {math.ceil(1.0 / policy.xi)}")
-    above = law.total - np.cumsum(law.masses)
-    # The slack keeps a mass of exactly xi above a value, up to rounding, from counting as below xi.
-    below = above < policy.xi * law.total * (1.0 - 1e-12)
-    # No mass lies above the last atom that has any, but the sums' rounding can leave more than
-    # xi there, so that no value passes: then lambda is that atom.
-    return float(law.scores[np.argmax(below) if below[-1] else np.flatnonzero(law.masses)[-1]])
+    # The slack keeps mass xi above an atom, up to rounding, from passing; `<=` lets 0 pass if xi * total is 0.
+    return float(law.scores[np.argmax(law.tail[1:] <= policy.xi * law.total * (1.0 - 1e-12))])
 
 
 def _split(null, lam: float) -> tuple[float, float, float]:
@@ -294,7 +292,7 @@ def _split(null, lam: float) -> tuple[float, float, float]:
     part in one slice, or of unit masses on an unsorted score sample, which is counted."""
     if isinstance(null, _NullLaw):
         lo, hi = np.searchsorted(null.scores, lam, "left"), np.searchsorted(null.scores, lam, "right")
-        return null.masses[hi:].sum(), null.masses[lo:hi].sum(), null.total
+        return null.tail[hi], null.masses[lo:hi].sum(), null.total
     return np.count_nonzero(null > lam), np.count_nonzero(null == lam), null.size
 
 
@@ -317,9 +315,9 @@ class TraceReport:
     ``recall_estimate`` is the expected number of flagged training points
     under the tie weight (so it lies in [0, n]).  ``soundness_estimate`` is
     the flagged share of the null: of the M fresh points where the null law
-    is sampled, and of the exact law's mass, xi up to rounding, where it is
-    exact; there ``scores_fresh`` is empty.  The mean, realized risk, and
-    clip counter ride along for experiment records.
+    is sampled, and of the exact law's mass where it is exact (at most xi
+    under a xi policy), with ``scores_fresh`` empty.  The mean, realized
+    risk, and clip counter ride along for experiment records.
     """
 
     scores_train: np.ndarray
@@ -362,14 +360,14 @@ ROW_LIMIT = 10**5  # rows of any one sample, training, fresh or null; the CLI re
 
 
 def null_sample_size(learners: tuple[LearnerLike, ...], spec: ProblemSpec, policy: ThresholdPolicy) -> int | None:
-    """The rows of a trial's null sample: None on the exact path (a xi policy, and every
-    learner a vertex learner on dense box_lp data), 0 under t_hat, else max(1000, ceil(10 / xi)).
+    """The rows of a trial's null sample: None on the exact path (every learner a vertex learner
+    on dense box_lp data, under either policy), else 0 under t_hat and max(1000, ceil(10 / xi)).
     A xi whose sample would pass ROW_LIMIT rows raises ValueError naming xi."""
-    if policy.xi is None:
-        return 0
     if spec.variant == BOX_LP and spec.k == spec.d and all(
             isinstance(learner, LearnerConfig) and learner.kind in VERTEX_LEARNERS for learner in learners):
         return None
+    if policy.xi is None:
+        return 0
     if 10.0 / policy.xi > ROW_LIMIT:
         raise ValueError(f"xi: {policy.xi:g} needs a null sample of ceil(10 / xi) rows, past the limit of "
                          f"{ROW_LIMIT} rows; take xi >= {10.0 / ROW_LIMIT:g}, or the exact "
@@ -381,9 +379,9 @@ def run_trace_arms(learners: tuple[LearnerLike, ...], spec: ProblemSpec, tracer_
                    n: int, M: int, policy: ThresholdPolicy, rng: np.random.Generator) -> list[TraceReport]:
     """One full attack trial per learner, all on one draw (see `_draw_trial`).
 
-    Under null_quantile, when every learner is a vertex learner on dense
-    box_lp data (the exact path), each arm takes its exact null law, and
-    the flagged mass of that law is its soundness: no fresh or null row is
+    When every learner is a vertex learner on dense box_lp data (the exact
+    path), each arm takes its exact null law, and the flagged mass of that
+    law is its soundness, under either policy: no fresh or null row is
     drawn and M is unused.  Any other run samples M fresh rows and one null
     sample that every arm scores, and soundness is the flagged share of the
     fresh rows.  Flags count scores above the threshold, plus the tie

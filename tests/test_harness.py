@@ -345,6 +345,16 @@ class TestRun:
         assert capsys.readouterr().err == "error: threads: must be >= 1\n"
         assert not Path(cfg.output_path).exists()
 
+    def test_worker_count_past_the_bound_is_a_usage_error(self, tmp_path, capsys):
+        # Refused before any worker is forked: the bound is max(8, 4 x the CPUs), far below 10^6.
+        cfg, pools = _small_trace(tmp_path), dict(harness._pools)
+        with pytest.raises(UsageError, match=r"^threads: must be <= \d+"):
+            run(cfg, threads=10**6)
+        assert main(["trace", "--d", "64", "--trials", "2", "--alpha-target", "0.1",
+                     "--threads", "1000000", "--out", cfg.output_path]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: threads: must be <= ")
+        assert not Path(cfg.output_path).exists() and harness._pools == pools
+
     def test_identical_configs_reproduce_bytes(self, tmp_path):
         cfg_a = _small_trace(tmp_path, output_path=str(tmp_path / "a.csv"))
         cfg_b = _small_trace(tmp_path, output_path=str(tmp_path / "b.csv"))
@@ -364,7 +374,7 @@ class TestRun:
         cfg = _small_trace(tmp_path)
         run(cfg, threads=1)
         lines = open(cfg.output_path).read().splitlines()
-        assert lines[0] == "# sparsetrace-csv schema=13 experiment=trace"
+        assert lines[0] == "# sparsetrace-csv schema=14 experiment=trace"
         header = lines[1].split(",")
         assert header == ["trial_index", "mu_norm_l1", "excess_risk",
                           "t_hat_contribution", "recall", "soundness", "lambda",

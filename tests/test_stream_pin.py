@@ -1,4 +1,4 @@
-"""Pin the random stream: the exact bytes of ten small CSVs, nine of them seeded.
+"""Pin the random stream: the exact bytes of twelve small CSVs, eleven of them seeded.
 
 Each digest covers the bytes after the schema line, which is checked on
 its own, so a digest that survives a schema bump shows that its run's
@@ -20,12 +20,23 @@ PINNED = {
     # k = d with ERM: the dense sign path and the exact null law, whose flagged mass is the soundness.
     "trace": (["trace", "--d", "64", "--n", "16", "--M", "50", "--trials", "4",
                "--alpha-target", "0.1", "--seed", "11"],
-              "bdaadc4e5208c328ae3554a518efe4a6ebaf9d4109cc16919595590cba2f8d9f"),
+              "59f1d42f894d573990a956d719a65865a3d6ae59beac142ba4fb6ce7b403b07c"),
     # k = d with gaussian_dp: no fresh rows, so the noise vector follows the training rows.
     "dp_audit_dense": (["dp-audit", "--d", "64", "--n", "16", "--M", "50", "--trials", "4",
                         "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
                         "--seed", "11"],
-                       "353127e3cb27735751c79c689f226f0b3d46eb35cb1f25837f7741ebeae1d305"),
+                       "fe426a82593c18b9761460582df421113eb4727672249cdf498f04a07430f623"),
+    # A t_hat threshold at k = d with gaussian_dp: the exact path too, whose soundness is the
+    # law's mass at or above t_hat / 2, and no fresh rows, so the noise follows the training rows.
+    "trace_t_hat": (["trace", "--d", "64", "--n", "16", "--M", "50", "--trials", "4",
+                     "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
+                     "--t-hat", "1", "--seed", "11"],
+                    "cff76eea6d0340ebb7f009879776119135f5acd0561596747f86ee2f046ce14e"),
+    # A t_hat threshold at k < d: M fresh rows and an empty null sample.
+    "trace_t_hat_sparse": (["trace", "--d", "256", "--k", "8", "--n", "16", "--M", "50", "--trials", "4",
+                            "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
+                            "--t-hat", "1", "--seed", "11"],
+                           "2623706b3f55ad056d11e5f1ecf5dae76d438a5f284f5d25585dc85987bc27c2"),
     # k < d: redraw-until-distinct supports, then one byte per sign on them, and a sampled null law.
     "dp_audit": (["dp-audit", "--d", "256", "--k", "8", "--n", "16", "--M", "50", "--trials", "4",
                   "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
@@ -43,7 +54,7 @@ PINNED = {
     # Odd widths: at d = 37 (and k = 5) most rows start partway through a raw 8-byte word.
     "trace_odd": (["trace", "--d", "37", "--n", "16", "--M", "50", "--trials", "4",
                    "--alpha-target", "0.1", "--seed", "11"],
-                  "378ac2adfc1e79b2e8fc2a73096ffc7bcf82104afe7144f002c5396763164451"),
+                  "57e13dada73257fe1e1806c660da005ad9e93b631dd2e273e9e55e9744768541"),
     "dp_audit_odd": (["dp-audit", "--d", "37", "--k", "5", "--n", "16", "--M", "50", "--trials", "4",
                       "--learner", "gaussian_dp", "--epsilon", "0.5", "--alpha-target", "0.1",
                       "--seed", "11"],
@@ -67,7 +78,7 @@ PINNED = {
 @pytest.mark.parametrize("threads", [1, 2, 8])
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_seeded_csv_bytes_are_pinned(name, threads, tmp_path):
-    assert SCHEMA_VERSION == 13
+    assert SCHEMA_VERSION == 14
     argv, digest = PINNED[name]
     out = tmp_path / f"{name}.csv"
     assert main(argv + ["--threads", str(threads), "--out", str(out)]) == EXIT_OK

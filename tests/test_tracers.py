@@ -373,20 +373,46 @@ class TestCalibrateThreshold:
 
     @pytest.mark.parametrize("xi", [1e-17, 1e-300])
     def test_xi_below_the_rounding_of_the_mass_sum(self, xi):
-        # Ten masses of 0.1 sum to 1 but accumulate to 1 - 1.1e-16, and the top atom has no
-        # mass: lambda is the last atom with mass, whose tie weight flags mass xi.
+        # Ten masses of 0.1 sum to 1 but accumulate from the bottom to 1 - 1.1e-16, and the top
+        # atom has no mass: lambda is the last atom with mass, whose tie weight flags mass xi.
         scores, masses = np.arange(11.0), np.append(np.full(10, 0.1), 0.0)
         assert masses.sum() - np.cumsum(masses)[-1] > xi
         lam = calibrate_threshold(null_quantile(xi), scores, masses)
         assert lam == 9.0 and tie_weight(null_quantile(xi), scores, lam, masses) == pytest.approx(xi / 0.1)
 
-    def test_exact_path_soundness_at_a_tiny_xi(self, tmp_path):
-        # Each exact null law's flagged mass is xi up to the rounding of its sum.
-        out = tmp_path / "t.csv"
-        assert main(["trace", "--d", "8", "--xi", "1e-300", "--beta", "1", "--n", "16", "--trials", "20",
-                     "--threads", "1", "--out", str(out)]) == EXIT_OK
-        rows = [line.split(",") for line in out.read_text().splitlines()[2:] if not line.startswith("#")]
-        assert len(rows) == 20 and all(float(row[5]) <= 1e-16 for row in rows)
+    def test_xi_times_the_total_below_the_float_range(self):
+        # xi * total rounds to 0: lambda is the top atom with mass, and q = 0 flags nothing.
+        policy, scores, masses = null_quantile(1e-300), [0.0, 1.0, 2.0], [1e-30, 1e-30, 0.0]
+        lam = calibrate_threshold(policy, scores, masses)
+        assert (lam, tie_weight(policy, scores, lam, masses)) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--d", "8", "--xi", "1e-300", "--beta", "1", "--n", "16", "--trials", "20"],
+        # A law whose masses summed from the bottom left about 3e-17 above one trial's lambda.
+        *(["dp-audit", "--seed", "3053320037", "--d", "56", "--p", "1", "--learner", "gaussian_dp",
+           "--epsilon", "10", "--delta", "5.27e-123", "--xi", xi, "--beta", "0.01", "--alpha-target", "1",
+           "--n", "16", "--M", "47", "--trials", "4"] for xi in ("1e-17", "1e-30", "1e-200")),
+    ])
+    def test_exact_path_soundness_at_a_tiny_xi(self, argv, tmp_path):
+        # Each exact null law's flagged mass, read off its upper tail, is at most xi up to rounding.
+        out, xi = tmp_path / "t.csv", float(argv[argv.index("--xi") + 1])
+        assert main(argv + ["--threads", "1", "--out", str(out)]) == EXIT_OK
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()[1:] if not line.startswith("#")]
+        soundness = [float(row[header.index("soundness")]) for row in rows]
+        assert len(rows) == int(argv[-1]) and max(soundness) <= xi * (1.0 + 1e-12)
+
+    @given(st.lists(st.tuples(st.floats(-5.0, 5.0, allow_nan=False),
+                              st.just(0.0) | st.floats(1e-300, 1.0)), min_size=1, max_size=60),
+           st.floats(1e-30, 0.999))
+    def test_a_real_valued_law_flags_at_most_xi(self, atoms, xi):
+        # Zero masses anywhere, the top atom's included, and masses over 300 decades.
+        scores, masses = (np.array(column) for column in zip(*atoms))
+        assume(xi * masses.sum() > 1e-290)  # below, subnormal rounding alone passes the slack
+        policy, law = null_quantile(xi), _NullLaw(scores, masses)
+        lam = calibrate_threshold(policy, law)
+        q = tie_weight(policy, law, lam)
+        above, at, total = _split(law, lam)
+        assert at > 0 and 0.0 <= q <= 1.0 and above + q * at <= xi * total * (1.0 + 1e-12)
 
     def test_half_trace_value(self):
         assert calibrate_threshold(half_trace_value(1.6), []) == pytest.approx(0.8)
@@ -441,8 +467,9 @@ class TestCalibrateThreshold:
         assert flagged == pytest.approx(xi * m, rel=1e-9)
 
 
-# The threshold rule as it stood before the null law was sorted once per arm: the reference
-# that `_NullLaw` and `_split` must match bit for bit.
+# The threshold rule as it stood before the null law was sorted once per arm, with the mass
+# above each atom read off total - cumsum from the bottom: the reference that `_NullLaw` and
+# `_split` must match bit for bit on dyadic and unit-mass laws, whose sums are exact in any order.
 def _law_reference(null_scores, masses=None):
     scores = np.asarray(null_scores, dtype=float)
     weights = np.ones_like(scores) if masses is None else np.asarray(masses, dtype=float)
@@ -494,6 +521,21 @@ def _assert_matches_reference(xi, scores, masses=None):
     assert (above + q * at, total) == _flagged_reference(scores, lam, q)
 
 
+def _top_down_reference(xi, null_scores, masses):
+    """(lambda, q, flagged mass, total) of the tail rule, the mass above each atom summed one
+    atom at a time from the top in sorted order: the bit-for-bit reference of real masses."""
+    scores, weights = _law_reference(null_scores, masses)
+    order = np.argsort(scores, kind="stable")
+    scores, weights, tail = scores[order], weights[order], [0.0]
+    for w in weights[::-1]:
+        tail.append(tail[-1] + w)
+    tail = tail[::-1]  # tail[i]: the mass of atoms i and up
+    lam = float(scores[np.argmax(np.array(tail[1:]) <= xi * tail[0] * (1.0 - 1e-12))])
+    above, at = tail[np.searchsorted(scores, lam, "right")], weights[scores == lam].sum()
+    q = float(np.clip((xi * tail[0] - above) / at, 0.0, 1.0))
+    return lam, q, above + q * at, tail[0]
+
+
 class TestOneSortedLaw:
     @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 8)), min_size=1, max_size=60),
            st.integers(0, 6), st.floats(1e-3, 0.999, allow_nan=False))
@@ -513,13 +555,24 @@ class TestOneSortedLaw:
     @given(seed=st.integers(0, 2**32 - 1), xi=st.floats(1e-6, 0.999, allow_nan=False))
     @settings(max_examples=25, deadline=None)
     def test_a_vertex_law_matches_the_reference(self, d, seed, xi):
-        # The atoms ascend, so the stable sort keeps their order and each slice sum is the masked sum.
+        # The atoms ascend and are distinct, so the stable sort keeps their order and the mass at
+        # lambda is one atom's.  Its real masses sum from the top to other last bits than from the
+        # bottom: the old rule still reads the same lambda, and the flagged masses differ by no more
+        # than two sums of d + 1 terms can round.  q itself, a difference of near-equal masses over
+        # one atom's mass, may move far more in relative terms (6e-10 at a small q).
         rng = np.random.default_rng(seed)
         spec = ProblemSpec(BOX_LP, d=d)
         mu = sample_prior(default_prior(spec, alpha_target=0.1), rng).values
         theta = spec.box_radius * np.where(rng.random(d) < 0.5, 1.0, -1.0)
         atoms, masses = _vertex_null_law(TracerSpec(spec, mu), theta)
-        _assert_matches_reference(xi, atoms, masses)
+        policy, law = null_quantile(xi), _NullLaw(atoms, masses)
+        lam = calibrate_threshold(policy, law)
+        q = tie_weight(policy, law, lam)
+        above, at, total = _split(law, lam)
+        assert (lam, q, above + q * at, total) == _top_down_reference(xi, atoms, masses)
+        old_q = _tie_weight_reference(policy, atoms, lam, masses)
+        assert lam == _calibrate_reference(policy, atoms, masses)
+        assert abs(q - old_q) * at <= 2 * (d + 1) * np.finfo(float).eps * total
 
     @pytest.mark.parametrize("k", [64, 8])  # the exact path, and the sampled one
     def test_each_arm_builds_and_sorts_one_law(self, k, monkeypatch):
@@ -549,6 +602,7 @@ class TestOneSortedLaw:
         dp = LearnerConfig("gaussian_dp", epsilon=0.5, delta=1e-5)
         assert null_sample_size((ERM, dp), dense, null_quantile(1e-300)) is None
         assert null_sample_size((ERM, lambda z: np.zeros(64)), dense, null_quantile(0.05)) == 1000
+        assert null_sample_size((ERM, dp), dense, half_trace_value(1.0)) is None
         assert null_sample_size((ERM,), sparse, half_trace_value(1.0)) == 0
         assert null_sample_size((ERM,), sparse, null_quantile(0.05)) == 1000
         assert null_sample_size((ERM,), sparse, null_quantile(10.0 / ROW_LIMIT)) == ROW_LIMIT
@@ -783,6 +837,18 @@ class TestRunTraceTrial:
                                  policy=half_trace_value(1.0), rng=substream(SEED, 4))
         assert np.all(report.scores_train == 0.0)
         assert report.recall_estimate == 0.0
+
+    def test_a_t_hat_vertex_trial_reads_the_exact_law(self):
+        # At k = d a t_hat trial draws no fresh rows: its soundness is the law's mass at or above t_hat / 2.
+        spec = ProblemSpec(BOX_LP, d=64)
+        prior = default_prior(spec, alpha_target=0.1)
+        report = run_trace_trial(ERM, spec, "sparse", prior, n=16, M=50, policy=half_trace_value(1.0),
+                                 rng=substream(SEED, 6))
+        _, tracer, (theta,), _, _ = _draw_trial((ERM,), spec, "sparse", prior, 16, substream(SEED, 6))
+        atoms, masses = _vertex_null_law(tracer, theta.theta)
+        assert report.scores_fresh.size == 0 and report.threshold == 0.5
+        assert report.soundness_estimate == pytest.approx(masses[atoms >= 0.5].sum(), rel=1e-12)
+        assert 0.0 < report.soundness_estimate < 1.0
 
     def test_erm_flags_training_points_and_is_sound(self):
         spec = ProblemSpec(BOX_LP, d=1024, p=2.0, k=1024)

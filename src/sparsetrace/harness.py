@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import functools
 import math
 import os
 import sys
@@ -95,6 +96,7 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         values: dict = {}
+        set_on: dict[str, int] = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -104,6 +106,9 @@ class ExperimentConfig:
             key, _, val = (part.strip() for part in line.partition("="))
             if key not in _FIELD_TYPES:
                 raise UsageError(f"config line {lineno}: unknown key {key!r}")
+            if key in set_on:
+                raise UsageError(f"config line {lineno}: key {key!r} already set on line {set_on[key]}")
+            set_on[key] = lineno
             values[key] = _parse_field(key, val)
         if "experiment" not in values:
             raise UsageError("config file must set 'experiment'")
@@ -124,6 +129,10 @@ class ExperimentConfig:
             raise UsageError(f"experiment: must be one of {tuple(EXPERIMENTS)}")
         if not self.output_path:
             raise UsageError("output_path: must be nonempty")
+        path = self.output_path
+        if "#" in path or path != path.strip() or len(path.splitlines()) > 1:
+            raise UsageError(f"output_path: {path!r} cannot be a config line's value, which holds "
+                             f"no '#' or line break and no space at either end")
         if not experiment.fields:
             return None
         for name in ("n", "M", "trials"):
@@ -379,7 +388,7 @@ EXPERIMENTS = {
 
 _FIELD_HELP = {
     "master_seed": "master seed, >= 0",
-    "output_path": "CSV output path",
+    "output_path": "CSV output path, with no '#' or line break and no space at either end",
     "variant": "problem geometry",
     "d": "dimension, d >= 1",
     "p": "norm index, p in [1, inf) (box_lp only; default 2)",
@@ -426,8 +435,10 @@ def run(config: ExperimentConfig, threads: int | None = None) -> int:
     return EXIT_ACCEPTANCE if failures else EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """One subparser per EXPERIMENTS entry; flag values stay strings for `_parse_field`."""
+    """One subparser per EXPERIMENTS entry; flag values stay strings for `_parse_field`.
+    Built once per process: parsing leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="sparsetrace",
         description="Tracing attacks and fingerprinting identity checks for "

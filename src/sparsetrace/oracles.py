@@ -79,17 +79,17 @@ def ternary_atoms(d: int, k: int) -> np.ndarray:
     return atoms.reshape(len(supports) * len(signs), d)
 
 
-def _enumerate(prior: BetaPrior, degree: int, k: int, n: int, learner: Learner):
-    """(rule, z_sets, orderings, thetas): the prior's Gauss rule exact to `degree`, the
-    shape's `_multisets`, and the learner's output on each, given a new float64 copy per
-    call.  Raises EnumerationLimitError before any atom is built or cached if too big."""
+def _enumerate(prior: BetaPrior, degree: int, k: int, n: int, learner: Learner, scaling: bool):
+    """(p_sets, post_mu, centered, thetas): the shape's `_moments`, and the learner's output
+    on each of its `_multisets`, given a new float64 copy per call.  Raises
+    EnumerationLimitError before any atom is built or cached if too big."""
     rule = prior_quadrature(prior, degree)
     terms = (math.comb(prior.d, k) * 2**k) ** n * rule.nodes.size**prior.d
     if terms > ENUMERATION_LIMIT:
         raise EnumerationLimitError(f"instance needs {terms} weighted terms > {ENUMERATION_LIMIT}")
-    z_sets, orderings = _multisets(prior.d, k, n)
-    thetas = np.stack([np.asarray(learner(z), dtype=float) for z in z_sets.astype(np.float64)])
-    return rule, z_sets, orderings, thetas
+    z_sets, _ = _multisets(prior.d, k, n)
+    thetas = np.array([np.asarray(learner(z), dtype=float) for z in z_sets.astype(np.float64)])
+    return *_moments(prior, degree, k, n, scaling), thetas
 
 
 @functools.lru_cache(maxsize=32)
@@ -115,19 +115,51 @@ def _coordinate_moments(rule: QuadratureRule, z_sets: np.ndarray, ratio: float,
     """(p_sets, posts): each dataset's probability up to the atoms' support factor,
     and per tilt t, given as its values at the rule's nodes, the (N, d) posterior
     means E[t(mu_j) | D].  Coordinate j enters the likelihood only through its
-    +1 and -1 counts, as g_j(x) = ((1 + ratio x)/2)^P_j ((1 - ratio x)/2)^Q_j.
+    +1 and -1 counts, as g_j(x) = ((1 + ratio x)/2)^P_j ((1 - ratio x)/2)^Q_j,
+    read off one table of powers per node.
     The prior is a product law, so p = prod_j E[g_j] and E[t | D] = E[t g_j] / E[g_j].
     """
     plus = (z_sets > 0).sum(axis=1, dtype=np.int8)
     minus = (z_sets < 0).sum(axis=1, dtype=np.int8)
+    counts = np.arange(z_sets.shape[1] + 1)
     mass = np.zeros(plus.shape)
     tilted = np.zeros((len(tilts),) + plus.shape)
     for i, (x, w) in enumerate(zip(rule.nodes, rule.weights)):
-        g = w * ((1.0 + ratio * x) / 2.0) ** plus * ((1.0 - ratio * x) / 2.0) ** minus
+        g = w * (((1.0 + ratio * x) / 2.0) ** counts)[plus] * (((1.0 - ratio * x) / 2.0) ** counts)[minus]
         mass += g
         for t, acc in zip(tilts, tilted):
             acc += t[i] * g
-    return mass.prod(axis=1), tilted / mass
+    # One array per tilt: a cached view of one would keep them all alive.
+    return mass.prod(axis=1), [acc / mass for acc in tilted]
+
+
+@functools.lru_cache(maxsize=64)
+def _moments(prior: BetaPrior, degree: int, k: int, n: int, scaling: bool) -> tuple[np.ndarray, ...]:
+    """(p_sets, post_mu, centered): all that an identity reads besides the learner's outputs.
+    Per multiset: its probability times its orderings, its posterior mean E[mu | D], and the
+    vector whose inner product with theta the left side weighs, for the sparse identity or,
+    if `scaling`, the scaling one.  Read-only, built once per process on the prior's Gauss
+    rule exact to `degree` and the shape's multisets; the last 64 are kept."""
+    rule = prior_quadrature(prior, degree)
+    z_sets, orderings = _multisets(prior.d, k, n)
+    if scaling:
+        # L = (1 - (mu/gamma)^2) / (1 - mu^2), finite at the interior nodes.  Summed
+        # over the samples, L (z_ij - mu_j) = L (S_j - n mu_j), S_j the column sum; its
+        # product with g_j is a polynomial, so the two moments combine exactly.
+        scale = (1.0 - (rule.nodes / prior.gamma) ** 2) / (1.0 - rule.nodes**2)
+        p_sets, (post_mu, post_scale, post_scaled_mu) = _coordinate_moments(
+            rule, z_sets, 1.0, (rule.nodes, scale, rule.nodes * scale))
+        p_sets *= orderings
+        centered = z_sets.sum(axis=1) * post_scale - n * post_scaled_mu
+    else:
+        ratio = prior.d / k
+        p_sets, (post_mu,) = _coordinate_moments(rule, z_sets, ratio, (rule.nodes,))
+        p_sets *= orderings / math.comb(prior.d, k) ** n
+        # sum_i (Z_i - ratio E[mu | D]) over each sample's support.
+        centered = z_sets.sum(axis=1) - ratio * np.count_nonzero(z_sets, axis=1) * post_mu
+    for arr in (p_sets, post_mu, centered):
+        arr.setflags(write=False)
+    return p_sets, post_mu, centered
 
 
 def verify_sparse_identity(d: int, k: int, n: int, beta: float, learner: Learner,
@@ -151,15 +183,10 @@ def verify_sparse_identity(d: int, k: int, n: int, beta: float, learner: Learner
         raise ValueError("n must be >= 1")
     if beta < 1:
         raise ValueError("beta must be >= 1")
-    rule, z_sets, orderings, thetas = _enumerate(BetaPrior(beta=beta, gamma=k / d, d=d), n + 2,
-                                                 k, n, learner)
-    ratio = d / k
-    p_sets, (post_mu,) = _coordinate_moments(rule, z_sets, ratio, (rule.nodes,))
-    p_sets *= orderings / math.comb(d, k) ** n
-    # sum_i <theta, Z_i - ratio E[mu | D]> over each sample's support.
-    centered = z_sets.sum(axis=1) - ratio * np.count_nonzero(z_sets, axis=1) * post_mu
+    p_sets, post_mu, centered, thetas = _enumerate(BetaPrior(beta=beta, gamma=k / d, d=d), n + 2,
+                                                   k, n, learner, scaling=False)
     lhs = float(p_sets @ np.einsum("nd,nd->n", thetas, centered))
-    rhs = (2.0 * beta * ratio) * float(p_sets @ np.einsum("nd,nd->n", thetas, post_mu))
+    rhs = (2.0 * beta * (d / k)) * float(p_sets @ np.einsum("nd,nd->n", thetas, post_mu))
     return IdentityCheckResult.compare(
         lhs, rhs, f"sparse d={d} k={k} n={n} beta={beta:g} learner={name}"
     )
@@ -181,16 +208,8 @@ def verify_scaling_identity(d: int, n: int, beta: float, gamma: float, learner: 
         raise ValueError("beta must be positive")
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
-    rule, z_sets, orderings, thetas = _enumerate(BetaPrior(beta=beta, gamma=gamma, d=d), n + 3,
-                                                 d, n, learner)  # the dense cube
-    # L = (1 - (mu/gamma)^2) / (1 - mu^2), finite at the interior nodes.  Summed
-    # over the samples, L (z_ij - mu_j) = L (S_j - n mu_j), S_j the column sum; its
-    # product with g_j is a polynomial, so the two moments combine exactly.
-    scale = (1.0 - (rule.nodes / gamma) ** 2) / (1.0 - rule.nodes**2)
-    p_sets, (post_mu, post_scale, post_scaled_mu) = _coordinate_moments(
-        rule, z_sets, 1.0, (rule.nodes, scale, rule.nodes * scale))
-    p_sets *= orderings
-    centered = z_sets.sum(axis=1) * post_scale - n * post_scaled_mu
+    p_sets, post_mu, centered, thetas = _enumerate(BetaPrior(beta=beta, gamma=gamma, d=d), n + 3,
+                                                   d, n, learner, scaling=True)  # the dense cube
     lhs = float(p_sets @ np.einsum("nd,nd->n", thetas, centered))
     rhs = (2.0 * beta / gamma**2) * float(p_sets @ np.einsum("nd,nd->n", thetas, post_mu))
     return IdentityCheckResult.compare(
@@ -246,9 +265,15 @@ def mean_clipped(z: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(np.add.reduce(z, 0) / z.shape[0], -1.0), 1.0)
 
 
+@functools.lru_cache(maxsize=32)
+def _box_spec(d: int) -> ProblemSpec:
+    """box_lp at dimension d with its defaults, p = 2 and k = d; the last 32 are kept."""
+    return ProblemSpec(BOX_LP, d=d)
+
+
 def mean_box_vertex(z: np.ndarray) -> np.ndarray:
     """ERM-style map: box vertex aligned with the empirical mean (p = 2)."""
-    return support_argmax(ProblemSpec(BOX_LP, d=z.shape[1]), np.add.reduce(z, 0) / z.shape[0]).theta
+    return support_argmax(_box_spec(z.shape[1]), np.add.reduce(z, 0) / z.shape[0]).theta
 
 
 def mean_cubed(z: np.ndarray) -> np.ndarray:

@@ -114,6 +114,29 @@ class TestConfig:
         with pytest.raises(UsageError):
             ExperimentConfig.from_text("experiment = trace\nbogus = 1\n")
 
+    def test_duplicate_key_names_the_key_and_both_lines(self):
+        text = "experiment = trace\nd = 8\n# a comment\n\nd = 64\n"
+        with pytest.raises(UsageError, match=r"^config line 5: key 'd' already set on line 2$"):
+            ExperimentConfig.from_text(text)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(path=st.text(min_size=1, max_size=12) | st.sampled_from(
+        ["runs/a#1.csv", " a.csv", "a.csv\t", "a\nb.csv", "a\u2028b", "runs/a b.csv", "none"]))
+    def test_every_accepted_output_path_round_trips(self, path):
+        cfg = ExperimentConfig(experiment="verify", output_path=path)
+        try:
+            cfg.validate()
+        except UsageError as exc:
+            assert str(exc).startswith("output_path: "), exc
+            return
+        assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+
+    def test_output_path_a_config_file_cannot_hold_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "a#1.csv"
+        assert main(["verify", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: output_path: ")
+        assert not out.exists()
+
     def test_validate_names_offending_field(self):
         inf, nan = float("inf"), float("nan")
         cases = [
@@ -608,6 +631,13 @@ class TestMainExitCodes:
 
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == EXIT_USAGE
+
+    def test_parser_is_built_once_and_each_parse_starts_from_the_defaults(self):
+        assert harness._build_parser() is harness._build_parser()
+        first, threads = harness._parse_args(["trace", "--d", "8", "--threads", "3"])
+        again, no_threads = harness._parse_args(["trace"])
+        assert (first.d, threads) == (8, 3)
+        assert again == ExperimentConfig(experiment="trace") and no_threads is None
 
     def test_program_error_keeps_its_traceback(self, tmp_path, monkeypatch, capsys):
         # Only UsageError means exit 2; a ValueError from inside a trial is a

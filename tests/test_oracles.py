@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsetrace import oracles
+from sparsetrace import harness, oracles
 from sparsetrace.distributions import BetaPrior, prior_quadrature, sample_prior
 from sparsetrace.oracles import (
     GRID_LEARNERS,
@@ -29,6 +29,9 @@ from sparsetrace.rng import substream
 SEED = 20240905
 
 IDENTITY = lambda z: z.mean(axis=0)
+
+# Every cache the oracles read: Gauss rules, multisets, moments and box specs.
+CACHES = (prior_quadrature, oracles._multisets, oracles._moments, oracles._box_spec)
 
 
 class TestSparseIdentity:
@@ -88,11 +91,10 @@ class TestSparseIdentity:
         verify_scaling_identity(6, 2, 2.0, 0.9, counted)
         assert calls == math.comb(64 + 2 - 1, 2)
 
-    def test_orderings_count_every_ordered_dataset(self, monkeypatch):
+    def test_orderings_count_every_ordered_dataset(self):
         # n = 25 passes 20!, where an int64 product of the run ranks would wrap.
-        monkeypatch.setattr(oracles, "ENUMERATION_LIMIT", 10**40)
         for d, k, n in ((3, 2, 3), (1, 1, 25)):
-            _, _, orderings, _ = oracles._enumerate(BetaPrior(2.0, k / d, d), n + 2, k, n, IDENTITY)
+            _, orderings = oracles._multisets(d, k, n)
             assert math.isclose(orderings.sum(), (math.comb(d, k) * 2**k) ** n, rel_tol=1e-12)
 
     def test_order_dependent_learner_checked_in_canonical_order(self):
@@ -127,10 +129,10 @@ class TestSparseIdentity:
     ], ids=["sparse-n", "sparse-d", "sparse-k", "scaling-d", "scaling-n", "atoms-d", "atoms-k>d"])
     def test_shapes_must_be_integers_within_range(self, call, name):
         # A float 2.0 hashes equal to 2, so it must be refused before any cache is consulted.
-        before = prior_quadrature.cache_info(), oracles._multisets.cache_info()
+        before = [cache.cache_info() for cache in CACHES]
         with pytest.raises(ValueError, match=f"^{name}: "):
             call()
-        assert (prior_quadrature.cache_info(), oracles._multisets.cache_info()) == before
+        assert [cache.cache_info() for cache in CACHES] == before
 
     def test_numpy_integer_shapes_accepted(self):
         r = verify_sparse_identity(np.int64(3), np.int64(2), np.int64(2), 2.0, mean_cubed)
@@ -292,6 +294,37 @@ class TestProductRuleReference:
                         reference_scaling(4, 2, 0.5, 0.9, mean_box_vertex))
 
 
+def _direct_moments(rule, z_sets, ratio, tilts):
+    """`_coordinate_moments` raising each node's factors to the count array itself."""
+    plus = (z_sets > 0).sum(axis=1, dtype=np.int8)
+    minus = (z_sets < 0).sum(axis=1, dtype=np.int8)
+    mass = np.zeros(plus.shape)
+    tilted = np.zeros((len(tilts),) + plus.shape)
+    for i, (x, w) in enumerate(zip(rule.nodes, rule.weights)):
+        g = w * ((1.0 + ratio * x) / 2.0) ** plus * ((1.0 - ratio * x) / 2.0) ** minus
+        mass += g
+        for t, acc in zip(tilts, tilted):
+            acc += t[i] * g
+    return mass.prod(axis=1), tilted / mass
+
+
+class TestPowerTables:
+    def test_same_bits_as_direct_powers(self):
+        # Battery shapes, then the four enumeration-heavy instances' (the dense cube is k = d).
+        for d, k, n, beta, gamma, degree in ((1, 1, 2, 1.0, 1.0, 4), (3, 2, 2, 5.0, 2 / 3, 4),
+                                             (2, 2, 2, 3.0, 0.3, 5), (5, 5, 3, 2.0, 1.0, 5),
+                                             (6, 6, 2, 2.0, 0.9, 5), (7, 1, 3, 2.0, 1 / 7, 5),
+                                             (4, 4, 3, 2.0, 0.9, 6)):
+            rule = prior_quadrature(BetaPrior(beta, gamma, d), degree)
+            z_sets, _ = oracles._multisets(d, k, n)
+            tilts = (rule.nodes, rule.nodes**2)
+            for ratio in (d / k, 1.0):
+                got_p, got_posts = oracles._coordinate_moments(rule, z_sets, ratio, tilts)
+                want_p, want_posts = _direct_moments(rule, z_sets, ratio, tilts)
+                assert got_p.tobytes() == want_p.tobytes(), (d, k, n, ratio)
+                assert np.array(got_posts).tobytes() == want_posts.tobytes(), (d, k, n, ratio)
+
+
 class TestBenchmarkHeavySet:
     def test_every_heavy_instance_is_admitted_and_exact(self):
         # perfbench's verify_oracles runs these; a limit or contract change
@@ -307,13 +340,13 @@ class TestBenchmarkHeavySet:
 
 
 def _clear_caches():
-    prior_quadrature.cache_clear()
-    oracles._multisets.cache_clear()
+    for cache in CACHES:
+        cache.cache_clear()
 
 
 class TestShapeCaches:
-    """Each shape's Gauss rule and multisets are built once per process; the
-    learner still sees every multiset, as a new float64 array, on every call."""
+    """Each shape's Gauss rule, multisets and moments are built once per process;
+    the learner still sees every multiset, as a new float64 array, on every call."""
 
     def test_second_call_builds_no_atoms_and_calls_the_learner_per_multiset(self, monkeypatch):
         built, calls = [], 0
@@ -357,10 +390,41 @@ class TestShapeCaches:
     def test_cached_arrays_are_read_only(self):
         _clear_caches()
         for _ in range(2):  # once as built, once from the caches
-            rule, z_sets, orderings, _ = oracles._enumerate(BetaPrior(2.0, 0.5, 2), 4, 1, 2, IDENTITY)
-            for arr in (rule.nodes, rule.weights, z_sets, orderings):
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[...] = 0
+            for prior, degree, k, scaling in ((BetaPrior(2.0, 0.5, 2), 4, 1, False),
+                                              (BetaPrior(2.0, 0.6, 2), 5, 2, True)):
+                *moments, thetas = oracles._enumerate(prior, degree, k, 2, IDENTITY, scaling)
+                rule = prior_quadrature(prior, degree)
+                for arr in (rule.nodes, rule.weights, *oracles._multisets(2, k, 2), *moments):
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[...] = 0
+                thetas[...] = 0  # the learner's outputs are new on every call
+
+    def test_moments_at_the_heavy_shapes_take_under_a_megabyte(self):
+        # perfbench's four heavy instances, as (prior, degree, k, n, scaling) keys.
+        keys = [(BetaPrior(2.0, 1.0, 5), 5, 5, 3, False), (BetaPrior(2.0, 0.9, 6), 5, 6, 2, True),
+                (BetaPrior(2.0, 1 / 7, 7), 5, 1, 3, False), (BetaPrior(2.0, 0.9, 4), 6, 4, 3, True)]
+        arrays = [arr for key in keys for arr in oracles._moments(*key)]
+        assert all(arr.base is None for arr in arrays)  # no view keeps a larger array alive
+        assert sum(arr.nbytes for arr in arrays) < 2**20
+
+    def test_cold_and_warm_calls_give_the_same_bits(self):
+        # A heavy-shaped instance (5,984 multisets), its arrays built, then read from the caches.
+        _clear_caches()
+        cold = verify_sparse_identity(5, 5, 3, 2.0, mean_cubed)
+        assert oracles._moments.cache_info().currsize == 1
+        warm = verify_sparse_identity(5, 5, 3, 2.0, mean_cubed)
+        assert oracles._moments.cache_info().hits == 1
+        assert (warm.lhs.hex(), warm.rhs.hex()) == (cold.lhs.hex(), cold.rhs.hex())
+
+    def test_verify_writes_the_same_bytes_cold_and_warm(self, tmp_path):
+        _clear_caches()
+        written = []
+        for run in ("cold", "warm"):
+            out = tmp_path / f"{run}.csv"
+            assert harness.main(["verify", "--threads", "1", "--out", str(out)]) == harness.EXIT_OK
+            written.append(out.read_bytes())
+        assert oracles._moments.cache_info().hits > 0
+        assert written[0] == written[1]
 
 
 # The old forms of the grid learners, through ndarray.mean and np.clip.
